@@ -85,6 +85,25 @@ class FockState:
         return f"F{{plus:{list(self.plus)},minus:{list(self.minus)}}}"
 
 
+_new = object.__new__
+_set_plus = FockState.plus.__set__
+_set_minus = FockState.minus.__set__
+_set_zero_ok = FockState.zero_ok.__set__
+
+
+def _fock_state(plus: tuple[int, ...], minus: tuple[int, ...], zero_ok: bool) -> FockState:
+    """Trusted constructor: the caller guarantees canonical blocks.
+
+    Skips ``__post_init__``; only the state maps use it, on blocks made
+    canonical by a bisect insertion or removal on the correct half.
+    """
+    s = _new(FockState)
+    _set_plus(s, plus)
+    _set_minus(s, minus)
+    _set_zero_ok(s, zero_ok)
+    return s
+
+
 def field_state(kind: str, k: int, state: FockState):
     """Apply one field operator to a basis state.
 
@@ -112,8 +131,8 @@ def field_state(kind: str, k: int, state: FockState):
     else:
         new = block[:pos] + block[pos + 1 :]
     if plus_side:
-        return sign, FockState(new, state.minus, state.zero_ok)
-    return sign, FockState(state.plus, new, state.zero_ok)
+        return sign, _fock_state(new, state.minus, state.zero_ok)
+    return sign, _fock_state(state.plus, new, state.zero_ok)
 
 
 def apply_field(kind: str, k: int, v: Vec) -> Vec:

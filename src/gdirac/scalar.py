@@ -15,20 +15,38 @@ from fractions import Fraction
 RatLike = int | Fraction
 
 
-@dataclass(frozen=True, slots=True)
+def _rat(x) -> RatLike:
+    """Canonical rational: a plain ``int`` when integral, else a ``Fraction``.
+
+    Most coefficients are small integers, and ``int`` arithmetic is an
+    order of magnitude cheaper than ``Fraction`` arithmetic.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Scalar:
     """The element ``a + b*sqrt(2)`` with rational ``a``, ``b``.
 
-    Fractions are kept reduced with positive denominator (guaranteed by
-    ``fractions.Fraction``), so equality is structural.
+    Each field is an ``int`` when integral and otherwise a reduced
+    ``Fraction`` with positive denominator (never one with denominator
+    1), so equality is structural.  Every construction and operation
+    normalises its fields through ``_rat``.
     """
 
-    a: Fraction
-    b: Fraction
+    a: RatLike
+    b: RatLike
+
+    def __new__(cls, a: RatLike = 0, b: RatLike = 0) -> "Scalar":
+        return _make(_rat(a), _rat(b))
 
     @staticmethod
     def of(a: RatLike = 0, b: RatLike = 0) -> "Scalar":
-        return Scalar(Fraction(a), Fraction(b))
+        return Scalar(a, b)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
@@ -42,34 +60,33 @@ class Scalar:
 
     @staticmethod
     def from_int(n: int) -> "Scalar":
-        return Scalar(Fraction(n), Fraction(0))
+        return Scalar(n)
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
     def __add__(self, other: "Scalar") -> "Scalar":
         other = _coerce(other)
-        return Scalar(self.a + other.a, self.b + other.b)
+        return _make(_rat(self.a + other.a), _rat(self.b + other.b))
 
     __radd__ = __add__
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         other = _coerce(other)
-        return Scalar(self.a - other.a, self.b - other.b)
+        return _make(_rat(self.a - other.a), _rat(self.b - other.b))
 
     def __rsub__(self, other: "Scalar") -> "Scalar":
         return _coerce(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b)
+        # Negation keeps a canonical field canonical.
+        return _make(-self.a, -self.b)
 
     def __mul__(self, other: "Scalar | RatLike") -> "Scalar":
         other = _coerce(other)
+        a, b, c, d = self.a, self.b, other.a, other.b
         # (a + b r)(c + d r) = (ac + 2bd) + (ad + bc) r,  r = sqrt(2)
-        return Scalar(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        return _make(_rat(a * c + 2 * b * d), _rat(a * d + b * c))
 
     __rmul__ = __mul__
 
@@ -77,7 +94,7 @@ class Scalar:
         norm = self.a * self.a - 2 * self.b * self.b
         if not norm:
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return Scalar(self.a / norm, -self.b / norm)
+        return _make(_rat(Fraction(self.a, norm)), _rat(Fraction(-self.b, norm)))
 
     def __truediv__(self, other: "Scalar | RatLike") -> "Scalar":
         return self * _coerce(other).inverse()
@@ -115,10 +132,23 @@ class Scalar:
         return f"Scalar({self.a!r}, {self.b!r})"
 
 
+_new = object.__new__
+_set_a = Scalar.a.__set__
+_set_b = Scalar.b.__set__
+
+
+def _make(a: RatLike, b: RatLike) -> Scalar:
+    """Build from fields already in canonical form, skipping the frozen guard."""
+    x = _new(Scalar)
+    _set_a(x, a)
+    _set_b(x, b)
+    return x
+
+
 def _coerce(x: "Scalar | RatLike") -> Scalar:
     if isinstance(x, Scalar):
         return x
-    return Scalar(Fraction(x), Fraction(0))
+    return _make(_rat(x), 0)
 
 
 ZERO = Scalar.of(0)

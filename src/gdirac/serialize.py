@@ -19,7 +19,7 @@ from .scalar import Scalar
 from .spinor import SpinState
 
 
-def frac_to_str(x: Fraction) -> str:
+def frac_to_str(x: int | Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -35,15 +35,12 @@ def scalar_to_json(x: Scalar) -> dict:
 
 
 def scalar_from_json(d: dict) -> Scalar:
-    return Scalar(frac_from_str(d["a"]), frac_from_str(d["b"]))
+    return Scalar.of(frac_from_str(d["a"]), frac_from_str(d["b"]))
 
 
 def scalar_to_csv(x: Scalar) -> str:
     """Exact display form: "3/2", "1+1√2", "0-1/2√2"."""
-    if not x.b:
-        return str(x.a)
-    sep = "-" if x.b < 0 else "+"
-    return f"{x.a}{sep}{abs(x.b)}√2"
+    return str(x)
 
 
 def fock_state_to_json(s: FockState) -> dict:

@@ -62,8 +62,26 @@ class SpinState:
         return f"S{{{list(self.modes)}}}"
 
 
+_new = object.__new__
+_set_modes = SpinState.modes.__set__
+
+
+def _spin_state(modes: tuple[SpinMode, ...]) -> SpinState:
+    """Trusted constructor: the caller guarantees valid, ascending modes.
+
+    Skips ``__post_init__``; only the state maps use it, on tuples made
+    canonical by a bisect insertion of an absent mode or removal of a
+    present one.
+    """
+    s = _new(SpinState)
+    _set_modes(s, modes)
+    return s
+
+
 def mode_state(create: bool, mode: SpinMode, state: SpinState):
     """Unit creator/annihilator of one mode; returns (sign, state) or None."""
+    if not (mode[0] > 0 > mode[1]):
+        raise ValueError(f"bad mode {mode}")
     modes = state.modes
     pos = bisect_left(modes, mode)
     present = pos < len(modes) and modes[pos] == mode
@@ -74,7 +92,7 @@ def mode_state(create: bool, mode: SpinMode, state: SpinState):
         new = modes[:pos] + (mode,) + modes[pos:]
     else:
         new = modes[:pos] + modes[pos + 1 :]
-    return sign, SpinState(new)
+    return sign, _spin_state(new)
 
 
 def gamma_unit_state(i: int, j: int, state: SpinState):
@@ -204,7 +222,7 @@ def ktilde_state_terms(i: int, j: int, state: SpinState) -> list[tuple[int, Spin
             continue
         pos = bisect_left(others, newmode)
         sign = base * (-1 if (h + pos) % 2 else 1)
-        out.append((sign, SpinState(others[:pos] + (newmode,) + others[pos:])))
+        out.append((sign, _spin_state(others[:pos] + (newmode,) + others[pos:])))
     return out
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from gdirac.rng import SplitMix64
-from gdirac.scalar import ONE, SQRT2, ZERO, Scalar, scalar_arith
+from gdirac.scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar, scalar_arith
+from gdirac.serialize import scalar_from_json
 
 
 def test_product_expansion():
@@ -71,3 +72,22 @@ def test_str_forms():
     assert str(Scalar.of(Fraction(3, 2))) == "3/2"
     assert str(Scalar.of(1, 1)) == "1+1√2"
     assert str(Scalar.of(0, Fraction(-1, 2))) == "0-1/2√2"
+
+
+def test_integral_fields_stored_as_int():
+    for x, want in [
+        (Scalar.of(Fraction(4, 2)), (2, 0)),
+        (HALF + HALF, (1, 0)),
+        (HALF_SQRT2 * SQRT2, (1, 0)),
+        (Scalar.of(Fraction(1, 2)).inverse(), (2, 0)),
+        (scalar_from_json({"a": "3/1", "b": "0/1"}), (3, 0)),
+    ]:
+        assert (x.a, x.b) == want
+        assert type(x.a) is int and type(x.b) is int
+
+
+def test_integer_division_stays_exact():
+    q = Scalar.of(1) / 3
+    assert q == Scalar.of(Fraction(1, 3))
+    assert type(q.a) is Fraction and type(q.b) is int
+    assert hash(q) == hash(Scalar.of(Fraction(1, 3)))

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from gdirac.casimir import NORMAL_N, CasimirVariant
 from gdirac.dirac import TensorState
 from gdirac.fock import FockState
@@ -70,3 +72,14 @@ def test_dumps_deterministic():
     payload = {"b": 1, "a": [3, 2], "c": {"y": 0, "x": 1}}
     assert dumps(payload) == dumps({"c": {"x": 1, "y": 0}, "a": [3, 2], "b": 1})
     assert dumps(payload).endswith("\n")
+
+
+def test_from_json_rejects_malformed():
+    with pytest.raises(ValueError):
+        fock_state_from_json({"plus": [2, 1], "minus": []})
+    with pytest.raises(ValueError):
+        spin_state_from_json({"modes": [[-1, 2]]})
+    with pytest.raises(ValueError):
+        scalar_from_json({"a": "x", "b": "0"})
+    with pytest.raises(ZeroDivisionError):
+        scalar_from_json({"a": "1/0", "b": "0"})
