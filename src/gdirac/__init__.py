@@ -35,14 +35,13 @@ from .fock import (
     bracket_central,
     charge_number_apply,
     fock_basis,
-    inner_fock,
     rhat_apply,
     schwinger,
     t_ores_apply,
 )
-from .linalg import ExactMatrix, LinearOperator, Vec, adjoint_residual
+from .linalg import ExactMatrix, Vec, adjoint_residual
 from .sampling import random_vector
-from .scalar import Scalar, scalar_arith
+from .scalar import Scalar
 from .spinor import (
     SpinState,
     fermion_number_apply,
@@ -59,7 +58,6 @@ __all__ = [
     "FockState",
     "InvariantBlock",
     "LieElement",
-    "LinearOperator",
     "Scalar",
     "SpinState",
     "TensorState",
@@ -78,7 +76,6 @@ __all__ = [
     "heisenberg_apply",
     "hw_state",
     "hw_weight",
-    "inner_fock",
     "invariant_basis",
     "k_family_apply",
     "ktilde_exact_apply",
@@ -86,7 +83,6 @@ __all__ = [
     "random_vector",
     "rhat_apply",
     "rho_apply",
-    "scalar_arith",
     "schwinger",
     "spectrum_report",
     "spin_basis",

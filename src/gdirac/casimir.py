@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import FockState, LieElement, diagonal_weight, rhat_apply, rhat_state
-from .linalg import Vec
+from .fock import FockState, LieElement, diagonal_weight, rhat_pair_state, rhat_state
+from .linalg import Vec, _vec, add_to, lift_sum
 from .scalar import ZERO, Scalar
 
 NAIVE_N = "naive_N"
@@ -71,29 +71,9 @@ def _casimir_state(tag: str, n: int | None, include0: bool, s: FockState) -> Vec
         # within the occupied window, so the infinite sums collapse.
         n = s.bound()
     idx = _window_indices(n, include0)
-    out: dict = {}
-
-    def add(state, coeff):
-        acc = out.get(state, ZERO) + coeff
-        if acc:
-            out[state] = acc
-        else:
-            out.pop(state, None)
-
     # quadratic part: 2 sum_{j<i} E_ij E_ji (raising first)
-    for i in idx:
-        for j in idx:
-            if j >= i:
-                continue
-            t = rhat_state(j, i, s)
-            if t is None:
-                continue
-            s1, mid = t
-            t = rhat_state(i, j, mid)
-            if t is None:
-                continue
-            s2, end = t
-            add(end, Scalar.of(2 * s1 * s2))
+    lower = [(i, j) for i in idx for j in idx if j < i]
+    quad = lift_sum(Vec.basis(s, 2), rhat_pair_state, lower)
     # diagonal part (the caller guarantees the support sits inside the
     # window, so the occupied sums are complete)
     sign_corr = 0 if tag in (NORMAL_N, LIMIT) else 1
@@ -102,30 +82,7 @@ def _casimir_state(tag: str, n: int | None, include0: bool, s: FockState) -> Vec
         diag += 1 - 2 * i + sign_corr
     for i in s.minus:
         diag += 1 + 2 * i + sign_corr
-    if diag:
-        add(s, Scalar.of(diag))
-    return Vec(out)
-
-
-def _naive_state(n: int, include0: bool, s: FockState) -> Vec:
-    idx = _window_indices(n, include0)
-    out: dict = {}
-    for i in idx:
-        for j in idx:
-            t = rhat_state(j, i, s)
-            if t is None:
-                continue
-            s1, mid = t
-            t = rhat_state(i, j, mid)
-            if t is None:
-                continue
-            s2, end = t
-            acc = out.get(end, ZERO) + Scalar.of(s1 * s2)
-            if acc:
-                out[end] = acc
-            else:
-                out.pop(end, None)
-    return Vec(out)
+    return quad + Vec.basis(s, diag)
 
 
 def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
@@ -135,18 +92,19 @@ def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
     like the shift operators): evaluating them across the boundary
     would produce plausible but silently truncated numbers.
     """
-    out = Vec()
-    for s, c in v.terms.items():
+    for s in v.terms:
         if s.zero_ok != variant.include0:
             raise ValueError("state lattice does not match the variant lattice")
         if variant.n is not None and s.bound() > variant.n:
             raise ValueError("support exceeds the cut-off window")
-        if variant.tag == NAIVE_N:
-            w = _naive_state(variant.n, variant.include0, s)
-        else:
-            w = _casimir_state(variant.tag, variant.n, variant.include0, s)
-        out = out + w.scaled(c)
-    return out
+    if variant.tag == NAIVE_N:
+        idx = _window_indices(variant.n, variant.include0)
+        return lift_sum(v, rhat_pair_state, [(i, j) for i in idx for j in idx])
+    out: dict = {}
+    for s, c in v.terms.items():
+        for k, x in _casimir_state(variant.tag, variant.n, variant.include0, s).terms.items():
+            add_to(out, k, x * c)
+    return _vec(out)
 
 
 def casimir_commutator(variant: CasimirVariant, m: int, n: int) -> LieElement:
@@ -206,16 +164,10 @@ def heisenberg_apply(n: int, k: int, v: Vec, include0: bool = True) -> Vec:
     for s in v.terms:
         if s.bound() > n - abs(k):
             raise ValueError("support too close to the window edge")
-    out = Vec()
-    lo = 0 if include0 else 1
-    for i in range(-n, n + 1):
-        j = i + k
-        if abs(i) > n or abs(j) > n:
-            continue
-        if (0 in (i, j)) and lo == 1:
-            continue
-        out = out + rhat_apply(i, j, v)
-    return out
+    pairs = [
+        (i, i + k) for i in range(-n, n + 1) if abs(i + k) <= n and (include0 or 0 not in (i, i + k))
+    ]
+    return lift_sum(v, rhat_state, pairs)
 
 
 def window_identity_residual(n: int, states: list[FockState]) -> Scalar:

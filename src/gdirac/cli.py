@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -26,6 +27,10 @@ from .suites import SUITES, run_suite
 SCHEMA = "gdirac/1"
 
 _CONFIG_KEYS = {"max-index", "trunc", "degree", "seed", "format", "out", "suite"}
+
+# Largest basis dump-op enumerates; its matrix is dense, N x N.
+MAX_DUMP_STATES = 1024
+_DUMP_BASES = {"fock": fk.fock_basis, "spin": sp.spin_basis, "tensor": dr.tensor_states}
 
 
 class UsageError(Exception):
@@ -211,36 +216,56 @@ def _parse_indices(text: str, arity: int) -> list[int]:
         raise UsageError(f"bad index in {text!r}") from exc
 
 
-def _dump_operator(descriptor: str, max_index: int):
-    """Resolve a descriptor to (basis states, vector operator)."""
+def dump_basis_size(space: str, max_index: int) -> int:
+    """Closed-form size of a dump-op basis: 4^K Fock states, 2^(K^2)
+    spin states, C(2K, K) 2^(K^2) charge-0 tensor states."""
+    if space == "fock":
+        return 4**max_index
+    spin = 2 ** (max_index * max_index)
+    return spin if space == "spin" else math.comb(2 * max_index, max_index) * spin
+
+
+def _dump_operator(descriptor: str):
+    """Resolve a descriptor to (basis space, vector operator)."""
     if ":" in descriptor:
         head, rest = descriptor.split(":", 1)
     else:
         head, rest = descriptor, ""
     if head == "rhat":
         p, q = _parse_indices(rest, 2)
-        return fk.fock_basis(max_index), lambda v: fk.rhat_apply(p, q, v)
+        return "fock", lambda v: fk.rhat_apply(p, q, v)
     if head == "gamma":
         i, j = _parse_indices(rest, 2)
-        return sp.spin_basis(max_index), lambda v: sp.gamma_apply(i, j, v)
+        return "spin", lambda v: sp.gamma_apply(i, j, v)
     if head == "ktilde":
         i, j = _parse_indices(rest, 2)
-        return sp.spin_basis(max_index), lambda v: sp.ktilde_exact_apply(i, j, v)
+        return "spin", lambda v: sp.ktilde_exact_apply(i, j, v)
     if head == "fermion-number":
-        return sp.spin_basis(max_index), sp.fermion_number_apply
+        return "spin", sp.fermion_number_apply
     if head in ("charge", "number"):
-        return fk.fock_basis(max_index), lambda v: fk.charge_number_apply(head, v)
+        return "fock", lambda v: fk.charge_number_apply(head, v)
     if head == "dirac":
         if not rest.startswith("N="):
             raise UsageError("dirac descriptor needs N=<cutoff>")
         n = int(rest[2:])
-        return dr.tensor_states(max_index), lambda v: dr.dirac_cutoff_apply(n, v)
+        return "tensor", lambda v: dr.dirac_cutoff_apply(n, v)
     raise UsageError(f"unknown operator descriptor {descriptor!r}")
 
 
 def cmd_dump_op(args) -> int:
     cfg = _config_of(args, max_index=args.max_index if args.max_index is not None else 2)
-    basis, op = _dump_operator(args.descriptor, cfg.max_index)
+    space, op = _dump_operator(args.descriptor)
+    k = cfg.max_index
+    # every basis has at least 2^K states, so a K past the limit's bit
+    # length is refused before the closed form meets a huge exponent
+    size = dump_basis_size(space, k) if k <= MAX_DUMP_STATES.bit_length() else None
+    if size is None or size > MAX_DUMP_STATES:
+        shown = size if size is not None else f"more than 2^{k}"
+        raise UsageError(
+            f"dump-op {args.descriptor} at --max-index {k} needs {shown} basis states; "
+            f"the limit is {MAX_DUMP_STATES}"
+        )
+    basis = _DUMP_BASES[space](k)
     columns = []
     for state in basis:
         img = op(Vec.basis(state))
@@ -343,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a failed spectrum certificate (spectrum, verify kernel)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

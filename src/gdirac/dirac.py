@@ -18,13 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import casimir as _cas
-from .fock import FockState, fock_basis, rhat_apply, rhat_state
-from .linalg import ExactMatrix, Vec, spans_equal
-from .scalar import HALF_SQRT2, ZERO, Scalar
+from .fock import FockState, fock_basis, rhat_apply, rhat_pair_state, rhat_state
+from .linalg import ExactMatrix, Vec, _vec, add_to, lift_sum, spans_equal
+from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
 from .spinor import (
+    H_N,
     SpinState,
     fermion_number_apply,
     fermion_number_cutoff_apply,
+    gamma_pair_state,
     gamma_unit_state,
     k_family_apply,
     ktilde_state_terms,
@@ -51,73 +53,40 @@ def tensor_basis_state(fock: FockState, spin: SpinState) -> Vec:
     return Vec.basis(TensorState(fock, spin))
 
 
-def _add(out: dict, key, coeff: Scalar) -> None:
-    acc = out.get(key, ZERO) + coeff
-    if acc:
-        out[key] = acc
-    else:
-        out.pop(key, None)
+def _e_gamma_state(p: int, q: int, ts: TensorState):
+    """E_pq (x) u_qp on a tensor basis state, u = gamma / sqrt(2).
+
+    One step of the Dirac sum; returns ``(sign, state)`` or ``None``.
+    """
+    t = gamma_unit_state(q, p, ts.spin)
+    if t is None:
+        return None
+    u = rhat_state(p, q, ts.fock)
+    if u is None:
+        return None
+    return t[0] * u[0], TensorState(u[1], t[1])
 
 
 def dirac_apply(v: Vec) -> Vec:
     """Exact Dirac action: the annihilating factors bound every sum."""
     out: dict = {}
     for ts, c in v.terms.items():
-        f, s = ts.fock, ts.spin
-        half = c * HALF_SQRT2
-        # pair annihilation in Fock, mode creation in spin:
-        # 1/2 E_{-p,q} (x) gamma_{q,-p} over occupied (q, -p)
-        for q in f.plus:
-            for p in f.minus:
-                t = rhat_state(p, q, f)
-                if t is None:
-                    continue
-                s1, f2 = t
-                t = gamma_unit_state(q, p, s)
-                if t is None:
-                    continue
-                s2, sp2 = t
-                _add(out, TensorState(f2, sp2), half if s1 * s2 > 0 else -half)
-        # pair creation in Fock, mode annihilation in spin:
-        # 1/2 E_{m,l} (x) gamma_{l,m} over occupied modes (m, l)
-        for m, l in s.modes:
-            t = rhat_state(m, l, f)
-            if t is None:
-                continue
-            s1, f2 = t
-            t = gamma_unit_state(l, m, s)
-            if t is None:
-                continue
-            s2, sp2 = t
-            _add(out, TensorState(f2, sp2), half if s1 * s2 > 0 else -half)
-    return Vec(out)
+        f = ts.fock
+        # pair annihilation in Fock, mode creation in spin: E_{p,q} over
+        # occupied q > 0 > p; pair creation in Fock, mode annihilation in
+        # spin: E_{m,l} over occupied modes (m, l)
+        for p, q in [(p, q) for q in f.plus for p in f.minus] + list(ts.spin.modes):
+            t = _e_gamma_state(p, q, ts)
+            if t is not None:
+                add_to(out, t[1], c if t[0] > 0 else -c)
+    return _vec(out).scaled(HALF_SQRT2)
 
 
 def dirac_cutoff_apply(n: int, v: Vec) -> Vec:
     """Literal windowed sum 1/2 sum_{|i|,|j|<=N, ij<0} E_ij (x) gamma_ji."""
-    out: dict = {}
     window = [(i, j) for i in range(1, n + 1) for j in range(-n, 0)]
-    for ts, c in v.terms.items():
-        f, s = ts.fock, ts.spin
-        half = c * HALF_SQRT2
-        for i, j in window:
-            # (i, j) with i > 0 > j: gamma_ji removes the mode (i, j)
-            t = gamma_unit_state(j, i, s)
-            if t is not None:
-                s2, sp2 = t
-                t2 = rhat_state(i, j, f)
-                if t2 is not None:
-                    s1, f2 = t2
-                    _add(out, TensorState(f2, sp2), half if s1 * s2 > 0 else -half)
-            # (j, i) with j < 0 < i: gamma_ij creates the mode (i, j)
-            t = gamma_unit_state(i, j, s)
-            if t is not None:
-                s2, sp2 = t
-                t2 = rhat_state(j, i, f)
-                if t2 is not None:
-                    s1, f2 = t2
-                    _add(out, TensorState(f2, sp2), half if s1 * s2 > 0 else -half)
-    return Vec(out)
+    window += [(j, i) for i, j in window]
+    return lift_sum(v, _e_gamma_state, window).scaled(HALF_SQRT2)
 
 
 def rho_apply(p: int, q: int, v: Vec) -> Vec:
@@ -128,11 +97,10 @@ def rho_apply(p: int, q: int, v: Vec) -> Vec:
     for ts, c in v.terms.items():
         t = rhat_state(p, q, ts.fock)
         if t is not None:
-            sign, f2 = t
-            _add(out, TensorState(f2, ts.spin), c if sign > 0 else -c)
+            add_to(out, TensorState(t[1], ts.spin), c if t[0] > 0 else -c)
         for sign, sp2 in ktilde_state_terms(p, q, ts.spin):
-            _add(out, TensorState(ts.fock, sp2), c if sign > 0 else -c)
-    return Vec(out)
+            add_to(out, TensorState(ts.fock, sp2), c if sign > 0 else -c)
+    return _vec(out)
 
 
 def diagonal_casimir_apply(n: int, v: Vec) -> Vec:
@@ -179,16 +147,11 @@ def _invariant_nullspace(n: int, pairs: int, spin_length: int, window: int) -> l
     rows: dict[tuple, dict[int, Scalar]] = {}
     for ci, ts in enumerate(cols):
         for op_i, (p, q) in enumerate(ops):
-            img = rho_apply(p, q, Vec.basis(ts))
-            for state, coeff in img.terms.items():
-                row = rows.setdefault((op_i, state), {})
-                acc = row.get(ci, ZERO) + coeff
-                if acc:
-                    row[ci] = acc
-                else:
-                    row.pop(ci, None)
-        # pin the column order for reconstruction
-    matrix = ExactMatrix([r for r in rows.values() if r], len(cols))
+            # the image of one column has distinct states, so each row
+            # gets at most one entry per column
+            for state, coeff in rho_apply(p, q, Vec.basis(ts)).terms.items():
+                rows.setdefault((op_i, state), {})[ci] = coeff
+    matrix = ExactMatrix(list(rows.values()), len(cols))
     basis = []
     for vec in matrix.nullspace():
         basis.append(Vec({cols[i]: c for i, c in vec.terms.items()}))
@@ -222,15 +185,7 @@ def t_square_apply(v: Vec) -> Vec:
     """Renormalized Casimir (x) 1 + 1 (x) fermion number (= 4 D^2 on
     the invariant sector)."""
     g = _cas.CasimirVariant(_cas.G_LIMIT, None, include0=False)
-    out: dict = {}
-    for ts, c in v.terms.items():
-        w = _cas.casimir_apply(g, Vec.basis(ts.fock, c))
-        for f2, c2 in w.terms.items():
-            _add(out, TensorState(f2, ts.spin), c2)
-        fn = fermion_number_apply(Vec.basis(ts.spin, c))
-        for s2, c2 in fn.terms.items():
-            _add(out, TensorState(ts.fock, s2), c2)
-    return Vec(out)
+    return _fock_op_tensor(v, lambda fv: _cas.casimir_apply(g, fv)) + _spin_op_tensor(v, fermion_number_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -242,143 +197,90 @@ def _spin_op_tensor(v: Vec, spin_fn) -> Vec:
     grouped: dict[FockState, dict[SpinState, Scalar]] = {}
     for ts, c in v.terms.items():
         grouped.setdefault(ts.fock, {})[ts.spin] = c
-    out: dict = {}
-    for f, terms in grouped.items():
-        w = spin_fn(Vec(terms))
-        for s, c in w.terms.items():
-            _add(out, TensorState(f, s), c)
-    return Vec(out)
+    # each group has its own Fock factor, so the images never overlap
+    return _vec(
+        {TensorState(f, s): c for f, terms in grouped.items() for s, c in spin_fn(_vec(terms)).terms.items()}
+    )
 
 
 def _fock_op_tensor(v: Vec, fock_fn) -> Vec:
+    """fock_fn (x) 1 applied factor-wise."""
     grouped: dict[SpinState, dict[FockState, Scalar]] = {}
     for ts, c in v.terms.items():
         grouped.setdefault(ts.spin, {})[ts.fock] = c
-    out: dict = {}
-    for s, terms in grouped.items():
-        w = fock_fn(Vec(terms))
-        for f, c in w.terms.items():
-            _add(out, TensorState(f, s), c)
-    return Vec(out)
+    return _vec(
+        {TensorState(f, s): c for s, terms in grouped.items() for f, c in fock_fn(_vec(terms)).terms.items()}
+    )
 
 
-def _h_spin(n, i, j, sv):
-    from .spinor import H_N
-
-    return k_family_apply(H_N, n, i, j, sv)
+def _e_pair_state(p: int, q: int, a: tuple[int, int], b: tuple[int, int], ts: TensorState):
+    """E_pq (x) u_a u_b on a tensor basis state; (sign, state) or None."""
+    t = gamma_pair_state(a, b, ts.spin)
+    if t is None:
+        return None
+    u = rhat_state(p, q, ts.fock)
+    if u is None:
+        return None
+    return t[0] * u[0], TensorState(u[1], t[1])
 
 
 def _square_rhs_raw(n: int, v: Vec) -> Vec:
     """4 x the raw three-term expansion of the cut-off square."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(-n, 0)]
     pairs += [(j, i) for (i, j) in pairs]
-    quarter = Scalar.of(Fraction(1, 4))
-    half = Scalar.of(Fraction(1, 2))
-    out: dict = {}
     # (1/16) sum (delta_jm E_in - delta_ni E_mj) (x) [gamma_ji, gamma_nm]
-    # with gamma = sqrt(2) u this is (1/8)*... ; scaled by 4 -> 1/2.
+    # with gamma = sqrt(2) u this is (1/8)*... ; scaled by 4 -> 1/2, and
+    # [gamma_ji, gamma_nm] = 2(u_ji u_nm - u_nm u_ji): the terms of sign
+    # +1 and -1 are collected as (p, q, a, b) for E_pq (x) u_a u_b.
+    plus, minus = [], []
     for i, j in pairs:
         for m, n2 in pairs:
-            contrib = []
+            ji, nm = (j, i), (n2, m)
             if j == m:
-                contrib.append(((i, n2), 1))
+                plus.append((i, n2, ji, nm))
+                minus.append((i, n2, nm, ji))
             if n2 == i:
-                contrib.append(((m, j), -1))
-            if not contrib:
-                continue
-            for ts, c in v.terms.items():
-                f, s = ts.fock, ts.spin
-                for (ep, eq), sgn in contrib:
-                    t = rhat_state(ep, eq, f)
-                    if t is None:
-                        continue
-                    fs, f2 = t
-                    base = c * half * (sgn * fs)
-                    # [gamma_ji, gamma_nm] = 2(u_ji u_nm - u_nm u_ji)
-                    for order in (0, 1):
-                        a1, a2 = ((j, i), (n2, m)) if order == 0 else ((n2, m), (j, i))
-                        t2 = gamma_unit_state(*a2, s)
-                        if t2 is None:
-                            continue
-                        g1, mid = t2
-                        t2 = gamma_unit_state(*a1, mid)
-                        if t2 is None:
-                            continue
-                        g2, end = t2
-                        coeff = base * (g1 * g2) if order == 0 else -base * (g1 * g2)
-                        _add(out, TensorState(f2, end), coeff)
+                minus.append((m, j, ji, nm))
+                plus.append((m, j, nm, ji))
+    out = (lift_sum(v, _e_pair_state, plus) - lift_sum(v, _e_pair_state, minus)).scaled(HALF)
     # (1/8) sum sign(i) 1 (x) gamma_ij gamma_ji = (1/4) sum sign(i) u u;
     # scaled by 4 -> sign(i) * u_ij u_ji.
-    for i, j in pairs:
-        sgn = 1 if i > 0 else -1
-        for ts, c in v.terms.items():
-            f, s = ts.fock, ts.spin
-            t = gamma_unit_state(j, i, s)
-            if t is None:
-                continue
-            g1, mid = t
-            t = gamma_unit_state(i, j, mid)
-            if t is None:
-                continue
-            g2, end = t
-            _add(out, TensorState(f, end), c * (sgn * g1 * g2))
+    plus_units = [((i, j), (j, i)) for i, j in pairs if i > 0]
+    minus_units = [((i, j), (j, i)) for i, j in pairs if i < 0]
+    out = out + _spin_op_tensor(
+        v, lambda sv: lift_sum(sv, gamma_pair_state, plus_units) - lift_sum(sv, gamma_pair_state, minus_units)
+    )
     # (1/4) sum E_ij E_ji (x) 1; scaled by 4 -> E_ij E_ji.
-    for i, j in pairs:
-        for ts, c in v.terms.items():
-            f, s = ts.fock, ts.spin
-            t = rhat_state(j, i, f)
-            if t is None:
-                continue
-            s1, mid = t
-            t = rhat_state(i, j, mid)
-            if t is None:
-                continue
-            s2, end = t
-            _add(out, TensorState(end, s), c * (s1 * s2))
-    return Vec(out)
+    return out + _fock_op_tensor(v, lambda fv: lift_sum(fv, rhat_pair_state, pairs))
 
 
 def _square_rhs_hk(n: int, v: Vec) -> Vec:
-    """Naive-Casimir form of 4 D_(N)^2 with the diagonal Casimir subtracted."""
+    """Naive-Casimir form of 4 D_(N)^2 with the diagonal Casimir subtracted.
+
+    The regrouping reads
+
+        Delta_g^(N) (x) 1
+          - [sum_{ij>0} E_ij E_ji (x) 1 + 2 E_ij (x) H_ji + 1 (x) H_ij H_ji]
+          + 1 (x) sum_{ij>0} H_ij H_ji + 1 (x) sum_i sign(i) H_ii,
+
+    with Delta_g^(N) = sum E_ij E_ji over all window pairs, both halves
+    and the diagonal included.  The same-sign part of Delta_g^(N) and the
+    H H sums cancel, so it is computed as
+
+        sum_{ij<0} E_ij E_ji (x) 1 - 2 sum_{ij>0} E_ij (x) H_ji
+          + 1 (x) sum_i sign(i) H_ii.
+    """
     idx = [i for i in range(-n, n + 1) if i != 0]
-    same_sign = [(i, j) for i in idx for j in idx if i * j > 0]
-
-    def fock_quad(pairs_list, fv):
-        out: dict = {}
-        for p, q in pairs_list:
-            for f, c in fv.terms.items():
-                t = rhat_state(q, p, f)
-                if t is None:
-                    continue
-                s1, mid = t
-                t = rhat_state(p, q, mid)
-                if t is None:
-                    continue
-                s2, end = t
-                _add(out, end, c * (s1 * s2))
-        return Vec(out)
-
-    # Delta_g^(N) (x) 1 : all pairs, both halves, including the diagonal
-    all_pairs = [(i, j) for i in idx for j in idx]
-    acc = _fock_op_tensor(v, lambda fv: fock_quad(all_pairs, fv))
-    # minus the naive diagonal Casimir: E E (x) 1 + 2 E (x) H + 1 (x) H H
-    acc = acc - _fock_op_tensor(v, lambda fv: fock_quad(same_sign, fv))
-    for i, j in same_sign:
-        mid = _spin_op_tensor(v, lambda sv, a=j, b=i: _h_spin(n, a, b, sv))
-        mid = _fock_op_tensor(mid, lambda fv, a=i, b=j: rhat_apply(a, b, fv))
-        acc = acc - mid.scaled(2)
-    hh = Vec()
-    for i, j in same_sign:
-        hh = hh + _spin_op_tensor(
-            v, lambda sv, a=i, b=j: _h_spin(n, a, b, _h_spin(n, b, a, sv))
-        )
-    acc = acc - hh
-    # plus 1 (x) sum H_ij H_ji  (cancels the one inside the diagonal Casimir)
-    acc = acc + hh
-    # plus 1 (x) sum sign(i) H_ii
+    cross = [(i, j) for i in idx for j in idx if i * j < 0]
+    acc = _fock_op_tensor(v, lambda fv: lift_sum(fv, rhat_pair_state, cross))
     for i in idx:
-        sgn = 1 if i > 0 else -1
-        acc = acc + _spin_op_tensor(v, lambda sv, a=i: _h_spin(n, a, a, sv)).scaled(sgn)
+        for j in idx:
+            if i * j > 0:
+                mid = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, j, i, sv))
+                acc = acc - _fock_op_tensor(mid, lambda fv: rhat_apply(i, j, fv)).scaled(2)
+    for i in idx:
+        h = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, i, i, sv))
+        acc = acc + (h if i > 0 else -h)
     return acc
 
 

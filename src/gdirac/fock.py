@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Vec
+from .linalg import Vec, _vec, add_to, lift
 from .scalar import HALF, ONE, ZERO, Scalar, _coerce
 
 PSI = "psi"
@@ -137,18 +137,7 @@ def field_state(kind: str, k: int, state: FockState):
 
 def apply_field(kind: str, k: int, v: Vec) -> Vec:
     """psi_k / psi*_k extended linearly to finite vectors."""
-    out: dict = {}
-    for s, c in v.terms.items():
-        t = field_state(kind, k, s)
-        if t is None:
-            continue
-        sign, s2 = t
-        acc = out.get(s2, ZERO) + (c if sign > 0 else -c)
-        if acc:
-            out[s2] = acc
-        else:
-            out.pop(s2, None)
-    return Vec(out)
+    return lift(v, field_state, kind, k)
 
 
 def rhat_state(p: int, q: int, state: FockState):
@@ -174,18 +163,23 @@ def rhat_state(p: int, q: int, state: FockState):
 
 def rhat_apply(p: int, q: int, v: Vec) -> Vec:
     """Level-1 action of the matrix unit E_{p,q} on finite vectors."""
-    out: dict = {}
-    for s, c in v.terms.items():
-        t = rhat_state(p, q, s)
-        if t is None:
-            continue
-        sign, s2 = t
-        acc = out.get(s2, ZERO) + (c if sign > 0 else -c)
-        if acc:
-            out[s2] = acc
-        else:
-            out.pop(s2, None)
-    return Vec(out)
+    return lift(v, rhat_state, p, q)
+
+
+def rhat_pair_state(p: int, q: int, state: FockState):
+    """E_{p,q} E_{q,p} on a basis state, E_{q,p} acting first.
+
+    Returns ``(sign, state)`` or ``None``; summed over index pairs with
+    ``linalg.lift_sum`` it gives the pair quadratics of the Casimirs and
+    of the square identities.
+    """
+    t = rhat_state(q, p, state)
+    if t is None:
+        return None
+    u = rhat_state(p, q, t[1])
+    if u is None:
+        return None
+    return t[0] * u[0], u[1]
 
 
 def diagonal_weight(i: int, state: FockState) -> int:
@@ -204,12 +198,7 @@ def charge_number_apply(which: str, v: Vec) -> Vec:
         n = s.charge if which == "charge" else s.degree
         if n:
             out[s] = c * n
-    return Vec(out)
-
-
-def inner_fock(v: Vec, w: Vec) -> Scalar:
-    """Inner product; the canonical basis states are orthonormal."""
-    return v.inner(w)
+    return _vec(out)
 
 
 def fock_basis(bound: int, zero_ok: bool = False, charge: int | None = None) -> list[FockState]:
@@ -295,21 +284,13 @@ def schwinger(a: LieElement, b: LieElement) -> Scalar:
 def bracket_central(a: LieElement, b: LieElement) -> LieElement:
     """[(A, alpha), (B, beta)] = ([A, B], s(A, B)); central parts drop out."""
     terms: dict[tuple[int, int], Scalar] = {}
-
-    def add(key, c):
-        s = terms.get(key, ZERO) + c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-
     for (p, q), ca in a.terms.items():
         for (m, n), cb in b.terms.items():
             c = ca * cb
             if q == m:
-                add((p, n), c)
+                add_to(terms, (p, n), c)
             if n == p:
-                add((m, q), -c)
+                add_to(terms, (m, q), -c)
     return LieElement(terms, schwinger(a, b), a.zero_ok or b.zero_ok)
 
 
@@ -368,24 +349,15 @@ def _table_matmul(x: TermTable, y: TermTable) -> TermTable:
     out: TermTable = {}
     for (i, k), cx in x.items():
         for (k2, j), cy in y.items():
-            if k != k2:
-                continue
-            s = out.get((i, j), ZERO) + cx * cy
-            if s:
-                out[(i, j)] = s
-            else:
-                out.pop((i, j), None)
+            if k == k2:
+                add_to(out, (i, j), cx * cy)
     return out
 
 
 def _table_sub(x: TermTable, y: TermTable) -> TermTable:
     out = dict(x)
     for k, c in y.items():
-        s = out.get(k, ZERO) - c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        add_to(out, k, -c)
     return out
 
 

@@ -4,11 +4,15 @@ The vectors are finite maps from totally ordered basis keys to nonzero
 scalars; the matrices keep sparse rows and are reduced by exact Gaussian
 elimination (Q(sqrt2) is a field, so no rounding ever occurs and the
 returned basis is deterministic).
+
+Every operator of the package is a signed basis-state map, or a sum of
+them, extended linearly: ``lift`` and ``lift_sum`` do that extension,
+and ``add_to`` is the one accumulate-and-drop step behind it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .scalar import ONE, ZERO, RatLike, Scalar, _coerce
 
@@ -39,10 +43,6 @@ class Vec:
         self.terms = clean
 
     @staticmethod
-    def zero() -> "Vec":
-        return Vec()
-
-    @staticmethod
     def basis(key: Key, coeff: Scalar | RatLike = ONE) -> "Vec":
         return Vec({key: _coerce(coeff)})
 
@@ -67,31 +67,20 @@ class Vec:
     def __add__(self, other: "Vec") -> "Vec":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        v = Vec.__new__(Vec)
-        v.terms = out
-        return v
+            add_to(out, k, c)
+        return _vec(out)
 
     def __sub__(self, other: "Vec") -> "Vec":
         return self + (-other)
 
     def __neg__(self) -> "Vec":
-        v = Vec.__new__(Vec)
-        v.terms = {k: -c for k, c in self.terms.items()}
-        return v
+        return _vec({k: -c for k, c in self.terms.items()})
 
     def scaled(self, c: Scalar | RatLike) -> "Vec":
         c = _coerce(c)
         if not c:
             return Vec()
-        v = Vec.__new__(Vec)
-        v.terms = {k: x * c for k, x in self.terms.items()}
-        return v
+        return _vec({k: x * c for k, x in self.terms.items()})
 
     def __rmul__(self, c: Scalar | RatLike) -> "Vec":
         return self.scaled(c)
@@ -125,67 +114,48 @@ class Vec:
         return best
 
 
+_new = object.__new__
+
+
+def _vec(terms: dict) -> Vec:
+    """Trusted constructor: ``terms`` already holds no zero coefficient."""
+    v = _new(Vec)
+    v.terms = terms
+    return v
+
+
+def add_to(out: dict, key: Key, c: Scalar) -> None:
+    """Accumulate ``c`` at ``key``, dropping the key when the sum cancels."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def lift_sum(v: Vec, state_map: Callable, arg_list: Sequence[tuple]) -> Vec:
+    """sum over ``args`` in ``arg_list`` of ``state_map(*args, .)`` extended
+    linearly to ``v``, in one pass.
+
+    ``state_map(*args, state)`` returns ``(sign, state)`` with ``sign`` in
+    {+1, -1}, or ``None`` when the image vanishes.
+    """
+    out: dict = {}
+    for s, c in v.terms.items():
+        for args in arg_list:
+            t = state_map(*args, s)
+            if t is not None:
+                add_to(out, t[1], c if t[0] > 0 else -c)
+    return _vec(out)
+
+
+def lift(v: Vec, state_map: Callable, *args) -> Vec:
+    """``state_map(*args, .)`` extended linearly to ``v``."""
+    return lift_sum(v, state_map, (args,))
+
+
 Operator = Callable[[Vec], Vec]
-
-
-class LinearOperator:
-    """Composable exact linear map with an optional formal adjoint."""
-
-    __slots__ = ("fn", "adj", "name")
-
-    def __init__(self, fn: Operator, adjoint: Operator | None = None, name: str = ""):
-        self.fn = fn
-        self.adj = adjoint
-        self.name = name
-
-    def __call__(self, v: Vec) -> Vec:
-        return self.fn(v)
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        adj = None
-        if self.adj is not None and other.adj is not None:
-            sa, oa = self.adj, other.adj
-            adj = lambda v: oa(sa(v))
-        return LinearOperator(
-            lambda v: self.fn(other.fn(v)), adj, f"{self.name}*{other.name}"
-        )
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        adj = None
-        if self.adj is not None and other.adj is not None:
-            sa, oa = self.adj, other.adj
-            adj = lambda v: sa(v) + oa(v)
-        return LinearOperator(
-            lambda v: self.fn(v) + other.fn(v), adj, f"{self.name}+{other.name}"
-        )
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        adj = None
-        if self.adj is not None and other.adj is not None:
-            sa, oa = self.adj, other.adj
-            adj = lambda v: sa(v) - oa(v)
-        return LinearOperator(
-            lambda v: self.fn(v) - other.fn(v), adj, f"{self.name}-{other.name}"
-        )
-
-    def scaled(self, c: Scalar | RatLike) -> "LinearOperator":
-        c = _coerce(c)
-        adj = None if self.adj is None else (lambda v, a=self.adj: a(v).scaled(c))
-        return LinearOperator(lambda v: self.fn(v).scaled(c), adj, self.name)
-
-    @property
-    def T(self) -> "LinearOperator":
-        if self.adj is None:
-            raise ValueError(f"operator {self.name!r} has no formal adjoint attached")
-        return LinearOperator(self.adj, self.fn, self.name + "^*")
-
-
-def commutator(a: Operator, b: Operator, v: Vec) -> Vec:
-    return a(b(v)) - b(a(v))
-
-
-def anticommutator(a: Operator, b: Operator, v: Vec) -> Vec:
-    return a(b(v)) + b(a(v))
 
 
 def adjoint_residual(a: Operator, b: Operator, vs: Iterable[Vec]) -> Scalar:
@@ -265,22 +235,13 @@ class ExactMatrix:
                         f = other.get(lead)
                         if f is not None:
                             for j, c in r.items():
-                                s = other.get(j, ZERO) - f * c
-                                if s:
-                                    other[j] = s
-                                else:
-                                    other.pop(j, None)
+                                add_to(other, j, -(f * c))
                     pivots[lead] = r
                     break
                 f = r.pop(lead)
                 for j, c in piv.items():
-                    if j == lead:
-                        continue
-                    s = r.get(j, ZERO) - f * c
-                    if s:
-                        r[j] = s
-                    else:
-                        r.pop(j, None)
+                    if j != lead:
+                        add_to(r, j, -(f * c))
         return pivots
 
     def rank(self) -> int:

@@ -158,19 +158,3 @@ HALF = Scalar.of(Fraction(1, 2))
 SQRT2 = Scalar.of(0, 1)
 HALF_SQRT2 = Scalar.of(0, Fraction(1, 2))
 
-
-def scalar_arith(x: Scalar, y: Scalar | None, op: str) -> Scalar:
-    """Dispatch table for the four field operations plus negation.
-
-    There is no conjugation: the field is real, so the inner products
-    built on it degenerate to bilinear forms.
-    """
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "neg":
-        return -x
-    raise ValueError(f"unknown scalar op {op!r}")

@@ -20,8 +20,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Vec
-from .scalar import HALF, SQRT2, ZERO
+from .linalg import Vec, _vec, add_to, lift, lift_sum
+from .scalar import HALF, SQRT2
 
 SpinMode = tuple[int, int]
 
@@ -106,38 +106,22 @@ def gamma_unit_state(i: int, j: int, state: SpinState):
 
 def gamma_apply(i: int, j: int, v: Vec) -> Vec:
     """Clifford generator of E_ij: sqrt(2) times the unit mode operator."""
-    out: dict = {}
-    for s, c in v.terms.items():
-        t = gamma_unit_state(i, j, s)
-        if t is None:
-            continue
-        sign, s2 = t
-        acc = out.get(s2, ZERO) + (c if sign > 0 else -c)
-        if acc:
-            out[s2] = acc
-        else:
-            out.pop(s2, None)
-    return Vec(out).scaled(SQRT2)
+    return lift(v, gamma_unit_state, i, j).scaled(SQRT2)
 
 
-def _unit_pair_apply(i: int, k: int, j: int, v: Vec) -> Vec:
-    """Unit-normalized gamma_ik gamma_kj (equals 1/2 gamma_ik gamma_kj)."""
-    out: dict = {}
-    for s, c in v.terms.items():
-        t = gamma_unit_state(k, j, s)
-        if t is None:
-            continue
-        s1, mid = t
-        t = gamma_unit_state(i, k, mid)
-        if t is None:
-            continue
-        s2, end = t
-        acc = out.get(end, ZERO) + (c if s1 * s2 > 0 else -c)
-        if acc:
-            out[end] = acc
-        else:
-            out.pop(end, None)
-    return Vec(out)
+def gamma_pair_state(a: tuple[int, int], b: tuple[int, int], state: SpinState):
+    """u_a u_b on a basis state, u_b acting first; (sign, state) or None.
+
+    ``u_ij`` is the unit-normalized generator gamma_ij / sqrt(2), so the
+    product equals 1/2 gamma_a gamma_b.
+    """
+    t = gamma_unit_state(*b, state)
+    if t is None:
+        return None
+    u = gamma_unit_state(*a, t[1])
+    if u is None:
+        return None
+    return t[0] * u[0], u[1]
 
 
 def _window(i: int, n: int) -> range:
@@ -158,16 +142,14 @@ def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
         raise ValueError("K-family indices must share a sign")
     if max(abs(i), abs(j)) > n:
         raise ValueError("index out of the cut-off window")
+    pairs = [((i, k), (k, j)) for k in _window(i, n)]
     if family == H_N:
         # 1/4 sum [gamma_ik, gamma_kj] = 1/2 sum (u_ik u_kj - u_kj u_ik);
         # the reversed products already carry the -N/2 diagonal constant.
-        out = Vec()
-        for k in _window(i, n):
-            out = out + _unit_pair_apply(i, k, j, v) - _unit_pair_apply_rev(i, k, j, v)
+        reversed_pairs = [(b, a) for a, b in pairs]
+        out = lift_sum(v, gamma_pair_state, pairs) - lift_sum(v, gamma_pair_state, reversed_pairs)
         return out.scaled(HALF)
-    out = Vec()
-    for k in _window(i, n):
-        out = out + _unit_pair_apply(i, k, j, v)
+    out = lift_sum(v, gamma_pair_state, pairs)
     if family == K_RAW:
         return out
     if family == K_TILDE_N:
@@ -175,26 +157,6 @@ def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
             out = out - v.scaled(n)
         return out
     raise ValueError(f"unknown K family {family!r}")
-
-
-def _unit_pair_apply_rev(i: int, k: int, j: int, v: Vec) -> Vec:
-    """Unit-normalized gamma_kj gamma_ik (the reversed product)."""
-    out: dict = {}
-    for s, c in v.terms.items():
-        t = gamma_unit_state(i, k, s)
-        if t is None:
-            continue
-        s1, mid = t
-        t = gamma_unit_state(k, j, mid)
-        if t is None:
-            continue
-        s2, end = t
-        acc = out.get(end, ZERO) + (c if s1 * s2 > 0 else -c)
-        if acc:
-            out[end] = acc
-        else:
-            out.pop(end, None)
-    return Vec(out)
 
 
 def ktilde_state_terms(i: int, j: int, state: SpinState) -> list[tuple[int, SpinState]]:
@@ -231,12 +193,8 @@ def ktilde_exact_apply(i: int, j: int, v: Vec) -> Vec:
     out: dict = {}
     for s, c in v.terms.items():
         for sign, s2 in ktilde_state_terms(i, j, s):
-            acc = out.get(s2, ZERO) + (c if sign > 0 else -c)
-            if acc:
-                out[s2] = acc
-            else:
-                out.pop(s2, None)
-    return Vec(out)
+            add_to(out, s2, c if sign > 0 else -c)
+    return _vec(out)
 
 
 def fermion_number_apply(v: Vec) -> Vec:
@@ -245,7 +203,7 @@ def fermion_number_apply(v: Vec) -> Vec:
     for s, c in v.terms.items():
         if s.modes:
             out[s] = c * (2 * len(s.modes))
-    return Vec(out)
+    return _vec(out)
 
 
 def fermion_number_cutoff_apply(n: int, v: Vec) -> Vec:

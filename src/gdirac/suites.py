@@ -112,16 +112,10 @@ def suite_clifford(max_index: int = 3, **_) -> dict:
             want = 2 if (i == n and j == m) else 0
             for s in basis:
                 acc: dict = {}
-                for (a1, a2), sgn in ((( (i, j), (m, n)), 1), (((m, n), (i, j)), 1)):
-                    t = sp.gamma_unit_state(*a2, s)
-                    if t is None:
-                        continue
-                    s1, mid = t
-                    t = sp.gamma_unit_state(*a1, mid)
-                    if t is None:
-                        continue
-                    s2, end = t
-                    acc[end] = acc.get(end, 0) + 2 * s1 * s2  # sqrt2^2 = 2
+                for a, b in (((i, j), (m, n)), ((m, n), (i, j))):
+                    t = sp.gamma_pair_state(a, b, s)
+                    if t is not None:
+                        acc[t[1]] = acc.get(t[1], 0) + 2 * t[0]  # sqrt2^2 = 2
                 acc[s] = acc.get(s, 0) - want
                 bad = sum(abs(x) for x in acc.values())
                 worst = max(worst, bad)

@@ -61,20 +61,6 @@ def test_hw_raising_annihilation_and_weights():
             assert rhat_apply(i, i, w) == w.scaled(hw_weight(m, i)), (m, i)
 
 
-def test_hw_casimir_eigenvalues_nonnegative_charge():
-    for m in range(0, 4):
-        w = Vec.basis(hw_state(m))
-        assert casimir_apply(CasimirVariant(LIMIT), w) == w.scaled(-m * (m - 2))
-
-
-def test_hw_casimir_eigenvalues_negative_charge():
-    # the hole block contributes 2|m| on top of -m(m-2): the eigenvalue
-    # is -m^2, consistent with the general law below
-    for m in range(-3, 0):
-        w = Vec.basis(hw_state(m))
-        assert casimir_apply(CasimirVariant(LIMIT), w) == w.scaled(-m * m)
-
-
 def test_eigenvalue_law_all_charges():
     for charge in range(-2, 3):
         for s in fock_basis(3, zero_ok=True, charge=charge):

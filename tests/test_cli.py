@@ -1,12 +1,19 @@
 """Command-line integration: exit codes, determinism, report shapes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from gdirac.cli import main
+from gdirac.cli import MAX_DUMP_STATES, dump_basis_size, main
+from gdirac.dirac import tensor_states
+from gdirac.fock import fock_basis
+from gdirac.spinor import spin_basis
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +136,44 @@ def test_dump_op_unknown_descriptor(capsys):
     assert "descriptor" in err
 
 
+def test_dump_basis_size_closed_form():
+    for k in (1, 2):
+        assert dump_basis_size("fock", k) == len(fock_basis(k))
+        assert dump_basis_size("spin", k) == len(spin_basis(k))
+        assert dump_basis_size("tensor", k) == len(tensor_states(k))
+    assert dump_basis_size("spin", 4) == 65536
+
+
+@pytest.mark.parametrize(
+    "descriptor, max_index, shown",
+    [
+        ("gamma:1,-1", "4", "65536"),
+        ("rhat:1,1", "6", "4096"),
+        ("dirac:N=3", "3", "10240"),
+        ("gamma:1,-1", "1000000", "more than 2^1000000"),
+    ],
+)
+def test_dump_op_oversized_basis_exit_two(capsys, descriptor, max_index, shown):
+    # refused from the closed form, before any state is enumerated
+    code, out, err = run_cli(capsys, "dump-op", descriptor, "--max-index", max_index)
+    assert code == 2
+    assert out == ""
+    assert f"needs {shown} basis states" in err
+    assert str(MAX_DUMP_STATES) in err
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["verify", "kernel"]])
+def test_spectrum_failure_exit_one(capsys, monkeypatch, argv):
+    def failing(n, degree_bound):
+        raise RuntimeError("kernel dimension 2 != 1")
+
+    monkeypatch.setattr("gdirac.dirac.spectrum_report", failing)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: kernel dimension 2 != 1\n"
+
+
 def test_bench_support_columns(capsys):
     code, out1, _ = run_cli(capsys, "bench", "--trunc", "4", "--seed", "1")
     assert code == 0
@@ -212,10 +257,12 @@ def test_dump_op_dirac_cutoff(capsys):
 
 
 def test_module_entry_point():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gdirac", "verify", "car", "--max-index", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["failures"] == 0

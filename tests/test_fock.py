@@ -13,7 +13,6 @@ from gdirac.fock import (
     charge_number_apply,
     field_state,
     fock_basis,
-    inner_fock,
     ores_bracket,
     ores_cocycle,
     rhat_apply,
@@ -185,9 +184,9 @@ def test_inner_product_orthonormal():
     for i, s in enumerate(basis):
         for j, t in enumerate(basis):
             want = ONE if i == j else ZERO
-            assert inner_fock(Vec.basis(s), Vec.basis(t)) == want
+            assert Vec.basis(s).inner(Vec.basis(t)) == want
     v = Vec.basis(basis[0]).scaled(2) + Vec.basis(basis[1])
-    assert inner_fock(v, Vec.basis(basis[0])) == Scalar.of(2)
+    assert v.inner(Vec.basis(basis[0])) == Scalar.of(2)
 
 
 def _A(i, j):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gdirac.rng import SplitMix64
-from gdirac.scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar, scalar_arith
+from gdirac.scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar
 from gdirac.serialize import scalar_from_json
 
 
@@ -29,15 +29,6 @@ def test_division_by_conjugate():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
-
-
-def test_scalar_arith_dispatch():
-    assert scalar_arith(ONE, SQRT2, "add") == Scalar.of(1, 1)
-    assert scalar_arith(SQRT2, SQRT2, "mul") == Scalar.of(2)
-    assert scalar_arith(Scalar.of(2), SQRT2, "div") == SQRT2
-    assert scalar_arith(ONE, None, "neg") == Scalar.of(-1)
-    with pytest.raises(ValueError):
-        scalar_arith(ONE, ONE, "conj")
 
 
 def _random_scalar(stream):
