@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import casimir as _cas
 from .fock import FockState, fock_basis, rhat_apply, rhat_pair_state, rhat_state
-from .linalg import ExactMatrix, Vec, _vec, add_to, lift_sum, spans_equal
+from .linalg import ExactMatrix, Vec, _vec, add_to, lift_sum, spans_equal, vec_sum
 from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
 from .spinor import (
     H_N,
@@ -105,13 +105,26 @@ def rho_apply(p: int, q: int, v: Vec) -> Vec:
 
 def diagonal_casimir_apply(n: int, v: Vec) -> Vec:
     """sum_{ij>0, window} rho(E_ij) rho(E_ji); kills the invariant sector."""
-    out = Vec()
-    for sign in (1, -1):
-        for i0 in range(1, n + 1):
-            for j0 in range(1, n + 1):
-                i, j = sign * i0, sign * j0
-                out = out + rho_apply(i, j, rho_apply(j, i, v))
-    return out
+    same_sign = [(s * i, s * j) for s in (1, -1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return vec_sum(rho_apply(i, j, rho_apply(j, i, v)) for i, j in same_sign)
+
+
+def rho_weight(ts: TensorState) -> dict[int, int]:
+    """Weight of a tensor basis state: index i -> eigenvalue of rho(E_ii).
+
+    rho(E_ii) is diagonal on the basis.  The Fock factor gives +1 for an
+    occupied positive index and -1 for an occupied negative one (the
+    normal-ordered E_ii, as ``fock.diagonal_weight``); the spin factor
+    gives +1 at m and -1 at l for each mode (m, l).  Only indices of
+    nonzero weight are stored, so an absent index has weight 0 and a
+    state is of weight zero exactly when the result is empty.
+    """
+    w = dict.fromkeys(ts.fock.plus, 1)
+    w.update(dict.fromkeys(ts.fock.minus, -1))
+    for m, l in ts.spin.modes:
+        w[m] = w.get(m, 0) + 1
+        w[l] = w.get(l, 0) - 1
+    return {i: c for i, c in w.items() if c}
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,10 +152,22 @@ def _block_states(n: int, pairs: int, spin_length: int) -> list[TensorState]:
 
 
 def _invariant_nullspace(n: int, pairs: int, spin_length: int, window: int) -> list[Vec]:
-    cols = _block_states(n, pairs, spin_length)
+    """Exact kernel of rho(E_pq) over all same-sign (p, q) in the window,
+    diagonal included, on the (pairs, spin_length) block.
+
+    Only the block states of weight zero (``rho_weight``) are columns.
+    This is exact: every nonzero weight of a block state sits at an index
+    |i| <= n, inside the window, and the diagonal row of rho(E_ii) at a
+    state of weight w_i != 0 holds that one column alone, with entry w_i.
+    So every kernel vector vanishes on the states of nonzero weight, each
+    of them is a pivot of the reduced echelon form of the full matrix,
+    the kernels of the full and the restricted matrix coincide, and so do
+    their free columns and the returned basis.  Every constraint row that
+    meets a remaining column is still built and eliminated.
+    """
+    cols = [ts for ts in _block_states(n, pairs, spin_length) if not rho_weight(ts)]
     if not cols:
         return []
-    col_index = {ts: i for i, ts in enumerate(cols)}
     ops = [(s * i, s * j) for s in (1, -1) for i in range(1, window + 1) for j in range(1, window + 1)]
     rows: dict[tuple, dict[int, Scalar]] = {}
     for ci, ts in enumerate(cols):
@@ -272,16 +297,16 @@ def _square_rhs_hk(n: int, v: Vec) -> Vec:
     """
     idx = [i for i in range(-n, n + 1) if i != 0]
     cross = [(i, j) for i in idx for j in idx if i * j < 0]
-    acc = _fock_op_tensor(v, lambda fv: lift_sum(fv, rhat_pair_state, cross))
+    parts = [_fock_op_tensor(v, lambda fv: lift_sum(fv, rhat_pair_state, cross))]
     for i in idx:
         for j in idx:
             if i * j > 0:
                 mid = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, j, i, sv))
-                acc = acc - _fock_op_tensor(mid, lambda fv: rhat_apply(i, j, fv)).scaled(2)
+                parts.append(_fock_op_tensor(mid, lambda fv: rhat_apply(i, j, fv)).scaled(-2))
     for i in idx:
         h = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, i, i, sv))
-        acc = acc + (h if i > 0 else -h)
-    return acc
+        parts.append(h if i > 0 else -h)
+    return vec_sum(parts)
 
 
 def invariance_residual(v: Vec, window: int) -> Scalar:

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Vec, _vec, add_to, lift
+from .linalg import Vec, _vec, add_to, lift, vec_sum
 from .scalar import HALF, ONE, ZERO, Scalar, _coerce
 
 PSI = "psi"
@@ -296,12 +296,10 @@ def bracket_central(a: LieElement, b: LieElement) -> LieElement:
 
 def rhat_lie_apply(a: LieElement, v: Vec) -> Vec:
     """Level-1 representation of a finite combination; central acts as +1."""
-    out = Vec()
-    for (p, q), c in a.terms.items():
-        out = out + rhat_apply(p, q, v).scaled(c)
+    parts = [rhat_apply(p, q, v).scaled(c) for (p, q), c in a.terms.items()]
     if a.central:
-        out = out + v.scaled(a.central)
-    return out
+        parts.append(v.scaled(a.central))
+    return vec_sum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +331,14 @@ def t_ores_apply(d: TermTable, b: TermTable, c: TermTable, v: Vec) -> Vec:
     for s in v.terms:
         if s.minus:
             raise ValueError("t_ores_apply needs particle-only states")
-    out = Vec()
-    for (i, j), cd in d.items():
-        if i <= 0 or j <= 0:
-            raise ValueError("d must be supported on positive mode pairs")
-        out = out + apply_field(PSI_STAR, i, apply_field(PSI, j, v)).scaled(cd)
-    for (i, j), cb in b.items():
-        out = out + apply_field(PSI, j, apply_field(PSI, i, v)).scaled(HALF * _coerce(cb))
-    for (i, j), cc in c.items():
-        out = out + apply_field(PSI_STAR, i, apply_field(PSI_STAR, j, v)).scaled(HALF * _coerce(cc))
-    return out
+    if any(i <= 0 or j <= 0 for i, j in d):
+        raise ValueError("d must be supported on positive mode pairs")
+    parts = [apply_field(PSI_STAR, i, apply_field(PSI, j, v)).scaled(x) for (i, j), x in d.items()]
+    parts += [apply_field(PSI, j, apply_field(PSI, i, v)).scaled(HALF * _coerce(x)) for (i, j), x in b.items()]
+    parts += [
+        apply_field(PSI_STAR, i, apply_field(PSI_STAR, j, v)).scaled(HALF * _coerce(x)) for (i, j), x in c.items()
+    ]
+    return vec_sum(parts)
 
 
 def _table_matmul(x: TermTable, y: TermTable) -> TermTable:

@@ -134,6 +134,15 @@ def add_to(out: dict, key: Key, c: Scalar) -> None:
         out.pop(key, None)
 
 
+def vec_sum(vs: Iterable[Vec]) -> Vec:
+    """Sum of the vectors, accumulated into one dict in one pass."""
+    out: dict = {}
+    for v in vs:
+        for k, c in v.terms.items():
+            add_to(out, k, c)
+    return _vec(out)
+
+
 def lift_sum(v: Vec, state_map: Callable, arg_list: Sequence[tuple]) -> Vec:
     """sum over ``args`` in ``arg_list`` of ``state_map(*args, .)`` extended
     linearly to ``v``, in one pass.
@@ -155,10 +164,7 @@ def lift(v: Vec, state_map: Callable, *args) -> Vec:
     return lift_sum(v, state_map, (args,))
 
 
-Operator = Callable[[Vec], Vec]
-
-
-def adjoint_residual(a: Operator, b: Operator, vs: Iterable[Vec]) -> Scalar:
+def adjoint_residual(a: Callable[[Vec], Vec], b: Callable[[Vec], Vec], vs: Iterable[Vec]) -> Scalar:
     """max over pairs (v, w) of |<a v, w> - <v, b w>|.
 
     Zero iff ``b`` acts as the adjoint of ``a`` on the span of the
@@ -222,26 +228,32 @@ class ExactMatrix:
         return Vec({i: y for i, y in enumerate(ys)})
 
     def _reduce(self) -> dict[int, dict[int, Scalar]]:
+        """Reduced row echelon form, as pivot column -> row.
+
+        Each row has a leading 1 at its pivot column and no entry at any
+        other pivot column; ``nullspace`` reads the kernel off that.
+        """
         pivots: dict[int, dict[int, Scalar]] = {}
         for row in self.rows:
             r = dict(row)
-            while r:
-                lead = min(r)
-                piv = pivots.get(lead)
-                if piv is None:
-                    inv = r[lead].inverse()
-                    r = {j: c * inv for j, c in r.items()}
-                    for other in pivots.values():
-                        f = other.get(lead)
-                        if f is not None:
-                            for j, c in r.items():
-                                add_to(other, j, -(f * c))
-                    pivots[lead] = r
-                    break
-                f = r.pop(lead)
-                for j, c in piv.items():
-                    if j != lead:
+            # the pivot rows are reduced, so clearing one pivot column
+            # brings in no other
+            for p in [j for j in r if j in pivots]:
+                f = r.pop(p)
+                for j, c in pivots[p].items():
+                    if j != p:
                         add_to(r, j, -(f * c))
+            if not r:
+                continue
+            lead = min(r)
+            inv = r[lead].inverse()
+            r = {j: c * inv for j, c in r.items()}
+            for other in pivots.values():
+                f = other.get(lead)
+                if f is not None:
+                    for j, c in r.items():
+                        add_to(other, j, -(f * c))
+            pivots[lead] = r
         return pivots
 
     def rank(self) -> int:

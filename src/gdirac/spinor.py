@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Vec, _vec, add_to, lift, lift_sum
+from .linalg import Vec, _vec, add_to, lift, lift_sum, vec_sum
 from .scalar import HALF, SQRT2
 
 SpinMode = tuple[int, int]
@@ -208,11 +208,10 @@ def fermion_number_apply(v: Vec) -> Vec:
 
 def fermion_number_cutoff_apply(n: int, v: Vec) -> Vec:
     """sum_{0<|i|<=N} sign(i) K~^(N)_ii, the cut-off fermion number."""
-    out = Vec()
+    parts = []
     for i in range(1, n + 1):
-        out = out + k_family_apply(K_TILDE_N, n, i, i, v)
-        out = out - k_family_apply(K_TILDE_N, n, -i, -i, v)
-    return out
+        parts += [k_family_apply(K_TILDE_N, n, i, i, v), -k_family_apply(K_TILDE_N, n, -i, -i, v)]
+    return vec_sum(parts)
 
 
 def spinor_casimir_apply(n: int, v: Vec, renormalized: bool = False) -> Vec:
@@ -224,15 +223,11 @@ def spinor_casimir_apply(n: int, v: Vec, renormalized: bool = False) -> Vec:
     for s in v.terms:
         if s.bound() > n:
             raise ValueError("support exceeds the cut-off window")
-    out = Vec()
-    for sign in (1, -1):
-        for i0 in range(1, n + 1):
-            for j0 in range(1, n + 1):
-                i, j = sign * i0, sign * j0
-                out = out + k_family_apply(K_RAW, n, i, j, k_family_apply(K_RAW, n, j, i, v))
+    same_sign = [(s * i, s * j) for s in (1, -1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    parts = [k_family_apply(K_RAW, n, i, j, k_family_apply(K_RAW, n, j, i, v)) for i, j in same_sign]
     if renormalized:
-        out = out - v.scaled(n**3)
-    return out
+        parts.append(v.scaled(-(n**3)))
+    return vec_sum(parts)
 
 
 def spin_basis(bound: int, length: int | None = None) -> list[SpinState]:

@@ -7,6 +7,8 @@ import pytest
 from gdirac.casimir import G_LIMIT, CasimirVariant, casimir_apply
 from gdirac.dirac import (
     TensorState,
+    _block_states,
+    _invariant_nullspace,
     constraint_window_robust,
     diagonal_casimir_apply,
     dirac_apply,
@@ -14,13 +16,14 @@ from gdirac.dirac import (
     invariance_residual,
     invariant_basis,
     rho_apply,
+    rho_weight,
     spectrum_report,
     square_identity_residual,
     t_square_apply,
     tensor_states,
 )
 from gdirac.fock import FockState, rhat_apply
-from gdirac.linalg import Vec
+from gdirac.linalg import ExactMatrix, Vec
 from gdirac.sampling import random_vector
 from gdirac.scalar import HALF_SQRT2, ZERO, Scalar
 from gdirac.spinor import SpinState
@@ -115,6 +118,54 @@ def test_vacuum_structure():
                 assert rhat_apply(p, q, vf).is_zero(), (p, q)
             if p < 0 < q:
                 assert gamma_apply(p, q, vs).is_zero(), (p, q)
+
+
+def _weight_lemma_states():
+    """tensor_states(2) and every (M, k) block at trunc 3 with M, k <= 2."""
+    yield 2, tensor_states(2)
+    for pairs in range(3):
+        for k in range(3):
+            yield 3, _block_states(3, pairs, k)
+
+
+def test_rho_weight_is_the_diagonal_of_rho():
+    for n, states in _weight_lemma_states():
+        for t in states:
+            w = rho_weight(t)
+            v = Vec.basis(t)
+            idx = [i for i in range(-n - 1, n + 2) if i]
+            assert set(w) <= set(idx) and all(w.values())
+            for i in idx:
+                assert rho_apply(i, i, v) == v.scaled(w.get(i, 0)), (t, i)
+
+
+def test_vacuum_is_the_only_weight_zero_charge0_state():
+    # the Fock and spin weights never cancel: both count +1 at an occupied
+    # positive index and -1 at an occupied negative one
+    vac = VAC.support()[0]
+    for _, states in _weight_lemma_states():
+        assert [t for t in states if not rho_weight(t)] == ([vac] if vac in states else [])
+
+
+def _full_nullspace(n, pairs, k, window):
+    """Oracle: the kernel of every same-sign rho(E_pq) on all block states."""
+    cols = _block_states(n, pairs, k)
+    ops = [(s * i, s * j) for s in (1, -1) for i in range(1, window + 1) for j in range(1, window + 1)]
+    rows = {}
+    for ci, t in enumerate(cols):
+        for op in ops:
+            for state, c in rho_apply(*op, Vec.basis(t)).terms.items():
+                rows.setdefault((op, state), {})[ci] = c
+    kernel = ExactMatrix(list(rows.values()), len(cols)).nullspace()
+    return [Vec({cols[i]: c for i, c in v.terms.items()}) for v in kernel]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_weight_zero_nullspace_matches_full_columns(n):
+    for pairs in range(3):
+        for k in range(3):
+            for window in (n + 1, n + 2):
+                assert _invariant_nullspace(n, pairs, k, window) == _full_nullspace(n, pairs, k, window)
 
 
 def test_invariant_blocks_at_trunc2():

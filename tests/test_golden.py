@@ -7,6 +7,11 @@ verify-suites workload: ``--max-index 2`` for the suites whose cost grows
 fastest with it, ``--seed 1`` for the seeded ones, defaults otherwise.
 A change that alters any report byte, even in a field's rendering, fails
 here.
+
+``REPORTS`` gates the invariant path beyond the trunc-2 ``kernel`` suite:
+the ``spectrum`` and ``invariants`` reports at trunc 3 (and ``invariants``
+at trunc 2), recorded before the constraint matrix was restricted to the
+weight-zero states.
 """
 
 import hashlib
@@ -31,6 +36,21 @@ GOLDEN = {
     "square-raw": (["--seed", "1"], "dedf4ba5b56bd9da868b0860ff86e601abb933227fe9dff375d84a9fc38089d1"),
 }
 
+REPORTS = {
+    "spectrum trunc 3": (
+        ["spectrum", "--trunc", "3", "--degree", "2"],
+        "6603d3105966c5e083d100650e79b1aac674b0e34da2a357c2b2cf75ed603379",
+    ),
+    "invariants trunc 3": (
+        ["invariants", "--trunc", "3", "--degree", "2"],
+        "b16c8e016526c9a98cd241052d98686bc19a2334b78a73b041520e88ca8cd928",
+    ),
+    "invariants trunc 2": (
+        ["invariants", "--trunc", "2", "--degree", "2"],
+        "cee5d8bf123c814f7f24761841f86c9cf4e285ccf575a694ea52e95208b5796f",
+    ),
+}
+
 
 def test_golden_covers_every_suite():
     assert set(GOLDEN) == set(SUITES)
@@ -40,5 +60,13 @@ def test_golden_covers_every_suite():
 def test_verify_report_bytes(capsys, name):
     flags, digest = GOLDEN[name]
     assert main(["verify", name, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_bytes(capsys, name):
+    args, digest = REPORTS[name]
+    assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,10 @@
 """Sparse vectors, exact nullspaces, adjoint residuals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from gdirac.fock import PSI, PSI_STAR, apply_field, fock_basis, rhat_apply
 from gdirac.linalg import (
     ExactMatrix,
@@ -10,6 +15,8 @@ from gdirac.linalg import (
 )
 from gdirac.rng import SplitMix64
 from gdirac.scalar import ONE, SQRT2, ZERO, Scalar
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_vec_canonical_form():
@@ -70,6 +77,31 @@ def test_rank_nullity_randomized():
     assert span_rank([]) == 0
 
 
+def test_nullspace_row_leading_before_a_pivot():
+    # the second row leads at column 0 and meets the pivot column 1 of the
+    # first; the kernel is the line (1, -1, 1)
+    m = ExactMatrix.from_dense([[0, 1, 1], [1, 1, 0]])
+    assert m.nullspace() == [Vec({0: ONE, 1: -ONE, 2: ONE})]
+
+
+def test_nullspace_sparse_randomized():
+    # sparse rows in arbitrary order: later rows often lead before
+    # earlier pivots
+    stream = SplitMix64(11)
+    for _ in range(200):
+        nrows = 1 + stream.pick(6)
+        ncols = 2 + stream.pick(6)
+        rows = [
+            [Scalar.of(stream.coefficient()) if stream.pick(3) == 0 else ZERO for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        m = ExactMatrix.from_dense(rows)
+        basis = m.nullspace()
+        assert m.rank() + len(basis) == ncols
+        for v in basis:
+            assert m.apply_vec(v).is_zero()
+
+
 def test_vec_module_axioms_randomized():
     stream = SplitMix64(99)
     keys = list(range(6))
@@ -112,3 +144,31 @@ def test_adjoint_residual_rhat():
         lambda v: rhat_apply(1, -1, v), lambda v: rhat_apply(1, -1, v), vs
     )
     assert r != ZERO
+
+
+# Runs in its own interpreter, so the other tests keep their modules.
+_REIMPORT = """
+import gc, importlib, sys, weakref
+ref = weakref.ref(importlib.import_module("gdirac").linalg.Vec)
+for _ in range(5):
+    for name in [m for m in sys.modules if m == "gdirac" or m.startswith("gdirac.")]:
+        del sys.modules[name]
+    importlib.import_module("gdirac")
+gc.collect()
+print("alive" if ref() is not None else "freed")
+"""
+
+
+def test_reimport_frees_old_modules():
+    # An import-time typing alias such as Callable[[Vec], Vec] sits in
+    # typing's cache and keeps Vec, and through its methods' globals the
+    # whole previous import of the package, alive.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REIMPORT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "freed"
