@@ -31,6 +31,8 @@ _CONFIG_KEYS = {"max-index", "trunc", "degree", "seed", "format", "out", "suite"
 # Largest basis dump-op enumerates; its matrix is dense, N x N.
 MAX_DUMP_STATES = 1024
 _DUMP_BASES = {"fock": fk.fock_basis, "spin": sp.spin_basis, "tensor": dr.tensor_states}
+# Most work one pass over the invariant blocks may take (``block_work``).
+MAX_BLOCK_WORK = 1 << 20
 
 
 class UsageError(Exception):
@@ -136,6 +138,7 @@ def cmd_verify(args) -> int:
     if name in ("square-raw", "square-hk", "square-final"):
         params = {"trunc": cfg.trunc, "seed": cfg.seed}
     if name == "kernel":
+        _check_block_work("verify kernel", cfg)
         params = {"trunc": cfg.trunc, "degree": cfg.degree}
     report = run_suite(name, **params)
     payload = {"schema": SCHEMA, **report}
@@ -147,8 +150,41 @@ def cmd_verify(args) -> int:
     return 0 if report["failures"] == 0 else 1
 
 
+def block_work(trunc: int, degree: int) -> int:
+    """Closed-form work of one pass over the invariant blocks (M, k),
+    M, k <= degree, at truncation ``trunc``.
+
+    The weight-zero generator visits C(trunc, M)^2 Fock states per block,
+    and the vacuum, the only weight-zero column, meets 2 (trunc + 1)^2
+    constraint operators.  A degree past trunc stops the pass at the block
+    (0, trunc + 1).  The sum stops once it passes ``MAX_BLOCK_WORK``, so a
+    huge trunc costs no huge binomial.
+    """
+    work = 2 * (trunc + 1) ** 2
+    if degree > trunc:
+        return work + trunc + 1
+    c = 1  # C(trunc, M)
+    for m in range(degree + 1):
+        work += (degree + 1) * c * c
+        if work > MAX_BLOCK_WORK:
+            break
+        c = c * (trunc - m) // (m + 1)
+    return work
+
+
+def _check_block_work(command: str, cfg: RunConfig) -> None:
+    """Refuse, before any state is enumerated, a pass past MAX_BLOCK_WORK."""
+    work = block_work(cfg.trunc, cfg.degree)
+    if work > MAX_BLOCK_WORK:
+        raise UsageError(
+            f"{command} at --trunc {cfg.trunc} --degree {cfg.degree} needs at least {work} "
+            f"Fock-state visits and constraint operators per pass over the blocks; the limit is {MAX_BLOCK_WORK}"
+        )
+
+
 def cmd_spectrum(args) -> int:
     cfg = _config_of(args)
+    _check_block_work("spectrum", cfg)
     report = dr.spectrum_report(cfg.trunc, cfg.degree)
     payload = {"schema": SCHEMA, **report}
     if cfg.fmt == "json":
@@ -161,6 +197,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_invariants(args) -> int:
     cfg = _config_of(args)
+    _check_block_work("invariants", cfg)
     blocks = []
     for pairs in range(cfg.degree + 1):
         for k in range(cfg.degree + 1):

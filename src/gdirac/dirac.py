@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from typing import Iterator
 
 from . import casimir as _cas
 from .fock import FockState, fock_basis, rhat_apply, rhat_pair_state, rhat_state
@@ -34,10 +36,18 @@ from .spinor import (
 )
 
 
-@dataclass(frozen=True, slots=True)
 class TensorState:
-    fock: FockState
-    spin: SpinState
+    """A Fock basis state tensored with a spin basis state.
+
+    The hash is taken at construction; instances are immutable.
+    """
+
+    __slots__ = ("fock", "spin", "_hash")
+
+    def __init__(self, fock: FockState, spin: SpinState):
+        _set_fock(self, fock)
+        _set_spin(self, spin)
+        _set_hash(self, hash((fock._hash, spin._hash)))
 
     def bound(self) -> int:
         return max(self.fock.bound(), self.spin.bound())
@@ -45,12 +55,43 @@ class TensorState:
     def sort_key(self):
         return (self.fock.sort_key(), self.spin.sort_key())
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TensorState:
+            return NotImplemented
+        return self.fock == other.fock and self.spin == other.spin
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: TensorState is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: TensorState is immutable")
+
+    def __reduce__(self):
+        return (TensorState, (self.fock, self.spin))
+
+    def __repr__(self) -> str:
+        return f"TensorState(fock={self.fock!r}, spin={self.spin!r})"
+
     def __str__(self) -> str:
         return f"{self.fock}(x){self.spin}"
 
 
-def tensor_basis_state(fock: FockState, spin: SpinState) -> Vec:
-    return Vec.basis(TensorState(fock, spin))
+_new = object.__new__
+_set_fock = TensorState.fock.__set__
+_set_spin = TensorState.spin.__set__
+_set_hash = TensorState._hash.__set__
+
+
+def _tensor_state(fock: FockState, spin: SpinState) -> TensorState:
+    """Trusted constructor: ``TensorState`` without the call overhead."""
+    s = _new(TensorState)
+    _set_fock(s, fock)
+    _set_spin(s, spin)
+    _set_hash(s, hash((fock._hash, spin._hash)))
+    return s
 
 
 def _e_gamma_state(p: int, q: int, ts: TensorState):
@@ -64,7 +105,7 @@ def _e_gamma_state(p: int, q: int, ts: TensorState):
     u = rhat_state(p, q, ts.fock)
     if u is None:
         return None
-    return t[0] * u[0], TensorState(u[1], t[1])
+    return t[0] * u[0], _tensor_state(u[1], t[1])
 
 
 def dirac_apply(v: Vec) -> Vec:
@@ -97,9 +138,9 @@ def rho_apply(p: int, q: int, v: Vec) -> Vec:
     for ts, c in v.terms.items():
         t = rhat_state(p, q, ts.fock)
         if t is not None:
-            add_to(out, TensorState(t[1], ts.spin), c if t[0] > 0 else -c)
+            add_to(out, _tensor_state(t[1], ts.spin), c if t[0] > 0 else -c)
         for sign, sp2 in ktilde_state_terms(p, q, ts.spin):
-            add_to(out, TensorState(ts.fock, sp2), c if sign > 0 else -c)
+            add_to(out, _tensor_state(ts.fock, sp2), c if sign > 0 else -c)
     return _vec(out)
 
 
@@ -144,18 +185,56 @@ class InvariantBlock:
         return Fraction(self.pairs + self.spin_length, 2)
 
 
+def _mode_sets(rows: list[tuple[int, int]], cols: dict[int, int]) -> Iterator[tuple]:
+    """Ascending mode tuples with ``count`` modes (m, .) for each
+    ``(m, count)`` in ``rows`` (ascending in m), ``cols[l]`` modes (., l)
+    for each l in ``cols``, and no other: the 0/1 matrices with these
+    row and column sums.  A negative sum admits no matrix.
+    """
+    if not rows:
+        if not any(cols.values()):
+            yield ()
+        return
+    (m, count), rest = rows[0], rows[1:]
+    if count < 0:
+        return
+    for chosen in combinations([l for l in sorted(cols) if cols[l] > 0], count):
+        left = dict(cols)
+        for l in chosen:
+            left[l] -= 1
+        head = tuple((m, l) for l in chosen)
+        for tail in _mode_sets(rest, left):
+            yield head + tail
+
+
 def _block_states(n: int, pairs: int, spin_length: int) -> list[TensorState]:
-    fs = fock_basis(n, zero_ok=False, charge=0)
-    fs = [f for f in fs if len(f.plus) == pairs]
-    ss = spin_basis(n, length=spin_length)
-    return [TensorState(f, s) for f in fs for s in ss]
+    """The weight-zero states of the (pairs, spin_length) block at
+    truncation n, in basis order.
+
+    A mode (m, l) weighs +1 at m and -1 at l, so the spin factors of
+    weight -w(f) over a Fock state f (``rho_weight``) have -w_f(m) modes
+    (m, .) and w_f(l) modes (., l) at every index of the support of w_f,
+    and none elsewhere.  Those are the 0/1 matrices with these margins,
+    enumerated per Fock state at a cost set by its degree, not by n.
+    """
+    out = []
+    for plus in combinations(range(1, n + 1), pairs):
+        for minus in combinations(range(-n, 0), pairs):
+            # w_f is +1 on plus and -1 on minus
+            margins = _mode_sets([(m, -1) for m in plus], dict.fromkeys(minus, -1))
+            spins = [modes for modes in margins if len(modes) == spin_length]
+            if spins:
+                f = FockState(plus, minus)
+                out += [TensorState(f, SpinState(modes)) for modes in spins]
+    return out
 
 
 def _invariant_nullspace(n: int, pairs: int, spin_length: int, window: int) -> list[Vec]:
     """Exact kernel of rho(E_pq) over all same-sign (p, q) in the window,
     diagonal included, on the (pairs, spin_length) block.
 
-    Only the block states of weight zero (``rho_weight``) are columns.
+    Only the block states of weight zero (``rho_weight``) are columns;
+    ``_block_states`` generates them and no other.
     This is exact: every nonzero weight of a block state sits at an index
     |i| <= n, inside the window, and the diagonal row of rho(E_ii) at a
     state of weight w_i != 0 holds that one column alone, with entry w_i.
@@ -165,7 +244,7 @@ def _invariant_nullspace(n: int, pairs: int, spin_length: int, window: int) -> l
     their free columns and the returned basis.  Every constraint row that
     meets a remaining column is still built and eliminated.
     """
-    cols = [ts for ts in _block_states(n, pairs, spin_length) if not rho_weight(ts)]
+    cols = _block_states(n, pairs, spin_length)
     if not cols:
         return []
     ops = [(s * i, s * j) for s in (1, -1) for i in range(1, window + 1) for j in range(1, window + 1)]
@@ -224,7 +303,7 @@ def _spin_op_tensor(v: Vec, spin_fn) -> Vec:
         grouped.setdefault(ts.fock, {})[ts.spin] = c
     # each group has its own Fock factor, so the images never overlap
     return _vec(
-        {TensorState(f, s): c for f, terms in grouped.items() for s, c in spin_fn(_vec(terms)).terms.items()}
+        {_tensor_state(f, s): c for f, terms in grouped.items() for s, c in spin_fn(_vec(terms)).terms.items()}
     )
 
 
@@ -234,7 +313,7 @@ def _fock_op_tensor(v: Vec, fock_fn) -> Vec:
     for ts, c in v.terms.items():
         grouped.setdefault(ts.spin, {})[ts.fock] = c
     return _vec(
-        {TensorState(f, s): c for s, terms in grouped.items() for f, c in fock_fn(_vec(terms)).terms.items()}
+        {_tensor_state(f, s): c for s, terms in grouped.items() for f, c in fock_fn(_vec(terms)).terms.items()}
     )
 
 
@@ -246,7 +325,7 @@ def _e_pair_state(p: int, q: int, a: tuple[int, int], b: tuple[int, int], ts: Te
     u = rhat_state(p, q, ts.fock)
     if u is None:
         return None
-    return t[0] * u[0], TensorState(u[1], t[1])
+    return t[0] * u[0], _tensor_state(u[1], t[1])
 
 
 def _square_rhs_raw(n: int, v: Vec) -> Vec:

@@ -14,6 +14,10 @@ the package is defined by crossing counts against this word:
 * ``psi_l`` / ``psi*_l`` for ``l < 0`` insert/remove ``l`` with sign
   ``(-1)^(|plus| + #{j in minus : j < l})``.
 
+A state stores each block as an occupation mask (bit k for an occupied
+k >= 0, bit |l| - 1 for an occupied l < 0), so every crossing count is
+the popcount of a masked int.
+
 Two lattices coexist: the default one excludes the index 0, the
 "include zero" one admits 0 into the plus half (used by the
 highest-weight / Casimir machinery, where the vacuum sea sits strictly
@@ -22,11 +26,9 @@ below 0).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Vec, _vec, add_to, lift, vec_sum
+from .linalg import Vec, _vec, add_to, lift, set_bits, vec_sum
 from .scalar import HALF, ONE, ZERO, Scalar, _coerce
 
 PSI = "psi"
@@ -37,71 +39,162 @@ class LatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class FockState:
     """Occupation sets of a canonical basis word.
 
     ``plus``/``minus`` are strictly ascending tuples; ``zero_ok`` marks
-    the include-zero lattice (0 admitted into ``plus``).
+    the include-zero lattice (0 admitted into ``plus``).  The state is
+    stored as ``plus_mask`` (bit k for an occupied k >= 0) and
+    ``minus_mask`` (bit |l| - 1 for an occupied l < 0); the hash is
+    taken at construction and the tuples are decoded on first use.
+    Instances are immutable.
     """
 
-    plus: tuple[int, ...] = ()
-    minus: tuple[int, ...] = ()
-    zero_ok: bool = False
+    __slots__ = ("plus_mask", "minus_mask", "zero_ok", "_hash", "_plus", "_minus")
+
+    def __init__(self, plus: tuple[int, ...] = (), minus: tuple[int, ...] = (), zero_ok: bool = False):
+        # __post_init__ validates the blocks and encodes them as masks
+        _set_plus(self, tuple(plus))
+        _set_minus(self, tuple(minus))
+        _set_zero_ok(self, zero_ok)
+        self.__post_init__()
 
     def __post_init__(self):
+        plus, minus = self._plus, self._minus
         lo = 0 if self.zero_ok else 1
-        if any(k < lo for k in self.plus) or list(self.plus) != sorted(set(self.plus)):
-            raise LatticeError(f"bad plus block {self.plus}")
-        if any(k >= 0 for k in self.minus) or list(self.minus) != sorted(set(self.minus)):
-            raise LatticeError(f"bad minus block {self.minus}")
+        if any(k < lo for k in plus) or list(plus) != sorted(set(plus)):
+            raise LatticeError(f"bad plus block {plus}")
+        if any(k >= 0 for k in minus) or list(minus) != sorted(set(minus)):
+            raise LatticeError(f"bad minus block {minus}")
+        pm = mm = 0
+        for k in plus:
+            pm |= 1 << k
+        for l in minus:
+            mm |= 1 << (-1 - l)
+        _set_pm(self, pm)
+        _set_mm(self, mm)
+        _set_hash(self, hash((pm, mm, self.zero_ok)))
+        # only the masks are kept, as for the states the maps build: the
+        # tuples are decoded again on first use
+        _set_plus(self, None)
+        _set_minus(self, None)
 
     @staticmethod
     def vacuum(zero_ok: bool = False) -> "FockState":
         return FockState((), (), zero_ok)
 
     @property
+    def plus(self) -> tuple[int, ...]:
+        p = self._plus
+        if p is None:
+            p = tuple(set_bits(self.plus_mask))
+            _set_plus(self, p)
+        return p
+
+    @property
+    def minus(self) -> tuple[int, ...]:
+        m = self._minus
+        if m is None:
+            m = tuple(-1 - i for i in reversed(set_bits(self.minus_mask)))
+            _set_minus(self, m)
+        return m
+
+    @property
     def charge(self) -> int:
-        return len(self.plus) - len(self.minus)
+        return self.plus_mask.bit_count() - self.minus_mask.bit_count()
 
     @property
     def degree(self) -> int:
-        return len(self.plus) + len(self.minus)
+        return self.plus_mask.bit_count() + self.minus_mask.bit_count()
 
     def bound(self) -> int:
         """Largest occupied |index| (0 for the vacuum)."""
-        vals = [abs(k) for k in self.plus + self.minus]
-        return max(vals) if vals else 0
+        return max(self.plus_mask.bit_length() - 1, self.minus_mask.bit_length(), 0)
 
     def in_plus_half(self, k: int) -> bool:
-        if k == 0 and not self.zero_ok:
-            raise LatticeError("index 0 is not on the lattice")
-        return k > 0 or (k == 0 and self.zero_ok)
+        return _plus_half(k, self.zero_ok)
 
     def sort_key(self):
         return (self.degree, self.plus, self.minus)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FockState:
+            return NotImplemented
+        return (
+            self.plus_mask == other.plus_mask
+            and self.minus_mask == other.minus_mask
+            and self.zero_ok == other.zero_ok
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: FockState is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: FockState is immutable")
+
+    def __reduce__(self):
+        return (FockState, (self.plus, self.minus, self.zero_ok))
+
+    def __repr__(self) -> str:
+        return f"FockState(plus={self.plus!r}, minus={self.minus!r}, zero_ok={self.zero_ok!r})"
 
     def __str__(self) -> str:
         return f"F{{plus:{list(self.plus)},minus:{list(self.minus)}}}"
 
 
 _new = object.__new__
-_set_plus = FockState.plus.__set__
-_set_minus = FockState.minus.__set__
+_set_pm = FockState.plus_mask.__set__
+_set_mm = FockState.minus_mask.__set__
 _set_zero_ok = FockState.zero_ok.__set__
+_set_hash = FockState._hash.__set__
+_set_plus = FockState._plus.__set__
+_set_minus = FockState._minus.__set__
 
 
-def _fock_state(plus: tuple[int, ...], minus: tuple[int, ...], zero_ok: bool) -> FockState:
-    """Trusted constructor: the caller guarantees canonical blocks.
+def _fock_state(pm: int, mm: int, zero_ok: bool) -> FockState:
+    """Trusted constructor from occupation masks.
 
-    Skips ``__post_init__``; only the state maps use it, on blocks made
-    canonical by a bisect insertion or removal on the correct half.
+    Skips ``__post_init__``; only the state maps use it, on masks
+    whose plus bits lie on the lattice of ``zero_ok``.
     """
     s = _new(FockState)
-    _set_plus(s, plus)
-    _set_minus(s, minus)
+    _set_pm(s, pm)
+    _set_mm(s, mm)
     _set_zero_ok(s, zero_ok)
+    _set_hash(s, hash((pm, mm, zero_ok)))
+    _set_plus(s, None)
+    _set_minus(s, None)
     return s
+
+
+def _plus_half(k: int, zero_ok: bool) -> bool:
+    if k > 0:
+        return True
+    if k < 0:
+        return False
+    if zero_ok:
+        return True
+    raise LatticeError("index 0 is not on the lattice")
+
+
+def _field(star: bool, k: int, pm: int, mm: int, zero_ok: bool):
+    """psi*_k (``star``) or psi_k on occupation masks.
+
+    Returns ``(crossings, pm, mm)``, the sign being ``(-1)^crossings``,
+    or ``None`` when the result vanishes.
+    """
+    if _plus_half(k, zero_ok):
+        bit = 1 << k
+        if bool(pm & bit) == star:
+            return None
+        return (pm & (bit - 1)).bit_count(), pm ^ bit, mm
+    bit = 1 << (-1 - k)
+    if bool(mm & bit) != star:
+        return None
+    return pm.bit_count() + (mm >> -k).bit_count(), pm, mm ^ bit
 
 
 def field_state(kind: str, k: int, state: FockState):
@@ -112,32 +205,30 @@ def field_state(kind: str, k: int, state: FockState):
     """
     if kind not in (PSI, PSI_STAR):
         raise ValueError(f"unknown field kind {kind!r}")
-    plus_side = state.in_plus_half(k)
-    if plus_side:
-        block = state.plus
-        create = kind == PSI_STAR
-        base_sign = 1
-    else:
-        block = state.minus
-        create = kind == PSI
-        base_sign = -1 if len(state.plus) % 2 else 1
-    pos = bisect_left(block, k)
-    present = pos < len(block) and block[pos] == k
-    if create == present:
+    zero_ok = state.zero_ok
+    t = _field(kind == PSI_STAR, k, state.plus_mask, state.minus_mask, zero_ok)
+    if t is None:
         return None
-    sign = base_sign * (-1 if pos % 2 else 1)
-    if create:
-        new = block[:pos] + (k,) + block[pos:]
-    else:
-        new = block[:pos] + block[pos + 1 :]
-    if plus_side:
-        return sign, _fock_state(new, state.minus, state.zero_ok)
-    return sign, _fock_state(state.plus, new, state.zero_ok)
+    return -1 if t[0] & 1 else 1, _fock_state(t[1], t[2], zero_ok)
 
 
 def apply_field(kind: str, k: int, v: Vec) -> Vec:
     """psi_k / psi*_k extended linearly to finite vectors."""
     return lift(v, field_state, kind, k)
+
+
+def _rhat(p: int, q: int, pm: int, mm: int, zero_ok: bool):
+    """``rhat_state`` on occupation masks: ``(crossings, pm, mm)`` or None."""
+    if p == q and p < 0:
+        # psi*_p psi_p - 1 acts as -1 on states occupied at p, else 0.
+        return (1, pm, mm) if mm >> (-1 - p) & 1 else None
+    t = _field(False, q, pm, mm, zero_ok)
+    if t is None:
+        return None
+    u = _field(True, p, t[1], t[2], zero_ok)
+    if u is None:
+        return None
+    return t[0] + u[0], u[1], u[2]
 
 
 def rhat_state(p: int, q: int, state: FockState):
@@ -146,19 +237,11 @@ def rhat_state(p: int, q: int, state: FockState):
     Returns ``(sign, state)`` or ``None``; the result is always a single
     signed basis state.
     """
-    if p == q and p < 0:
-        # psi*_p psi_p - 1 acts as -1 on states occupied at p, else 0.
-        occupied = p in state.minus
-        return (-1, state) if occupied else None
-    t = field_state(PSI, q, state)
+    zero_ok = state.zero_ok
+    t = _rhat(p, q, state.plus_mask, state.minus_mask, zero_ok)
     if t is None:
         return None
-    s1, mid = t
-    t = field_state(PSI_STAR, p, mid)
-    if t is None:
-        return None
-    s2, end = t
-    return s1 * s2, end
+    return -1 if t[0] & 1 else 1, _fock_state(t[1], t[2], zero_ok)
 
 
 def rhat_apply(p: int, q: int, v: Vec) -> Vec:
@@ -173,20 +256,21 @@ def rhat_pair_state(p: int, q: int, state: FockState):
     ``linalg.lift_sum`` it gives the pair quadratics of the Casimirs and
     of the square identities.
     """
-    t = rhat_state(q, p, state)
+    zero_ok = state.zero_ok
+    t = _rhat(q, p, state.plus_mask, state.minus_mask, zero_ok)
     if t is None:
         return None
-    u = rhat_state(p, q, t[1])
+    u = _rhat(p, q, t[1], t[2], zero_ok)
     if u is None:
         return None
-    return t[0] * u[0], u[1]
+    return -1 if (t[0] + u[0]) & 1 else 1, _fock_state(u[1], u[2], zero_ok)
 
 
 def diagonal_weight(i: int, state: FockState) -> int:
     """Eigenvalue of the normal-ordered E_{i,i} on a basis state."""
     if state.in_plus_half(i):
-        return 1 if i in state.plus else 0
-    return -1 if i in state.minus else 0
+        return state.plus_mask >> i & 1
+    return -(state.minus_mask >> (-1 - i) & 1)
 
 
 def charge_number_apply(which: str, v: Vec) -> Vec:
@@ -329,7 +413,7 @@ def t_ores_apply(d: TermTable, b: TermTable, c: TermTable, v: Vec) -> Vec:
     _check_antisymmetric(b, "b")
     _check_antisymmetric(c, "c")
     for s in v.terms:
-        if s.minus:
+        if s.minus_mask:
             raise ValueError("t_ores_apply needs particle-only states")
     if any(i <= 0 or j <= 0 for i, j in d):
         raise ValueError("d must be supported on positive mode pairs")

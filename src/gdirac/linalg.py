@@ -19,6 +19,16 @@ from .scalar import ONE, ZERO, RatLike, Scalar, _coerce
 Key = Hashable
 
 
+def set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of an occupation mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _key_order(k):
     sk = getattr(k, "sort_key", None)
     return sk() if callable(sk) else k

@@ -1,9 +1,11 @@
 """Deterministic random vectors for the verification suites.
 
-States are drawn directly from the splitmix64 stream (never by
-enumerating a basis), so arbitrarily large support bounds stay cheap
-and the output is reproducible bit for bit: identical
-(space, seed, bound, terms) always give the identical vector.
+States are drawn directly from the splitmix64 stream, never by
+enumerating a basis, and the output is reproducible bit for bit:
+identical (space, seed, bound, terms) always give the identical vector.
+A draw still grows with the support bound: a Fock draw builds pools of
+about 2 * bound indices, and a spin draw a pool of bound^2 modes, whose
+state mask spans up to bound^2 bits.
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ the K sums cancels it).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
-from .linalg import Vec, _vec, add_to, lift, lift_sum, vec_sum
+from .linalg import Vec, _vec, add_to, lift, lift_sum, set_bits, vec_sum
 from .scalar import HALF, SQRT2
 
 SpinMode = tuple[int, int]
@@ -30,78 +30,182 @@ K_TILDE_N = "K_tilde_N"
 H_N = "H_N"
 
 
-@dataclass(frozen=True, slots=True)
-class SpinState:
-    """Strictly ascending tuple of occupied modes (m, l), m > 0 > l."""
+def _mode_bit(m: int, l: int) -> int:
+    """Position of the mode (m, l) on the grid mask.
 
-    modes: tuple[SpinMode, ...] = ()
+    Shell r = max(m, -l) holds the bits [(r-1)^2, r^2) in lexicographic
+    order: (1, -r), ..., (r-1, -r), then (r, -r), ..., (r, -1).  The
+    modes of bound <= B fill exactly the first B^2 bits.
+    """
+    b = -l
+    if m < b:
+        return (b - 1) * (b - 1) + m - 1
+    return m * m - b
+
+
+@lru_cache(maxsize=1 << 16)
+def _mode_at(t: int) -> SpinMode:
+    """Inverse of ``_mode_bit``; decoded states share its tuples."""
+    r = isqrt(t) + 1
+    offset = t - (r - 1) * (r - 1)
+    if offset < r - 1:
+        return offset + 1, -r
+    return r, t - r * r
+
+
+@lru_cache(maxsize=1 << 14)
+def _mode_masks(m: int, l: int, width: int) -> tuple[int, int]:
+    """The bit of the mode (m, l), and the bits of the modes
+    lexicographically below it on every shell that meets the first
+    ``width`` bits of the grid.
+
+    Below (m, l) are the modes with a smaller m, and those (m, l') with
+    l' < l.  Shells under m hold only the first kind; shell s >= m holds
+    (1, -s) ... (m-1, -s) of the first kind, then (m, -s) when s > -l,
+    and in shell m itself the run (m, -m) ... (m, l-1) of the second.
+    """
+    r = max(m, -l)
+    lower = (1 << (m - 1) * (m - 1)) - 1
+    shells = isqrt(width - 1) + 1 if width else 0
+    for s in range(m, shells + 1):
+        count = m - 1 + (s > r) + (max(0, m + l) if s == m else 0)
+        lower |= ((1 << count) - 1) << (s - 1) * (s - 1)
+    return 1 << _mode_bit(m, l), lower
+
+
+class SpinState:
+    """Strictly ascending tuple of occupied modes (m, l), m > 0 > l.
+
+    Stored as one ``mask`` over the mode grid (``_mode_bit``); the hash
+    is taken at construction and ``modes`` is decoded on first use.
+    Instances are immutable.
+    """
+
+    __slots__ = ("mask", "_hash", "_modes")
+
+    def __init__(self, modes: tuple[SpinMode, ...] = ()):
+        # __post_init__ validates the modes and encodes them as a mask
+        _set_modes(self, tuple(modes))
+        self.__post_init__()
 
     def __post_init__(self):
-        for m, l in self.modes:
+        modes = self._modes
+        for m, l in modes:
             if not (m > 0 > l):
                 raise ValueError(f"bad mode {(m, l)}")
-        if list(self.modes) != sorted(set(self.modes)):
+        if list(modes) != sorted(set(modes)):
             raise ValueError("modes must be strictly ascending")
+        mask = 0
+        for m, l in modes:
+            mask |= 1 << _mode_bit(m, l)
+        _set_mask(self, mask)
+        _set_hash(self, hash(mask))
+        # only the mask is kept; ``modes`` is decoded again on first use
+        _set_modes(self, None)
 
     @staticmethod
     def vacuum() -> "SpinState":
         return SpinState(())
 
     @property
+    def modes(self) -> tuple[SpinMode, ...]:
+        modes = self._modes
+        if modes is None:
+            modes = tuple(sorted(_mode_at(t) for t in set_bits(self.mask)))
+            _set_modes(self, modes)
+        return modes
+
+    @property
     def length(self) -> int:
-        return len(self.modes)
+        return self.mask.bit_count()
 
     def bound(self) -> int:
-        vals = [max(m, -l) for m, l in self.modes]
-        return max(vals) if vals else 0
+        width = self.mask.bit_length()
+        return isqrt(width - 1) + 1 if width else 0
 
     def sort_key(self):
-        return (len(self.modes), self.modes)
+        return (self.length, self.modes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SpinState:
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: SpinState is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: SpinState is immutable")
+
+    def __reduce__(self):
+        return (SpinState, (self.modes,))
+
+    def __repr__(self) -> str:
+        return f"SpinState(modes={self.modes!r})"
 
     def __str__(self) -> str:
         return f"S{{{list(self.modes)}}}"
 
 
 _new = object.__new__
-_set_modes = SpinState.modes.__set__
+_set_mask = SpinState.mask.__set__
+_set_hash = SpinState._hash.__set__
+_set_modes = SpinState._modes.__set__
 
 
-def _spin_state(modes: tuple[SpinMode, ...]) -> SpinState:
-    """Trusted constructor: the caller guarantees valid, ascending modes.
+def _spin_state(mask: int) -> SpinState:
+    """Trusted constructor from a grid mask.
 
-    Skips ``__post_init__``; only the state maps use it, on tuples made
-    canonical by a bisect insertion of an absent mode or removal of a
-    present one.
+    Skips ``__post_init__``; only the state maps use it, on masks made
+    by flipping the bits of valid modes.
     """
     s = _new(SpinState)
-    _set_modes(s, modes)
+    _set_mask(s, mask)
+    _set_hash(s, hash(mask))
+    _set_modes(s, None)
     return s
 
 
 def mode_state(create: bool, mode: SpinMode, state: SpinState):
     """Unit creator/annihilator of one mode; returns (sign, state) or None."""
-    if not (mode[0] > 0 > mode[1]):
+    m, l = mode
+    if not (m > 0 > l):
         raise ValueError(f"bad mode {mode}")
-    modes = state.modes
-    pos = bisect_left(modes, mode)
-    present = pos < len(modes) and modes[pos] == mode
-    if create == present:
+    mask = state.mask
+    bit, lower = _mode_masks(m, l, mask.bit_length())
+    if bool(mask & bit) == create:
         return None
-    sign = -1 if pos % 2 else 1
-    if create:
-        new = modes[:pos] + (mode,) + modes[pos:]
+    return -1 if (mask & lower).bit_count() & 1 else 1, _spin_state(mask ^ bit)
+
+
+def _unit(i: int, j: int, mask: int):
+    """gamma(E_ij)/sqrt(2) on a grid mask.
+
+    Returns ``(crossings, mask)``, the sign being ``(-1)^crossings``, or
+    ``None`` when the result vanishes.
+    """
+    if i * j >= 0:
+        raise ValueError("gamma needs indices of opposite sign")
+    if i > 0:
+        bit, lower = _mode_masks(i, j, mask.bit_length())
+        if mask & bit:
+            return None
     else:
-        new = modes[:pos] + modes[pos + 1 :]
-    return sign, _spin_state(new)
+        bit, lower = _mode_masks(j, i, mask.bit_length())
+        if not mask & bit:
+            return None
+    return (mask & lower).bit_count(), mask ^ bit
 
 
 def gamma_unit_state(i: int, j: int, state: SpinState):
     """gamma(E_ij)/sqrt(2) on a basis state: create (i,j) or remove (j,i)."""
-    if i * j >= 0:
-        raise ValueError("gamma needs indices of opposite sign")
-    if i > 0:
-        return mode_state(True, (i, j), state)
-    return mode_state(False, (j, i), state)
+    t = _unit(i, j, state.mask)
+    if t is None:
+        return None
+    return -1 if t[0] & 1 else 1, _spin_state(t[1])
 
 
 def gamma_apply(i: int, j: int, v: Vec) -> Vec:
@@ -115,13 +219,13 @@ def gamma_pair_state(a: tuple[int, int], b: tuple[int, int], state: SpinState):
     ``u_ij`` is the unit-normalized generator gamma_ij / sqrt(2), so the
     product equals 1/2 gamma_a gamma_b.
     """
-    t = gamma_unit_state(*b, state)
+    t = _unit(*b, state.mask)
     if t is None:
         return None
-    u = gamma_unit_state(*a, t[1])
+    u = _unit(*a, t[1])
     if u is None:
         return None
-    return t[0] * u[0], u[1]
+    return -1 if (t[0] + u[0]) & 1 else 1, _spin_state(u[1])
 
 
 def _window(i: int, n: int) -> range:
@@ -168,23 +272,23 @@ def ktilde_state_terms(i: int, j: int, state: SpinState) -> list[tuple[int, Spin
     """
     if i * j <= 0:
         raise ValueError("isotropy indices must share a sign")
-    modes = state.modes
+    mask = state.mask
     out = []
-    for h, (m, l) in enumerate(modes):
+    for h, (m, l) in enumerate(state.modes):
         if i > 0:
             if j != m:
                 continue
-            newmode, base = (i, l), 1
+            m2, l2, base = i, l, 0
         else:
             if l != i:
                 continue
-            newmode, base = (m, j), -1
-        others = modes[:h] + modes[h + 1 :]
-        if newmode in others:
+            m2, l2, base = m, j, 1  # the minus sign of -delta_li E_mj
+        others = mask ^ (1 << _mode_bit(m, l))
+        bit, lower = _mode_masks(m2, l2, others.bit_length())
+        if others & bit:
             continue
-        pos = bisect_left(others, newmode)
-        sign = base * (-1 if (h + pos) % 2 else 1)
-        out.append((sign, _spin_state(others[:pos] + (newmode,) + others[pos:])))
+        pos = (others & lower).bit_count()
+        out.append((-1 if (base + h + pos) & 1 else 1, _spin_state(others | bit)))
     return out
 
 
@@ -201,8 +305,8 @@ def fermion_number_apply(v: Vec) -> Vec:
     """Diagonal operator scaling a k-mode state by 2k."""
     out = {}
     for s, c in v.terms.items():
-        if s.modes:
-            out[s] = c * (2 * len(s.modes))
+        if s.mask:
+            out[s] = c * (2 * s.length)
     return _vec(out)
 
 

@@ -14,7 +14,7 @@ from . import casimir as cas
 from . import dirac as dr
 from . import fock as fk
 from . import spinor as sp
-from .linalg import Vec, adjoint_residual
+from .linalg import Vec, adjoint_residual, vec_sum
 from .sampling import random_vector
 from .scalar import ONE, ZERO, Scalar
 from .serialize import scalar_to_csv
@@ -230,11 +230,12 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
                 lhs = kately(i, j, sp.gamma_apply(m, l, v)) - sp.gamma_apply(
                     m, l, kately(i, j, v)
                 )
-                rhs = Vec()
+                parts = []
                 if j == m:
-                    rhs = rhs + sp.gamma_apply(i, l, v)
+                    parts.append(sp.gamma_apply(i, l, v))
                 if i == l:
-                    rhs = rhs - sp.gamma_apply(m, j, v)
+                    parts.append(-sp.gamma_apply(m, j, v))
+                rhs = vec_sum(parts)
                 r = (lhs - rhs).max_abs()
                 if worst < r:
                     worst = r
@@ -246,11 +247,12 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
             for v in [Vec.basis(s) for s in small] + rand[:4]:
                 kt = lambda a, b, w: sp.k_family_apply(sp.K_TILDE_N, n, a, b, w)
                 lhs = kt(i, j, kt(m, n2, v)) - kt(m, n2, kt(i, j, v))
-                rhs = Vec()
+                parts = []
                 if j == m:
-                    rhs = rhs + kt(i, n2, v)
+                    parts.append(kt(i, n2, v))
                 if i == n2:
-                    rhs = rhs - kt(m, j, v)
+                    parts.append(-kt(m, j, v))
+                rhs = vec_sum(parts)
                 r = (lhs - rhs).max_abs()
                 if worst < r:
                     worst = r
@@ -297,11 +299,9 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
     worst = ZERO
     for s in sp.spin_basis(2):
         for nn in range(max(s.bound(), 1), max(s.bound(), 1) + 2):
-            acc = Vec()
-            for i in range(1, nn + 1):
-                acc = acc + sp.k_family_apply(sp.K_TILDE_N, nn, i, i, Vec.basis(s))
-                acc = acc + sp.k_family_apply(sp.K_TILDE_N, nn, -i, -i, Vec.basis(s))
-            r = acc.max_abs()
+            r = vec_sum(
+                sp.k_family_apply(sp.K_TILDE_N, nn, i, i, Vec.basis(s)) for i in _nonzero(nn)
+            ).max_abs()
             if worst < r:
                 worst = r
     rep.add("k-family.trace-zero", "bound-2 states", worst)
@@ -332,9 +332,10 @@ def suite_casimir(max_index: int = 3, **_) -> dict:
         bad = bad + (fn - v.scaled(2 * len(s.modes))).max_abs()
         if fn.is_zero():
             kernel += 1
-        acc = Vec()
-        for i in sorted({m for m, _ in s.modes} | {-l for _, l in s.modes} | {1}):
-            acc = acc + sp.ktilde_exact_apply(i, i, v) - sp.ktilde_exact_apply(-i, -i, v)
+        occupied = sorted({m for m, _ in s.modes} | {-l for _, l in s.modes} | {1})
+        acc = vec_sum(
+            part for i in occupied for part in (sp.ktilde_exact_apply(i, i, v), -sp.ktilde_exact_apply(-i, -i, v))
+        )
         bad = bad + (fn - acc).max_abs()
     rep.add("casimir.fermion-number", f"bound {max_index}", bad, ok=(not bad) and kernel == 1)
 
@@ -444,8 +445,9 @@ def suite_heisenberg(max_index: int = 3, **_) -> dict:
     for n2 in _nonzero(max_index):
         for k in _nonzero(max_index):
             for v in states:
-                lhs = cas.heisenberg_apply(window, n2, cas.heisenberg_apply(window, k, v))
-                lhs = lhs - cas.heisenberg_apply(window, k, cas.heisenberg_apply(window, n2, v))
+                lhs = cas.heisenberg_apply(window, n2, cas.heisenberg_apply(window, k, v)) - cas.heisenberg_apply(
+                    window, k, cas.heisenberg_apply(window, n2, v)
+                )
                 want = v.scaled(n2) if n2 == -k else Vec()
                 r = (lhs - want).max_abs()
                 if worst < r:
@@ -456,11 +458,10 @@ def suite_heisenberg(max_index: int = 3, **_) -> dict:
     var = cas.CasimirVariant(cas.NORMAL_N, window)
     for k in range(-max_index, 0):
         for v in states:
-            lhs = cas.casimir_apply(var, cas.heisenberg_apply(window, k, v))
-            lhs = lhs - cas.heisenberg_apply(window, k, cas.casimir_apply(var, v))
-            rhs = Vec()
-            for i in range(0, -k):
-                rhs = rhs + fk.rhat_apply(i, i + k, v).scaled(2)
+            lhs = cas.casimir_apply(var, cas.heisenberg_apply(window, k, v)) - cas.heisenberg_apply(
+                window, k, cas.casimir_apply(var, v)
+            )
+            rhs = vec_sum(fk.rhat_apply(i, i + k, v).scaled(2) for i in range(0, -k))
             r = (lhs - rhs).max_abs()
             if worst < r:
                 worst = r

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from gdirac.cli import MAX_DUMP_STATES, dump_basis_size, main
+from gdirac import dirac
+from gdirac.cli import MAX_BLOCK_WORK, MAX_DUMP_STATES, block_work, dump_basis_size, main
 from gdirac.dirac import tensor_states
 from gdirac.fock import fock_basis
 from gdirac.spinor import spin_basis
@@ -160,6 +161,51 @@ def test_dump_op_oversized_basis_exit_two(capsys, descriptor, max_index, shown):
     assert out == ""
     assert f"needs {shown} basis states" in err
     assert str(MAX_DUMP_STATES) in err
+
+
+def test_block_work_counts_one_pass(monkeypatch):
+    # the generator calls _mode_sets once per Fock state it visits (the
+    # margins of a charge-0 block never recurse), and the constraint
+    # matrix calls rho_apply once per (column, operator)
+    calls = {"fock": 0, "rho": 0}
+    mode_sets, rho_apply = dirac._mode_sets, dirac.rho_apply
+
+    def counted_mode_sets(rows, cols):
+        calls["fock"] += 1
+        return mode_sets(rows, cols)
+
+    def counted_rho(p, q, v):
+        calls["rho"] += 1
+        return rho_apply(p, q, v)
+
+    monkeypatch.setattr(dirac, "_mode_sets", counted_mode_sets)
+    monkeypatch.setattr(dirac, "rho_apply", counted_rho)
+    for trunc in range(1, 5):
+        for degree in range(trunc + 2):
+            calls.update(fock=0, rho=0)
+            try:
+                dirac.spectrum_report(trunc, degree)
+            except ValueError:
+                assert degree > trunc
+            assert block_work(trunc, degree) == calls["fock"] + calls["rho"], (trunc, degree)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--trunc", "1000000"],
+    ["invariants", "--trunc", "1000000"],
+    ["verify", "kernel", "--trunc", "1000000"],
+    ["spectrum", "--trunc", "40", "--degree", "2"],
+])
+def test_trunc_past_the_block_work_limit_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert str(MAX_BLOCK_WORK) in err and "needs at least" in err
+
+
+def test_trunc_cap_counts_only_the_generated_states(capsys):
+    # trunc 8 would be 174M block states before the weight generator
+    code, out, _ = run_cli(capsys, "spectrum", "--trunc", "8", "--degree", "2")
+    assert code == 0 and json.loads(out)["kernel_dim"] == 1
 
 
 @pytest.mark.parametrize("argv", [["spectrum"], ["verify", "kernel"]])

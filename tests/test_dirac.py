@@ -1,6 +1,7 @@
 """The Dirac-type operator, its square, the invariant sector."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from gdirac.dirac import (
     TensorState,
     _block_states,
     _invariant_nullspace,
+    _mode_sets,
     constraint_window_robust,
     diagonal_casimir_apply,
     dirac_apply,
@@ -22,11 +24,11 @@ from gdirac.dirac import (
     t_square_apply,
     tensor_states,
 )
-from gdirac.fock import FockState, rhat_apply
+from gdirac.fock import FockState, fock_basis, rhat_apply
 from gdirac.linalg import ExactMatrix, Vec
 from gdirac.sampling import random_vector
 from gdirac.scalar import HALF_SQRT2, ZERO, Scalar
-from gdirac.spinor import SpinState
+from gdirac.spinor import SpinState, spin_basis
 
 VAC = Vec.basis(TensorState(FockState.vacuum(), SpinState.vacuum()))
 
@@ -120,12 +122,42 @@ def test_vacuum_structure():
                 assert gamma_apply(p, q, vs).is_zero(), (p, q)
 
 
+def _full_block_states(n, pairs, k):
+    """Every state of the (pairs, k) block at trunc n, in basis order."""
+    fs = [f for f in fock_basis(n, charge=0) if len(f.plus) == pairs]
+    return [TensorState(f, s) for f in fs for s in spin_basis(n, length=k)]
+
+
 def _weight_lemma_states():
     """tensor_states(2) and every (M, k) block at trunc 3 with M, k <= 2."""
     yield 2, tensor_states(2)
     for pairs in range(3):
         for k in range(3):
-            yield 3, _block_states(3, pairs, k)
+            yield 3, _full_block_states(3, pairs, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_generator_yields_the_weight_zero_states(n):
+    for pairs in range(min(n, 2) + 1):
+        for k in range(3):
+            want = [t for t in _full_block_states(n, pairs, k) if not rho_weight(t)]
+            assert _block_states(n, pairs, k) == want, (n, pairs, k)
+
+
+def test_mode_sets_are_the_margin_matrices():
+    # brute force over all mode sets of a 3 x 3 grid, margins chosen so
+    # that several matrices share them
+    grid = [(m, l) for m in (1, 2, 3) for l in (-3, -2, -1)]
+    for rows, cols in [((1, 1, 0), (1, 0, 1)), ((2, 1, 1), (1, 1, 2)), ((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0))]:
+        want = []
+        for size in range(len(grid) + 1):
+            for modes in combinations(grid, size):
+                if all(sum(1 for a, _ in modes if a == m) == r for m, r in zip((1, 2, 3), rows)) and all(
+                    sum(1 for _, b in modes if b == l) == c for l, c in zip((-3, -2, -1), cols)
+                ):
+                    want.append(modes)
+        got = list(_mode_sets(list(zip((1, 2, 3), rows)), dict(zip((-3, -2, -1), cols))))
+        assert got == sorted(want), (rows, cols)
 
 
 def test_rho_weight_is_the_diagonal_of_rho():
@@ -149,7 +181,7 @@ def test_vacuum_is_the_only_weight_zero_charge0_state():
 
 def _full_nullspace(n, pairs, k, window):
     """Oracle: the kernel of every same-sign rho(E_pq) on all block states."""
-    cols = _block_states(n, pairs, k)
+    cols = _full_block_states(n, pairs, k)
     ops = [(s * i, s * j) for s in (1, -1) for i in range(1, window + 1) for j in range(1, window + 1)]
     rows = {}
     for ci, t in enumerate(cols):
