@@ -1,8 +1,7 @@
-"""Command line front end: verify / spectrum / invariants / bench / dump-op.
+"""Command line front end: verify / spectrum / invariants / dump-op.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.  Reports are byte-deterministic for fixed flags and seed, except
-for the wall-time column of `bench`, which is informational.
+error.  Reports are byte-deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -12,27 +11,34 @@ import csv
 import io
 import math
 import sys
-import time
 from dataclasses import dataclass
 
-from . import casimir as cas
 from . import dirac as dr
 from . import fock as fk
 from . import spinor as sp
 from .linalg import Vec
-from .sampling import random_vector
 from .serialize import dumps, scalar_to_csv, state_label, vec_to_json
 from .suites import SUITES, run_suite
 
 SCHEMA = "gdirac/1"
 
-_CONFIG_KEYS = {"max-index", "trunc", "degree", "seed", "format", "out", "suite"}
+# Config-file keys: the RunConfig field each one sets and its type.
+_CONFIG = {
+    "max-index": ("max_index", int),
+    "trunc": ("trunc", int),
+    "degree": ("degree", int),
+    "seed": ("seed", int),
+    "format": ("fmt", str),
+    "out": ("out", str),
+    "suite": ("suite", str),
+}
 
 # Largest basis dump-op enumerates; its matrix is dense, N x N.
 MAX_DUMP_STATES = 1024
 _DUMP_BASES = {"fock": fk.fock_basis, "spin": sp.spin_basis, "tensor": dr.tensor_states}
-# Most work one pass over the invariant blocks may take (``block_work``).
-MAX_BLOCK_WORK = 1 << 20
+# Most work one command may take, in the closed-form steps of
+# ``block_work`` (spectrum, invariants, verify kernel) and of ``verify_work``.
+MAX_WORK = 1 << 20
 
 
 class UsageError(Exception):
@@ -60,13 +66,13 @@ class RunConfig:
             raise UsageError(f"unknown format {self.fmt!r}")
 
 
-def _config_of(args, **overrides) -> RunConfig:
-    fields = {}
-    for name in ("suite", "max_index", "trunc", "degree", "seed", "out", "fmt"):
+def _config_of(args, **defaults) -> RunConfig:
+    """The given flags, over ``defaults``, over RunConfig's own defaults."""
+    fields = dict(defaults)
+    for name, _ in _CONFIG.values():
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
-    fields.update(overrides)
     return RunConfig(**fields)
 
 
@@ -78,12 +84,17 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write(cfg: RunConfig, payload: dict, header: list[str], rows: list[list]) -> None:
+    """Emit ``payload`` as a JSON report, or ``rows`` under ``header`` as CSV."""
+    if cfg.fmt == "json":
+        text = dumps({"schema": SCHEMA, **payload})
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    _emit(text, cfg.out)
 
 
 def _load_config(path: str) -> dict:
@@ -96,7 +107,7 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value
     return values
@@ -106,18 +117,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Apply config-file defaults; explicit flags win."""
     if not getattr(args, "config", None):
         return args
-    conf = _load_config(args.config)
-    mapping = {
-        "max-index": ("max_index", int),
-        "trunc": ("trunc", int),
-        "degree": ("degree", int),
-        "seed": ("seed", int),
-        "format": ("fmt", str),
-        "out": ("out", str),
-        "suite": ("suite", str),
-    }
-    for key, value in conf.items():
-        attr, conv = mapping[key]
+    for key, value in _load_config(args.config).items():
+        attr, conv = _CONFIG[key]
         if getattr(args, attr, None) is None and hasattr(args, attr):
             setattr(args, attr, conv(value))
     return args
@@ -133,20 +134,12 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown suite {name!r}; valid: {', '.join(sorted(SUITES))}"
         )
-    cfg = _config_of(args, trunc=args.trunc if args.trunc is not None else (2 if name == "kernel" else 3))
-    params = {"max_index": cfg.max_index, "seed": cfg.seed}
-    if name in ("square-raw", "square-hk", "square-final"):
-        params = {"trunc": cfg.trunc, "seed": cfg.seed}
-    if name == "kernel":
-        _check_block_work("verify kernel", cfg)
-        params = {"trunc": cfg.trunc, "degree": cfg.degree}
-    report = run_suite(name, **params)
-    payload = {"schema": SCHEMA, **report}
-    if cfg.fmt == "json":
-        _emit(dumps(payload), cfg.out)
-    else:
-        rows = [[c["check"], c["inputs"], c["residual"], str(c["pass"]).lower()] for c in report["checks"]]
-        _emit(_csv_text(["check", "inputs", "residual", "pass"], rows), cfg.out)
+    cfg = _config_of(args, trunc=3 if name.startswith("square") else 2)
+    flags = f"--max-index {cfg.max_index} --trunc {cfg.trunc} --degree {cfg.degree}"
+    _check_work(f"verify {name} at {flags}", verify_work(name, cfg))
+    report = run_suite(name, max_index=cfg.max_index, trunc=cfg.trunc, degree=cfg.degree, seed=cfg.seed)
+    rows = [[c["check"], c["inputs"], c["residual"], str(c["pass"]).lower()] for c in report["checks"]]
+    _write(cfg, report, ["check", "inputs", "residual", "pass"], rows)
     return 0 if report["failures"] == 0 else 1
 
 
@@ -157,8 +150,8 @@ def block_work(trunc: int, degree: int) -> int:
     The weight-zero generator visits C(trunc, M)^2 Fock states per block,
     and the vacuum, the only weight-zero column, meets 2 (trunc + 1)^2
     constraint operators.  A degree past trunc stops the pass at the block
-    (0, trunc + 1).  The sum stops once it passes ``MAX_BLOCK_WORK``, so a
-    huge trunc costs no huge binomial.
+    (0, trunc + 1).  The sum stops once it passes ``MAX_WORK``, so a huge
+    trunc costs no huge binomial.
     """
     work = 2 * (trunc + 1) ** 2
     if degree > trunc:
@@ -166,38 +159,71 @@ def block_work(trunc: int, degree: int) -> int:
     c = 1  # C(trunc, M)
     for m in range(degree + 1):
         work += (degree + 1) * c * c
-        if work > MAX_BLOCK_WORK:
+        if work > MAX_WORK:
             break
         c = c * (trunc - m) // (m + 1)
     return work
 
 
-def _check_block_work(command: str, cfg: RunConfig) -> None:
-    """Refuse, before any state is enumerated, a pass past MAX_BLOCK_WORK."""
-    work = block_work(cfg.trunc, cfg.degree)
-    if work > MAX_BLOCK_WORK:
-        raise UsageError(
-            f"{command} at --trunc {cfg.trunc} --degree {cfg.degree} needs at least {work} "
-            f"Fock-state visits and constraint operators per pass over the blocks; the limit is {MAX_BLOCK_WORK}"
-        )
+def verify_work(name: str, cfg: RunConfig) -> int:
+    """Closed-form size of the largest loop of a ``verify`` suite, at
+    K = --max-index and N = --trunc + 1: its domain (index tuples times
+    basis states or seeded vectors) times the operator applications, or
+    window terms of a windowed sum, that each point costs.
+
+    Basis sizes are ``dump_basis_size`` at min(K, 21).  Every estimate
+    grows with K and is past ``MAX_WORK`` at K = 21, so a larger K is
+    refused without building a huge power.
+    """
+    k, n = cfg.max_index, cfg.trunc + 1
+    fock, spin = (dump_basis_size(space, min(k, MAX_WORK.bit_length())) for space in ("fock", "spin"))
+    return {
+        # (2K)^2 index pairs x 4^K states x 12 field operators
+        "car": 48 * k * k * fock,
+        # (2K^2)^2 generator pairs x 2^(K^2) states x 2 products
+        "clifford": 8 * k**4 * spin,
+        # (2K)^4 unit pairs x 4^K states x 4 r-hats
+        "cocycle": 64 * k**4 * fock,
+        # (2K^2)^2 index pairs x 26 vectors x 4 terms x K+1 window terms
+        "k-family": 416 * k**4 * (k + 1),
+        # 2^(K^2) states x 2K K~ operators x 2K window terms
+        "casimir": 4 * k * k * spin,
+        # (2K)^2 shift pairs x 8 states x 4 shifts x 8K+1 window terms
+        "heisenberg": 128 * k * k * (8 * k + 1),
+        # 200 seeded vectors x 4 terms x 2K^2 index pairs
+        "dirac-symmetry": 1600 * k * k,
+        # 5 seeded vectors x 2K^2 pairs x 8K^2 image terms x K modes
+        "dirac-equivariance": 80 * k**5,
+        # 10 residuals x (2N^2)^2 window quadruples
+        "square-raw": 40 * n**4,
+        "square-hk": 40 * n**4,
+        # cut-off fermion number: 2N K-sums x N terms on N^2-bit spin masks
+        "square-final": 2 * n**3,
+        # the spectrum pass, two more windows and the diagonal Casimir
+        "kernel": 4 * block_work(cfg.trunc, cfg.degree),
+    }[name]
+
+
+def _check_work(command: str, work: int) -> None:
+    """Refuse, before any state is enumerated, a command past MAX_WORK."""
+    if work > MAX_WORK:
+        raise UsageError(f"{command} needs at least {work} steps of work; the limit is {MAX_WORK}")
+
+
+_BLOCK_COLUMNS = ["M", "k", "dim", "eig"]
 
 
 def cmd_spectrum(args) -> int:
     cfg = _config_of(args)
-    _check_block_work("spectrum", cfg)
+    _check_work(f"spectrum at --trunc {cfg.trunc} --degree {cfg.degree}", block_work(cfg.trunc, cfg.degree))
     report = dr.spectrum_report(cfg.trunc, cfg.degree)
-    payload = {"schema": SCHEMA, **report}
-    if cfg.fmt == "json":
-        _emit(dumps(payload), cfg.out)
-    else:
-        rows = [[b["M"], b["k"], b["dim"], b["eig"]] for b in report["blocks"]]
-        _emit(_csv_text(["M", "k", "dim", "eig"], rows), cfg.out)
+    _write(cfg, report, _BLOCK_COLUMNS, [[b[c] for c in _BLOCK_COLUMNS] for b in report["blocks"]])
     return 0
 
 
 def cmd_invariants(args) -> int:
     cfg = _config_of(args)
-    _check_block_work("invariants", cfg)
+    _check_work(f"invariants at --trunc {cfg.trunc} --degree {cfg.degree}", block_work(cfg.trunc, cfg.degree))
     blocks = []
     for pairs in range(cfg.degree + 1):
         for k in range(cfg.degree + 1):
@@ -211,35 +237,7 @@ def cmd_invariants(args) -> int:
                     "basis": [vec_to_json(v) for v in blk.basis],
                 }
             )
-    payload = {"schema": SCHEMA, "trunc": cfg.trunc, "blocks": blocks}
-    if cfg.fmt == "json":
-        _emit(dumps(payload), cfg.out)
-    else:
-        rows = [[b["M"], b["k"], b["dim"], b["eig"]] for b in blocks]
-        _emit(_csv_text(["M", "k", "dim", "eig"], rows), cfg.out)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    cfg = _config_of(args, trunc=args.trunc if args.trunc is not None else 4)
-    rows = []
-    for n in range(1, cfg.trunc + 1):
-        v = random_vector("tensor", cfg.seed, n, terms=2 + 2 * n, nonzero=True)
-        t0 = time.perf_counter()
-        out = dr.dirac_cutoff_apply(n, v)
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append({"N": n, "op": "dirac_cutoff", "support_in": len(v), "support_out": len(out), "ms": round(ms, 3)})
-        w = random_vector("fock-include0", cfg.seed + 1, n, terms=2 + 2 * n, nonzero=True)
-        t0 = time.perf_counter()
-        out2 = cas.casimir_apply(cas.CasimirVariant(cas.NORMAL_N, n), w)
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append({"N": n, "op": "casimir_normal", "support_in": len(w), "support_out": len(out2), "ms": round(ms, 3)})
-    payload = {"schema": SCHEMA, "seed": cfg.seed, "rows": rows}
-    if cfg.fmt == "json":
-        _emit(dumps(payload), cfg.out)
-    else:
-        table = [[r["N"], r["op"], r["support_in"], r["support_out"], r["ms"]] for r in rows]
-        _emit(_csv_text(["N", "op", "support_in", "support_out", "ms"], table), cfg.out)
+    _write(cfg, {"trunc": cfg.trunc, "blocks": blocks}, _BLOCK_COLUMNS, [[b[c] for c in _BLOCK_COLUMNS] for b in blocks])
     return 0
 
 
@@ -290,7 +288,7 @@ def _dump_operator(descriptor: str):
 
 
 def cmd_dump_op(args) -> int:
-    cfg = _config_of(args, max_index=args.max_index if args.max_index is not None else 2)
+    cfg = _config_of(args, max_index=2)
     space, op = _dump_operator(args.descriptor)
     k = cfg.max_index
     # every basis has at least 2^K states, so a K past the limit's bit
@@ -375,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="invariant-sector bases per block")
     common(p, trunc=True, degree=True)
     p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("bench", help="timings and support growth (informational)")
-    common(p, trunc=True, seed=True)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("dump-op", help="exact matrix of an operator on a bounded basis")
     p.add_argument(

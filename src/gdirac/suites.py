@@ -2,21 +2,28 @@
 
 Each suite runs a family of exact identity checks and returns a report
 dict with one record per check: a stable check id, a short rendering of
-the inputs, the residual (exact, as a string) and a pass flag.  All
-residual contracts are zero; there are no tolerances anywhere.
+the inputs, the residual (exact, as a string) and a pass flag.  A
+check's residual is the largest one over its whole domain (states,
+seeded vectors, index tuples), never a sum: non-negative values vanish
+together with their maximum, so only a failing check's residual text
+depends on that choice.  All residual contracts are zero; there are no
+tolerances anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import chain, product
 
 from . import casimir as cas
 from . import dirac as dr
 from . import fock as fk
 from . import spinor as sp
-from .linalg import Vec, adjoint_residual, vec_sum
+from .linalg import Vec, adjoint_residual, lift, vec_sum
+from .rng import SplitMix64
 from .sampling import random_vector
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, SQRT2, ZERO, Scalar, _coerce
 from .serialize import scalar_to_csv
 
 
@@ -25,18 +32,23 @@ class _Report:
         self.suite = suite
         self.checks: list[dict] = []
 
-    def add(self, check: str, inputs: str, residual: Scalar | int, ok: bool | None = None):
-        if isinstance(residual, int):
-            residual = Scalar.of(residual)
-        if ok is None:
-            ok = not residual
+    def check(self, check: str, inputs: str, residuals, ok: bool = True) -> None:
+        """Record one check over ``residuals``, one residual or an iterable
+        of them.  A ``Vec`` counts as its ``max_abs``, a ``Scalar``, ``int``
+        or ``bool`` as its absolute value; the check records the largest
+        and passes when that is zero and ``ok`` holds."""
+        if isinstance(residuals, (Vec, Scalar, int)):
+            residuals = (residuals,)
+        worst = ZERO
+        for r in residuals:
+            if isinstance(r, Vec):
+                r = r.max_abs()
+            if r:
+                r = abs(_coerce(r))
+                if worst < r:
+                    worst = r
         self.checks.append(
-            {
-                "check": check,
-                "inputs": inputs,
-                "residual": scalar_to_csv(residual),
-                "pass": bool(ok),
-            }
+            {"check": check, "inputs": inputs, "residual": scalar_to_csv(worst), "pass": ok and not worst}
         )
 
     def done(self) -> dict:
@@ -45,8 +57,30 @@ class _Report:
         return {"suite": self.suite, "failures": failures, "checks": self.checks}
 
 
+def _bracket(a, b, v: Vec, sign: int = -1) -> Vec:
+    """a(b(v)) - b(a(v)); with ``sign=1`` the anticommutator."""
+    ab, ba = a(b(v)), b(a(v))
+    return ab + ba if sign > 0 else ab - ba
+
+
+def _pairs(bound: int, sign: int) -> list[tuple[int, int]]:
+    """Nonzero index pairs up to ``bound``: same sign (1) or opposite (-1)."""
+    idx = _nonzero(bound)
+    return [(i, j) for i in idx for j in idx if i * j * sign > 0]
+
+
+def _delta_rhs(op, i, j, m, l, v: Vec) -> Vec:
+    """delta_jm op(i, l) v - delta_il op(m, j) v: the right side of [X_ij, X_ml]."""
+    return vec_sum(([op(i, l, v)] if j == m else []) + ([-op(m, j, v)] if i == l else []))
+
+
 def _nonzero(bound: int) -> list[int]:
     return [i for i in range(-bound, bound + 1) if i != 0]
+
+
+def _windows(bound: int, count: int) -> range:
+    lo = max(bound, 1)
+    return range(lo, lo + count)
 
 
 # ---------------------------------------------------------------------------
@@ -57,85 +91,76 @@ def suite_car(max_index: int = 3, **_) -> dict:
     rep = _Report("car")
     basis = fk.fock_basis(max_index)
     idx = _nonzero(max_index)
-    worst = ZERO
-    count = 0
-    for i in idx:
-        for j in idx:
-            for s in basis:
-                # {psi_i, psi*_j} = delta_ij
-                r = _anti_eval(fk.PSI, i, fk.PSI_STAR, j, s)
-                want = Vec.basis(s) if i == j else Vec()
-                worst = max(worst, (r - want).max_abs())
-                # {psi_i, psi_j} = 0 and {psi*_i, psi*_j} = 0
-                worst = max(worst, _anti_eval(fk.PSI, i, fk.PSI, j, s).max_abs())
-                worst = max(worst, _anti_eval(fk.PSI_STAR, i, fk.PSI_STAR, j, s).max_abs())
-                count += 3
-    rep.add("car.relations", f"indices<= {max_index}, {count} checks", worst)
-    # vacuum characterization
+    field = lambda kind, k: partial(fk.apply_field, kind, k)
+    rep.check(
+        "car.relations",
+        f"indices<= {max_index}, {3 * len(idx) ** 2 * len(basis)} checks",
+        (
+            r
+            for i in idx
+            for j in idx
+            for v in map(Vec.basis, basis)
+            for r in (
+                # {psi_i, psi*_j} = delta_ij, {psi_i, psi_j} = 0, {psi*_i, psi*_j} = 0
+                _bracket(field(fk.PSI, i), field(fk.PSI_STAR, j), v, 1) - v.scaled(i == j),
+                _bracket(field(fk.PSI, i), field(fk.PSI, j), v, 1),
+                _bracket(field(fk.PSI_STAR, i), field(fk.PSI_STAR, j), v, 1),
+            )
+        ),
+    )
     vac = Vec.basis(fk.FockState.vacuum())
-    bad = ZERO
-    for k in range(1, max_index + 1):
-        bad = bad + fk.apply_field(fk.PSI, k, vac).max_abs()
-        bad = bad + fk.apply_field(fk.PSI_STAR, -k, vac).max_abs()
-    rep.add("car.vacuum", f"k up to {max_index}", bad)
+    rep.check(
+        "car.vacuum",
+        f"k up to {max_index}",
+        (fk.apply_field(kind, sign * k, vac) for k in range(1, max_index + 1) for kind, sign in ((fk.PSI, 1), (fk.PSI_STAR, -1))),
+    )
     # the annihilator support of a basis state is exactly its occupation set
-    mism = 0
-    for s in basis:
-        killers = set()
-        for k in range(1, max_index + 2):
-            if fk.field_state(fk.PSI, k, s) is not None:
-                killers.add(k)
-            if fk.field_state(fk.PSI_STAR, -k, s) is not None:
-                killers.add(-k)
-        if killers != set(s.plus) | set(s.minus):
-            mism += 1
-    rep.add("car.finite-support", f"{len(basis)} states", mism)
+    ks = range(1, max_index + 2)
+    rep.check(
+        "car.finite-support",
+        f"{len(basis)} states",
+        (
+            {k for k in ks if fk.field_state(fk.PSI, k, s)} | {-k for k in ks if fk.field_state(fk.PSI_STAR, -k, s)}
+            != {*s.plus, *s.minus}
+            for s in basis
+        ),
+    )
     return rep.done()
 
 
-def _anti_eval(kind1, k1, kind2, k2, s) -> Vec:
-    v = Vec.basis(s)
-    return fk.apply_field(kind1, k1, fk.apply_field(kind2, k2, v)) + fk.apply_field(
-        kind2, k2, fk.apply_field(kind1, k1, v)
-    )
+def _clifford_defect(a, b, s) -> int:
+    """Largest coefficient of ({gamma_a, gamma_b} - 2 delta) on the state s."""
+    acc = {s: -2 if a == b[::-1] else 0}
+    for x, y in ((a, b), (b, a)):
+        t = sp.gamma_pair_state(x, y, s)
+        if t is not None:
+            acc[t[1]] = acc.get(t[1], 0) + 2 * t[0]  # sqrt2^2 = 2
+    return max(map(abs, acc.values()))
 
 
 def suite_clifford(max_index: int = 3, **_) -> dict:
     """{gamma_ij, gamma_mn} = 2 delta_in delta_jm on every bounded state."""
     rep = _Report("clifford")
     basis = sp.spin_basis(max_index)
-    gens = [(i, j) for i in _nonzero(max_index) for j in _nonzero(max_index) if i * j < 0]
-    worst = 0
-    count = 0
-    for i, j in gens:
-        for m, n in gens:
-            want = 2 if (i == n and j == m) else 0
-            for s in basis:
-                acc: dict = {}
-                for a, b in (((i, j), (m, n)), ((m, n), (i, j))):
-                    t = sp.gamma_pair_state(a, b, s)
-                    if t is not None:
-                        acc[t[1]] = acc.get(t[1], 0) + 2 * t[0]  # sqrt2^2 = 2
-                acc[s] = acc.get(s, 0) - want
-                bad = sum(abs(x) for x in acc.values())
-                worst = max(worst, bad)
-                count += 1
-    rep.add("clifford.relations", f"indices<= {max_index}, {count} checks", worst)
+    gens = _pairs(max_index, -1)
+    rep.check(
+        "clifford.relations",
+        f"indices<= {max_index}, {len(gens) ** 2 * len(basis)} checks",
+        (_clifford_defect(a, b, s) for a in gens for b in gens for s in basis),
+    )
     vac = Vec.basis(sp.SpinState.vacuum())
-    bad = ZERO
-    for i in range(1, max_index + 1):
-        for j in range(1, max_index + 1):
-            bad = bad + sp.gamma_apply(-i, j, vac).max_abs()
-    rep.add("clifford.vacuum", f"annihilators up to {max_index}", bad)
+    ks = range(1, max_index + 1)
+    rep.check("clifford.vacuum", f"annihilators up to {max_index}", (sp.gamma_apply(-i, j, vac) for i in ks for j in ks))
     # vector-level generator equals sqrt(2) times the unit mode operator
-    bad = ZERO
-    for i, j in gens:
-        for s in sp.spin_basis(2):
-            lhs = sp.gamma_apply(i, j, Vec.basis(s))
-            t = sp.gamma_unit_state(i, j, s)
-            rhs = Vec() if t is None else Vec.basis(t[1], t[0]).scaled(Scalar.of(0, 1))
-            bad = bad + (lhs - rhs).max_abs()
-    rep.add("clifford.normalization", "bound 2", bad)
+    rep.check(
+        "clifford.normalization",
+        "bound 2",
+        (
+            sp.gamma_apply(i, j, v) - lift(v, sp.gamma_unit_state, i, j).scaled(SQRT2)
+            for i, j in gens
+            for v in map(Vec.basis, sp.spin_basis(2))
+        ),
+    )
     return rep.done()
 
 
@@ -144,44 +169,32 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
     rep = _Report("cocycle")
     basis = fk.fock_basis(max_index)
     idx = _nonzero(max_index)
-    units = [(p, q) for p in idx for q in idx]
-    worst = ZERO
-    for p, q in units:
-        a = fk.LieElement.unit(p, q)
-        for m, n in units:
-            b = fk.LieElement.unit(m, n)
-            br = fk.bracket_central(a, b)
-            for s in basis:
-                v = Vec.basis(s)
-                lhs = fk.rhat_apply(p, q, fk.rhat_apply(m, n, v)) - fk.rhat_apply(
-                    m, n, fk.rhat_apply(p, q, v)
-                )
-                rhs = fk.rhat_lie_apply(br, v)
-                r = (lhs - rhs).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("cocycle.central-extension", f"unit pairs <= {max_index}", worst)
-    one = fk.LieElement.unit(-1, 1)
-    two = fk.LieElement.unit(1, -1)
-    rep.add(
-        "cocycle.worked-case",
-        "s(E[-1,1],E[1,-1])",
-        fk.schwinger(one, two) - ONE,
+    units = list(product(idx, repeat=2))
+    rep.check(
+        "cocycle.central-extension",
+        f"unit pairs <= {max_index}",
+        (
+            _bracket(partial(fk.rhat_apply, *a), partial(fk.rhat_apply, *b), v) - fk.rhat_lie_apply(br, v)
+            for a in units
+            for b in units
+            for br in [fk.bracket_central(fk.LieElement.unit(*a), fk.LieElement.unit(*b))]
+            for v in map(Vec.basis, basis)
+        ),
     )
+    worked = fk.schwinger(fk.LieElement.unit(-1, 1), fk.LieElement.unit(1, -1)) - ONE
+    rep.check("cocycle.worked-case", "s(E[-1,1],E[1,-1])", worked)
     # antisymmetry of the cocycle on random combinations
-    bad = ZERO
-    from .rng import SplitMix64
-
     stream = SplitMix64(11)
-    for _ in range(50):
-        a = fk.LieElement(
-            {(idx[stream.pick(len(idx))], idx[stream.pick(len(idx))]): stream.coefficient() for _ in range(3)}
-        )
-        b = fk.LieElement(
-            {(idx[stream.pick(len(idx))], idx[stream.pick(len(idx))]): stream.coefficient() for _ in range(3)}
-        )
-        bad = bad + abs(fk.schwinger(a, b) + fk.schwinger(b, a))
-    rep.add("cocycle.antisymmetry", "50 random pairs", bad)
+
+    def draw():
+        pick = lambda: idx[stream.pick(len(idx))]
+        return fk.LieElement({(pick(), pick()): stream.coefficient() for _ in range(3)})
+
+    rep.check(
+        "cocycle.antisymmetry",
+        "50 random pairs",
+        (fk.schwinger(a, b) + fk.schwinger(b, a) for a, b in ((draw(), draw()) for _ in range(50))),
+    )
     # quadratic representation of the orthogonal algebra
     E = lambda i, j: {(i, j): ONE}
     A = lambda i, j: {(i, j): ONE, (j, i): -ONE}
@@ -192,22 +205,20 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
         (E(1, 2), A(1, 3), A(2, 3)),
         (E(2, 2), A(2, 3), A(1, 2)),
     ]
-    particle_only = [s for s in fk.fock_basis(max_index) if not s.minus]
-    worst = ZERO
-    for x in test_set:
-        for y in test_set:
-            bracket = fk.ores_bracket(x, y)
-            cocycle = fk.ores_cocycle(x, y)
-            for s in particle_only:
-                v = Vec.basis(s)
-                lhs = fk.t_ores_apply(*x, fk.t_ores_apply(*y, v)) - fk.t_ores_apply(
-                    *y, fk.t_ores_apply(*x, v)
-                )
-                rhs = fk.t_ores_apply(*bracket, v) + v.scaled(cocycle)
-                r = (lhs - rhs).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("cocycle.orthogonal-quadratic", f"{len(test_set)}^2 pairs, bound {max_index}", worst)
+    particles = [Vec.basis(s) for s in basis if not s.minus]
+    rep.check(
+        "cocycle.orthogonal-quadratic",
+        f"{len(test_set)}^2 pairs, bound {max_index}",
+        (
+            _bracket(partial(fk.t_ores_apply, *x), partial(fk.t_ores_apply, *y), v)
+            - fk.t_ores_apply(*bracket, v)
+            - v.scaled(cocycle)
+            for x in test_set
+            for y in test_set
+            for bracket, cocycle in [(fk.ores_bracket(x, y), fk.ores_cocycle(x, y))]
+            for v in particles
+        ),
+    )
     return rep.done()
 
 
@@ -215,96 +226,74 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
     """Commutators, relations and stabilization of the cut-off quadratics."""
     rep = _Report("k-family")
     n = max_index + 1
-    small = sp.spin_basis(2)
-    rand = [random_vector("spin", 100 + t, max_index) for t in range(10)]
-    sign_pairs = [(i, j) for i in _nonzero(max_index) for j in _nonzero(max_index) if i * j > 0]
-    cross_pairs = [(m, l) for m in _nonzero(max_index) for l in _nonzero(max_index) if m * l < 0]
-
-    def kately(i, j, v):
-        return sp.k_family_apply(sp.K_RAW, n, i, j, v)
-
-    worst = ZERO
-    for i, j in sign_pairs:
-        for m, l in cross_pairs:
-            for v in [Vec.basis(s) for s in small] + rand:
-                lhs = kately(i, j, sp.gamma_apply(m, l, v)) - sp.gamma_apply(
-                    m, l, kately(i, j, v)
-                )
-                parts = []
-                if j == m:
-                    parts.append(sp.gamma_apply(i, l, v))
-                if i == l:
-                    parts.append(-sp.gamma_apply(m, j, v))
-                rhs = vec_sum(parts)
-                r = (lhs - rhs).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("k-family.adjoint-commutator", f"quadruples <= {max_index}, N={n}", worst)
-
-    worst = ZERO
-    for i, j in sign_pairs:
-        for m, n2 in sign_pairs:
-            for v in [Vec.basis(s) for s in small] + rand[:4]:
-                kt = lambda a, b, w: sp.k_family_apply(sp.K_TILDE_N, n, a, b, w)
-                lhs = kt(i, j, kt(m, n2, v)) - kt(m, n2, kt(i, j, v))
-                parts = []
-                if j == m:
-                    parts.append(kt(i, n2, v))
-                if i == n2:
-                    parts.append(-kt(m, j, v))
-                rhs = vec_sum(parts)
-                r = (lhs - rhs).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("k-family.commutation", f"pairs <= {max_index}, N={n}, no central term", worst)
-
-    vac = Vec.basis(sp.SpinState.vacuum())
-    bad = ZERO
-    for i, j in sign_pairs:
-        for nn in (max_index, max_index + 1):
-            bad = bad + sp.k_family_apply(sp.K_TILDE_N, nn, i, j, vac).max_abs()
-    rep.add("k-family.vacuum", "all sign pairs", bad)
-
-    worst = ZERO
     states = sp.spin_basis(2)
-    for s in states:
-        m0 = s.bound()
-        for nn in range(max(m0, 1), max(m0, 1) + 3):
-            for i, j in sign_pairs:
-                if max(abs(i), abs(j)) > nn:
-                    continue
-                r = (
-                    sp.k_family_apply(sp.K_TILDE_N, nn, i, j, Vec.basis(s))
-                    - sp.ktilde_exact_apply(i, j, Vec.basis(s))
-                ).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("k-family.stabilization", "bound-2 states, N >= bound", worst)
-
+    small = [Vec.basis(s) for s in states]
+    rand = [random_vector("spin", 100 + t, max_index) for t in range(10)]
+    sign_pairs = _pairs(max_index, 1)
+    kraw = partial(sp.k_family_apply, sp.K_RAW, n)
+    kt = partial(sp.k_family_apply, sp.K_TILDE_N, n)
+    rep.check(
+        "k-family.adjoint-commutator",
+        f"quadruples <= {max_index}, N={n}",
+        (
+            _bracket(partial(kraw, i, j), partial(sp.gamma_apply, m, l), v) - _delta_rhs(sp.gamma_apply, i, j, m, l, v)
+            for i, j in sign_pairs
+            for m, l in _pairs(max_index, -1)
+            for v in small + rand
+        ),
+    )
+    rep.check(
+        "k-family.commutation",
+        f"pairs <= {max_index}, N={n}, no central term",
+        (
+            _bracket(partial(kt, i, j), partial(kt, m, n2), v) - _delta_rhs(kt, i, j, m, n2, v)
+            for i, j in sign_pairs
+            for m, n2 in sign_pairs
+            for v in small + rand[:4]
+        ),
+    )
+    vac = Vec.basis(sp.SpinState.vacuum())
+    rep.check(
+        "k-family.vacuum",
+        "all sign pairs",
+        (sp.k_family_apply(sp.K_TILDE_N, nn, i, j, vac) for i, j in sign_pairs for nn in (max_index, max_index + 1)),
+    )
+    rep.check(
+        "k-family.stabilization",
+        "bound-2 states, N >= bound",
+        (
+            sp.k_family_apply(sp.K_TILDE_N, nn, i, j, v) - sp.ktilde_exact_apply(i, j, v)
+            for s, v in zip(states, small)
+            for nn in _windows(s.bound(), 3)
+            for i, j in sign_pairs
+            if max(abs(i), abs(j)) <= nn
+        ),
+    )
     # H / K / K~ linkage on random vectors
-    worst = ZERO
-    for i, j in sign_pairs:
-        for v in rand[:5]:
-            h = sp.k_family_apply(sp.H_N, n, i, j, v)
-            k = sp.k_family_apply(sp.K_RAW, n, i, j, v)
-            kt = sp.k_family_apply(sp.K_TILDE_N, n, i, j, v)
-            want_h = k - v.scaled(Scalar.of(Fraction(n, 2))) if i == j else k
-            want_kt = k - v.scaled(n) if (i == j and i < 0) else k
-            r = (h - want_h).max_abs() + (kt - want_kt).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("k-family.linkage", f"N={n}", worst)
-
+    rep.check(
+        "k-family.linkage",
+        f"N={n}",
+        (
+            r
+            for i, j in sign_pairs
+            for v in rand[:5]
+            for k in [kraw(i, j, v)]
+            for r in (
+                sp.k_family_apply(sp.H_N, n, i, j, v) - k + v.scaled(Fraction(n, 2) * (i == j)),
+                kt(i, j, v) - k + v.scaled(n * (i == j < 0)),
+            )
+        ),
+    )
     # the windowed trace sum over the whole window acts as zero
-    worst = ZERO
-    for s in sp.spin_basis(2):
-        for nn in range(max(s.bound(), 1), max(s.bound(), 1) + 2):
-            r = vec_sum(
-                sp.k_family_apply(sp.K_TILDE_N, nn, i, i, Vec.basis(s)) for i in _nonzero(nn)
-            ).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("k-family.trace-zero", "bound-2 states", worst)
+    rep.check(
+        "k-family.trace-zero",
+        "bound-2 states",
+        (
+            vec_sum(sp.k_family_apply(sp.K_TILDE_N, nn, i, i, v) for i in _nonzero(nn))
+            for s, v in zip(states, small)
+            for nn in _windows(s.bound(), 2)
+        ),
+    )
     return rep.done()
 
 
@@ -312,123 +301,131 @@ def suite_casimir(max_index: int = 3, **_) -> dict:
     """Spinor Casimir constancy plus the Fock-space Casimir eigenvalue laws."""
     rep = _Report("casimir")
     # spinor Casimir = N^3 on bounded states
-    worst = ZERO
-    for m in range(0, 3):
-        for s in sp.spin_basis(m):
-            for nn in range(max(m, 1), max(m, 1) + 3):
-                v = Vec.basis(s)
-                r = (sp.spinor_casimir_apply(nn, v) - v.scaled(nn**3)).max_abs()
-                r = r + sp.spinor_casimir_apply(nn, v, renormalized=True).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("casimir.spinor-constant", "M <= 2, N in M..M+2", worst)
+    rep.check(
+        "casimir.spinor-constant",
+        "M <= 2, N in M..M+2",
+        (
+            r
+            for m in range(0, 3)
+            for v in map(Vec.basis, sp.spin_basis(m))
+            for nn in _windows(m, 3)
+            for r in (sp.spinor_casimir_apply(nn, v) - v.scaled(nn**3), sp.spinor_casimir_apply(nn, v, renormalized=True))
+        ),
+    )
 
     # fermion number: diagonal 2k, kernel = vacuum line, trace formula
-    bad = ZERO
-    kernel = 0
-    for s in sp.spin_basis(max_index):
-        v = Vec.basis(s)
-        fn = sp.fermion_number_apply(v)
-        bad = bad + (fn - v.scaled(2 * len(s.modes))).max_abs()
-        if fn.is_zero():
-            kernel += 1
-        occupied = sorted({m for m, _ in s.modes} | {-l for _, l in s.modes} | {1})
-        acc = vec_sum(
-            part for i in occupied for part in (sp.ktilde_exact_apply(i, i, v), -sp.ktilde_exact_apply(-i, -i, v))
-        )
-        bad = bad + (fn - acc).max_abs()
-    rep.add("casimir.fermion-number", f"bound {max_index}", bad, ok=(not bad) and kernel == 1)
+    spins = sp.spin_basis(max_index)
+    numbers = [sp.fermion_number_apply(Vec.basis(s)) for s in spins]
+    rep.check(
+        "casimir.fermion-number",
+        f"bound {max_index}",
+        (
+            r
+            for s, fn in zip(spins, numbers)
+            for v in [Vec.basis(s)]
+            for r in (
+                fn - v.scaled(2 * len(s.modes)),
+                fn
+                - vec_sum(
+                    part
+                    for i in {1, *(abs(x) for mode in s.modes for x in mode)}
+                    for part in (sp.ktilde_exact_apply(i, i, v), -sp.ktilde_exact_apply(-i, -i, v))
+                ),
+            )
+        ),
+        ok=sum(not fn for fn in numbers) == 1,
+    )
 
     # eigenvalue law on the include-zero lattice
-    worst = ZERO
-    for charge in range(-2, 3):
-        for s in fk.fock_basis(max_index + 1, zero_ok=True, charge=charge):
-            v = Vec.basis(s)
-            out = cas.casimir_apply(cas.CasimirVariant(cas.LIMIT), v)
-            lam = 2 * cas.num_of(s) + 1 - (charge - 1) ** 2
-            r = (out - v.scaled(lam)).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("casimir.eigenvalue-law", f"charges -2..2, bound {max_index + 1}", worst)
+    limit = cas.CasimirVariant(cas.LIMIT)
+    rep.check(
+        "casimir.eigenvalue-law",
+        f"charges -2..2, bound {max_index + 1}",
+        (
+            cas.casimir_apply(limit, Vec.basis(s)) - Vec.basis(s, 2 * cas.num_of(s) + 1 - (charge - 1) ** 2)
+            for charge in range(-2, 3)
+            for s in fk.fock_basis(max_index + 1, zero_ok=True, charge=charge)
+        ),
+    )
 
     # commutator table against brute force
-    worst = ZERO
-    nn = max_index
-    var = cas.CasimirVariant(cas.NORMAL_N, nn)
-    for m in range(-max_index, max_index + 1):
-        for n2 in range(-max_index, max_index + 1):
-            closed = cas.casimir_commutator(var, m, n2)
-            for s in fk.fock_basis(2, zero_ok=True):
-                v = Vec.basis(s)
-                lhs = cas.casimir_apply(var, fk.rhat_apply(m, n2, v)) - fk.rhat_apply(
-                    m, n2, cas.casimir_apply(var, v)
-                )
-                rhs = fk.rhat_lie_apply(closed, v) - v.scaled(closed.central)
-                r = (lhs - rhs).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("casimir.commutator-table", f"indices <= {max_index}, N={nn}", worst)
+    var = cas.CasimirVariant(cas.NORMAL_N, max_index)
+    states2 = fk.fock_basis(2, zero_ok=True)
+    bound2 = [Vec.basis(s) for s in states2]
+    span = range(-max_index, max_index + 1)
+    rep.check(
+        "casimir.commutator-table",
+        f"indices <= {max_index}, N={max_index}",
+        (
+            _bracket(partial(cas.casimir_apply, var), partial(fk.rhat_apply, m, n2), v)
+            - fk.rhat_lie_apply(closed, v)
+            + v.scaled(closed.central)
+            for m in span
+            for n2 in span
+            for closed in [cas.casimir_commutator(var, m, n2)]
+            for v in bound2
+        ),
+    )
 
     # main-text renormalized Casimir: 2M on charge-0, vacuum kernel
-    bad = ZERO
-    kernel = 0
     g = cas.CasimirVariant(cas.G_LIMIT, None, include0=False)
-    for s in fk.fock_basis(max_index + 1, charge=0):
-        v = Vec.basis(s)
-        out = cas.casimir_apply(g, v)
-        bad = bad + (out - v.scaled(2 * len(s.plus))).max_abs()
-        if out.is_zero():
-            kernel += 1
-    rep.add("casimir.charge0", f"bound {max_index + 1}", bad, ok=(not bad) and kernel == 1)
+    charge0 = fk.fock_basis(max_index + 1, charge=0)
+    images = [cas.casimir_apply(g, Vec.basis(s)) for s in charge0]
+    rep.check(
+        "casimir.charge0",
+        f"bound {max_index + 1}",
+        (out - Vec.basis(s, 2 * len(s.plus)) for s, out in zip(charge0, images)),
+        ok=sum(not out for out in images) == 1,
+    )
 
     # stabilization of the cut-offs
-    worst = ZERO
-    for s in fk.fock_basis(2, zero_ok=True):
-        v = Vec.basis(s)
-        lim = cas.casimir_apply(cas.CasimirVariant(cas.LIMIT), v)
-        for nn in range(s.bound() + 1, s.bound() + 4):
-            r = (cas.casimir_apply(cas.CasimirVariant(cas.NORMAL_N, nn), v) - lim).max_abs()
-            if worst < r:
-                worst = r
-    for s in fk.fock_basis(2, charge=0):
-        v = Vec.basis(s)
-        lim = cas.casimir_apply(cas.CasimirVariant(cas.G_LIMIT, None, False), v)
-        for nn in range(max(s.bound(), 1), s.bound() + 3):
-            r = (
+    states0 = fk.fock_basis(2, charge=0)
+    g0 = [Vec.basis(s) for s in states0]
+    rep.check(
+        "casimir.stabilization",
+        "bound-2 states",
+        chain(
+            (
+                cas.casimir_apply(cas.CasimirVariant(cas.NORMAL_N, nn), v) - lim
+                for s, v in zip(states2, bound2)
+                for lim in [cas.casimir_apply(limit, v)]
+                for nn in range(s.bound() + 1, s.bound() + 4)
+            ),
+            (
                 cas.casimir_apply(cas.CasimirVariant(cas.G_REN_N, nn, False), v) - lim
-            ).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("casimir.stabilization", "bound-2 states", worst)
+                for s, v in zip(states0, g0)
+                for lim in [cas.casimir_apply(g, v)]
+                for nn in range(max(s.bound(), 1), s.bound() + 3)
+            ),
+        ),
+    )
 
     # window constants between the naive and normal-ordered variants
-    worst = ZERO
-    for s in fk.fock_basis(2, zero_ok=True):
-        v = Vec.basis(s)
-        for nn in (2, 3):
-            lhs = cas.casimir_apply(cas.CasimirVariant(cas.NAIVE_N, nn), v)
-            rhs = cas.casimir_apply(cas.CasimirVariant(cas.NORMAL_N, nn), v) + v.scaled(
-                nn * (nn + 1)
-            )
-            r = (lhs - rhs).max_abs()
-            if worst < r:
-                worst = r
-    for s in fk.fock_basis(2, charge=0):
-        v = Vec.basis(s)
-        for nn in (2, 3):
-            lhs = cas.casimir_apply(cas.CasimirVariant(cas.NAIVE_N, nn, False), v)
-            rhs = cas.casimir_apply(cas.CasimirVariant(cas.G_REN_N, nn, False), v) + v.scaled(
-                nn * nn
-            )
-            r = (lhs - rhs).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("casimir.window-constants", "N(N+1) include0 / N^2 exclude0", worst)
+    rep.check(
+        "casimir.window-constants",
+        "N(N+1) include0 / N^2 exclude0",
+        chain(
+            (
+                cas.casimir_apply(cas.CasimirVariant(cas.NAIVE_N, nn), v)
+                - cas.casimir_apply(cas.CasimirVariant(cas.NORMAL_N, nn), v)
+                - v.scaled(nn * (nn + 1))
+                for v in bound2
+                for nn in (2, 3)
+            ),
+            (
+                cas.casimir_apply(cas.CasimirVariant(cas.NAIVE_N, nn, False), v)
+                - cas.casimir_apply(cas.CasimirVariant(cas.G_REN_N, nn, False), v)
+                - v.scaled(nn * nn)
+                for v in g0
+                for nn in (2, 3)
+            ),
+        ),
+    )
 
-    rep.add(
+    rep.check(
         "casimir.window-identity",
         "include0, N=3, bound-2 states",
-        cas.window_identity_residual(3, fk.fock_basis(2, zero_ok=True)),
+        cas.window_identity_residual(3, states2),
     )
     return rep.done()
 
@@ -437,176 +434,135 @@ def suite_heisenberg(max_index: int = 3, **_) -> dict:
     """Shift-operator commutation relations on interior states."""
     rep = _Report("heisenberg")
     window = 4 * max_index
-    vac = Vec.basis(fk.FockState.vacuum(True))
-    states = [vac] + [
+    shift = lambda k: partial(cas.heisenberg_apply, window, k)
+    states = [Vec.basis(fk.FockState.vacuum(True))] + [
         Vec.basis(s) for s in fk.fock_basis(1, zero_ok=True) if s.degree
     ]
-    worst = ZERO
-    for n2 in _nonzero(max_index):
-        for k in _nonzero(max_index):
-            for v in states:
-                lhs = cas.heisenberg_apply(window, n2, cas.heisenberg_apply(window, k, v)) - cas.heisenberg_apply(
-                    window, k, cas.heisenberg_apply(window, n2, v)
-                )
-                want = v.scaled(n2) if n2 == -k else Vec()
-                r = (lhs - want).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("heisenberg.relations", f"|n|,|k| <= {max_index}, window {window}", worst)
+    rep.check(
+        "heisenberg.relations",
+        f"|n|,|k| <= {max_index}, window {window}",
+        (
+            _bracket(shift(n2), shift(k), v) - v.scaled(n2 * (n2 == -k))
+            for n2 in _nonzero(max_index)
+            for k in _nonzero(max_index)
+            for v in states
+        ),
+    )
     # the Casimir moves a lowering shift by twice the boundary-crossing block
-    worst = ZERO
-    var = cas.CasimirVariant(cas.NORMAL_N, window)
-    for k in range(-max_index, 0):
-        for v in states:
-            lhs = cas.casimir_apply(var, cas.heisenberg_apply(window, k, v)) - cas.heisenberg_apply(
-                window, k, cas.casimir_apply(var, v)
-            )
-            rhs = vec_sum(fk.rhat_apply(i, i + k, v).scaled(2) for i in range(0, -k))
-            r = (lhs - rhs).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("heisenberg.casimir-shift", f"k in -{max_index}..-1", worst)
+    casimir = partial(cas.casimir_apply, cas.CasimirVariant(cas.NORMAL_N, window))
+    rep.check(
+        "heisenberg.casimir-shift",
+        f"k in -{max_index}..-1",
+        (
+            _bracket(casimir, shift(k), v) - vec_sum(fk.rhat_apply(i, i + k, v).scaled(2) for i in range(0, -k))
+            for k in range(-max_index, 0)
+            for v in states
+        ),
+    )
     return rep.done()
 
 
 def suite_dirac_symmetry(max_index: int = 3, seed: int = 1, **_) -> dict:
     rep = _Report("dirac-symmetry")
     vac = Vec.basis(dr.TensorState(fk.FockState.vacuum(), sp.SpinState.vacuum()))
-    rep.add("dirac.vacuum", "D|0> = 0", dr.dirac_apply(vac).max_abs())
-    worst = ZERO
-    for t in range(100):
-        v = random_vector("tensor", seed + 2 * t, max_index)
-        w = random_vector("tensor", seed + 2 * t + 1, max_index)
-        r = abs(dr.dirac_apply(v).inner(w) - v.inner(dr.dirac_apply(w)))
-        if worst < r:
-            worst = r
-    rep.add("dirac.symmetry", "100 seeded pairs", worst)
-    worst = ZERO
-    for t in range(10):
-        v = random_vector("tensor", 1000 + t, 2)
-        exact = dr.dirac_apply(v)
-        for nn in (2, 3, 4):
-            r = (dr.dirac_cutoff_apply(nn, v) - exact).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("dirac.stabilization", "bound-2 vectors, N = 2..4", worst)
+    rep.check("dirac.vacuum", "D|0> = 0", dr.dirac_apply(vac))
+    pairs = ((random_vector("tensor", seed + 2 * t, max_index), random_vector("tensor", seed + 2 * t + 1, max_index)) for t in range(100))
+    rep.check(
+        "dirac.symmetry",
+        "100 seeded pairs",
+        (dr.dirac_apply(v).inner(w) - v.inner(dr.dirac_apply(w)) for v, w in pairs),
+    )
+    vs = [random_vector("tensor", 1000 + t, 2) for t in range(10)]
+    rep.check(
+        "dirac.stabilization",
+        "bound-2 vectors, N = 2..4",
+        (dr.dirac_cutoff_apply(nn, v) - exact for v, exact in zip(vs, map(dr.dirac_apply, vs)) for nn in (2, 3, 4)),
+    )
     # image of a bounded vector stays finitely supported within the bound
-    ok = True
-    for t in range(10):
-        v = random_vector("tensor", 2000 + t, max_index)
-        img = dr.dirac_apply(v)
-        if any(ts.bound() > max_index for ts in img.terms):
-            ok = False
-    rep.add("dirac.domain-closure", "10 seeded vectors", 0 if ok else 1, ok=ok)
+    images = [dr.dirac_apply(random_vector("tensor", 2000 + t, max_index)) for t in range(10)]
+    rep.check("dirac.domain-closure", "10 seeded vectors", any(ts.bound() > max_index for img in images for ts in img.terms))
     return rep.done()
 
 
 def suite_dirac_equivariance(max_index: int = 3, **_) -> dict:
     rep = _Report("dirac-equivariance")
-    worst = ZERO
-    # exhaustive on the bound-2 window
-    pairs2 = [(i, j) for i in _nonzero(2) for j in _nonzero(2) if i * j > 0]
-    for ts in dr.tensor_states(2):
-        v = Vec.basis(ts)
-        for p, q in pairs2:
-            r = (
-                dr.rho_apply(p, q, dr.dirac_apply(v))
-                - dr.dirac_apply(dr.rho_apply(p, q, v))
-            ).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("equivariance.exhaustive", "all tensor states bound 2", worst)
-    worst = ZERO
-    pairs = [(i, j) for i in _nonzero(max_index) for j in _nonzero(max_index) if i * j > 0]
-    for t in range(5):
-        v = random_vector("tensor", 300 + t, max_index)
-        for p, q in pairs:
-            r = (
-                dr.rho_apply(p, q, dr.dirac_apply(v))
-                - dr.dirac_apply(dr.rho_apply(p, q, v))
-            ).max_abs()
-            if worst < r:
-                worst = r
-    rep.add("equivariance.random", f"5 seeds, bound {max_index}", worst)
+    # exhaustive on the bound-2 window, then seeded vectors at max_index
+    for check, inputs, vs, bound in (
+        ("equivariance.exhaustive", "all tensor states bound 2", map(Vec.basis, dr.tensor_states(2)), 2),
+        ("equivariance.random", f"5 seeds, bound {max_index}", (random_vector("tensor", 300 + t, max_index) for t in range(5)), max_index),
+    ):
+        pairs = _pairs(bound, 1)
+        rep.check(check, inputs, (_bracket(partial(dr.rho_apply, p, q), dr.dirac_apply, v) for v in vs for p, q in pairs))
     # vacuum structure of the two factors
-    bad = ZERO
     vacf = Vec.basis(fk.FockState.vacuum())
     vacs = Vec.basis(sp.SpinState.vacuum())
-    for p in _nonzero(max_index + 1):
-        for q in _nonzero(max_index + 1):
-            if not (p > 0 > q):
-                bad = bad + fk.rhat_apply(p, q, vacf).max_abs()
-            if p < 0 < q:
-                bad = bad + sp.gamma_apply(p, q, vacs).max_abs()
-    rep.add("equivariance.vacuum-structure", f"indices <= {max_index + 1}", bad)
+    idx = _nonzero(max_index + 1)
+    rep.check(
+        "equivariance.vacuum-structure",
+        f"indices <= {max_index + 1}",
+        chain(
+            (fk.rhat_apply(p, q, vacf) for p in idx for q in idx if not p > 0 > q),
+            (sp.gamma_apply(p, q, vacs) for p in idx for q in idx if p < 0 < q),
+        ),
+    )
     return rep.done()
 
 
 def suite_square(form: str, trunc: int = 3, seed: int = 1, **_) -> dict:
     rep = _Report(f"square-{form}")
-    if form in ("raw", "hk"):
-        worst = ZERO
-        for nn in (trunc, trunc + 1):
-            for t in range(5):
-                v = random_vector("tensor", seed + 10 * t, 2)
-                r = dr.square_identity_residual(nn, form, v)
-                if worst < r:
-                    worst = r
-        rep.add(f"square.{form}", f"N={trunc},{trunc + 1}, 5 seeds, bound 2", worst)
-        return rep.done()
     if form != "final":
-        raise ValueError(f"unknown square form {form!r}")
-    worst = ZERO
-    count = 0
-    for pairs in range(0, 2):
-        for k in range(0, 2):
-            blk = dr.invariant_basis(trunc, pairs, k)
-            for v in blk.basis:
-                r = dr.square_identity_residual(trunc, "final", v)
-                if worst < r:
-                    worst = r
-                tq = (dr.t_square_apply(v) - dr.dirac_apply(dr.dirac_apply(v)).scaled(4)).max_abs()
-                if worst < tq:
-                    worst = tq
-                count += 1
-    rep.add("square.final", f"N={trunc}, {count} invariant vectors", worst)
+        rep.check(
+            f"square.{form}",
+            f"N={trunc},{trunc + 1}, 5 seeds, bound 2",
+            (
+                dr.square_identity_residual(nn, form, random_vector("tensor", seed + 10 * t, 2))
+                for nn in (trunc, trunc + 1)
+                for t in range(5)
+            ),
+        )
+        return rep.done()
+    vs = [v for pairs, k in product(range(2), repeat=2) for v in dr.invariant_basis(trunc, pairs, k).basis]
+    rep.check(
+        "square.final",
+        f"N={trunc}, {len(vs)} invariant vectors",
+        (
+            r
+            for v in vs
+            for r in (
+                dr.square_identity_residual(trunc, "final", v),
+                dr.t_square_apply(v) - dr.dirac_apply(dr.dirac_apply(v)).scaled(4),
+            )
+        ),
+    )
     return rep.done()
 
 
 def suite_kernel(trunc: int = 2, degree: int = 2, **_) -> dict:
     rep = _Report("kernel")
     report = dr.spectrum_report(trunc, degree)
-    ok = report["kernel_dim"] == 1
-    rep.add("kernel.dimension", f"trunc {trunc}, degree {degree}", 0 if ok else 1, ok=ok)
-    halfint = all(Fraction(b["eig"]) * 2 == int(Fraction(b["eig"]) * 2) and Fraction(b["eig"]) >= 0 for b in report["blocks"])
-    rep.add("kernel.spectrum-halfint", "eigenvalues in (1/2)Z>=0", 0 if halfint else 1, ok=halfint)
-    zero_blocks = [b for b in report["blocks"] if b["dim"] and Fraction(b["eig"]) == 0]
-    ok = len(zero_blocks) == 1 and zero_blocks[0]["M"] == 0 and zero_blocks[0]["k"] == 0 and zero_blocks[0]["dim"] == 1
-    rep.add("kernel.block-00", "only the (0,0) block is null", 0 if ok else 1, ok=ok)
-    robust = all(
-        dr.constraint_window_robust(trunc, pairs, k)
-        for pairs in range(degree + 1)
-        for k in range(degree + 1)
+    blocks = list(product(range(degree + 1), repeat=2))
+    rep.check("kernel.dimension", f"trunc {trunc}, degree {degree}", report["kernel_dim"] != 1)
+    eigs = [Fraction(b["eig"]) for b in report["blocks"]]
+    rep.check("kernel.spectrum-halfint", "eigenvalues in (1/2)Z>=0", any(e < 0 or (2 * e).denominator > 1 for e in eigs))
+    null = [(b["M"], b["k"], b["dim"]) for b, e in zip(report["blocks"], eigs) if b["dim"] and not e]
+    rep.check("kernel.block-00", "only the (0,0) block is null", null != [(0, 0, 1)])
+    robust = all(dr.constraint_window_robust(trunc, pairs, k) for pairs, k in blocks)
+    rep.check("kernel.window-robustness", f"windows {trunc + 1} vs {trunc + 2}", not robust)
+    rep.check(
+        "kernel.diagonal-casimir",
+        "annihilates invariant vectors",
+        (dr.diagonal_casimir_apply(trunc + 1, v) for pairs, k in blocks for v in dr.invariant_basis(trunc, pairs, k).basis),
     )
-    rep.add("kernel.window-robustness", f"windows {trunc + 1} vs {trunc + 2}", 0 if robust else 1, ok=robust)
-    worst = ZERO
-    for pairs in range(degree + 1):
-        for k in range(degree + 1):
-            for v in dr.invariant_basis(trunc, pairs, k).basis:
-                r = dr.diagonal_casimir_apply(trunc + 1, v).max_abs()
-                if worst < r:
-                    worst = r
-    rep.add("kernel.diagonal-casimir", "annihilates invariant vectors", worst)
     # adjointness spot checks with the exact-linalg residual oracle
     fbasis = [Vec.basis(s) for s in fk.fock_basis(2)]
-    bad = ZERO
-    for p, q in ((1, -1), (2, -1), (1, 1), (-2, 1)):
-        bad = bad + adjoint_residual(
-            lambda v, a=p, b=q: fk.rhat_apply(a, b, v),
-            lambda v, a=p, b=q: fk.rhat_apply(b, a, v),
-            fbasis,
-        )
-    rep.add("kernel.adjointness", "rhat pairs on bound-2 basis", bad)
+    rep.check(
+        "kernel.adjointness",
+        "rhat pairs on bound-2 basis",
+        (
+            adjoint_residual(partial(fk.rhat_apply, p, q), partial(fk.rhat_apply, q, p), fbasis)
+            for p, q in ((1, -1), (2, -1), (1, 1), (-2, 1))
+        ),
+    )
     return rep.done()
 
 

@@ -2,19 +2,23 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from gdirac import dirac
-from gdirac.cli import MAX_BLOCK_WORK, MAX_DUMP_STATES, block_work, dump_basis_size, main
+from gdirac.cli import MAX_DUMP_STATES, MAX_WORK, RunConfig, block_work, dump_basis_size, main, verify_work
 from gdirac.dirac import tensor_states
 from gdirac.fock import fock_basis
 from gdirac.spinor import spin_basis
+from gdirac.suites import SUITES
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(capsys, *argv):
@@ -199,7 +203,7 @@ def test_block_work_counts_one_pass(monkeypatch):
 def test_trunc_past_the_block_work_limit_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert str(MAX_BLOCK_WORK) in err and "needs at least" in err
+    assert str(MAX_WORK) in err and "needs at least" in err
 
 
 def test_trunc_cap_counts_only_the_generated_states(capsys):
@@ -220,18 +224,40 @@ def test_spectrum_failure_exit_one(capsys, monkeypatch, argv):
     assert err == "error: kernel dimension 2 != 1\n"
 
 
-def test_bench_support_columns(capsys):
-    code, out1, _ = run_cli(capsys, "bench", "--trunc", "4", "--seed", "1")
-    assert code == 0
-    rep1 = json.loads(out1)
-    _, out2, _ = run_cli(capsys, "bench", "--trunc", "4", "--seed", "1")
-    rep2 = json.loads(out2)
-    strip = lambda rep: [(r["N"], r["op"], r["support_in"], r["support_out"]) for r in rep["rows"]]
-    assert strip(rep1) == strip(rep2)
-    for op in ("dirac_cutoff", "casimir_normal"):
-        ins = [r["support_in"] for r in rep1["rows"] if r["op"] == op]
-        assert ins == sorted(ins)
-    assert all(r["ms"] >= 0 for r in rep1["rows"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "clifford", "--max-index", "4"],
+    ["verify", "car", "--max-index", "1000000"],
+    ["verify", "square-raw", "--trunc", "1000000"],
+    ["verify", "heisenberg", "--max-index", "1000000"],
+    ["verify", "dirac-symmetry", "--max-index", "1000000"],
+])
+def test_verify_past_the_work_limit_exits_two(capsys, argv):
+    # refused from the closed-form estimate, before any state is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"verify {argv[1]} at" in err and "needs at least" in err and str(MAX_WORK) in err
+
+
+def test_verify_defaults_within_the_work_limit():
+    for name in SUITES:
+        assert verify_work(name, RunConfig(trunc=3 if name.startswith("square") else 2)) <= MAX_WORK, name
+
+
+def test_bench_is_gone(capsys):
+    assert main(["bench"]) == 2
+
+
+def test_every_suite_is_documented(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line breaks inside suite names
+    assert main(["verify", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"`([^`]+)`", re.search(r"Suites for `verify`:(.*?)\.", readme, re.S).group(1))
+    assert sorted(listed) == sorted(SUITES)
+    for name in SUITES:
+        assert name in help_text, name
 
 
 def test_config_file_flags_win(tmp_path, capsys):
@@ -251,23 +277,7 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in err
 
 
-@pytest.mark.parametrize(
-    "suite",
-    [
-        "car",
-        "clifford",
-        "cocycle",
-        "k-family",
-        "casimir",
-        "heisenberg",
-        "dirac-symmetry",
-        "dirac-equivariance",
-        "square-raw",
-        "square-hk",
-        "square-final",
-        "kernel",
-    ],
-)
+@pytest.mark.parametrize("suite", list(SUITES))
 def test_every_suite_exits_zero(capsys, suite):
     argv = ["verify", suite, "--max-index", "2", "--seed", "3"]
     if suite.startswith("square") or suite == "kernel":
