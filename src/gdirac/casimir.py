@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import FockState, LieElement, diagonal_weight, rhat_pair_state, rhat_state
+from .fock import FockState, LieElement, diagonal_weight, half_sign, rhat_pair_state, rhat_state, window
 from .linalg import Vec, _vec, add_to, lift_sum
 from .scalar import ZERO, Scalar
 
@@ -53,24 +53,12 @@ class CasimirVariant:
             raise ValueError(f"{self.tag} lives on the exclude-zero lattice")
 
 
-def _half_sign(i: int, include0: bool) -> int:
-    """+1 on the plus half of the lattice, -1 on the minus half."""
-    if i > 0 or (i == 0 and include0):
-        return 1
-    return -1
-
-
-def _window_indices(n: int, include0: bool) -> list[int]:
-    lo = 0 if include0 else 1
-    return list(range(-n, 0)) + list(range(lo, n + 1))
-
-
 def _casimir_state(tag: str, n: int | None, include0: bool, s: FockState) -> Vec:
     if tag in (LIMIT, G_LIMIT):
         # Annihilate-first ordering: every contributing pair stays
         # within the occupied window, so the infinite sums collapse.
         n = s.bound()
-    idx = _window_indices(n, include0)
+    idx = window(n, include0)
     # quadratic part: 2 sum_{j<i} E_ij E_ji (raising first)
     lower = [(i, j) for i in idx for j in idx if j < i]
     quad = lift_sum(Vec.basis(s, 2), rhat_pair_state, lower)
@@ -98,7 +86,7 @@ def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
         if variant.n is not None and s.bound() > variant.n:
             raise ValueError("support exceeds the cut-off window")
     if variant.tag == NAIVE_N:
-        idx = _window_indices(variant.n, variant.include0)
+        idx = window(variant.n, variant.include0)
         return lift_sum(v, rhat_pair_state, [(i, j) for i in idx for j in idx])
     out: dict = {}
     for s, c in v.terms.items():
@@ -113,9 +101,7 @@ def casimir_commutator(variant: CasimirVariant, m: int, n: int) -> LieElement:
     if variant.n is not None and max(abs(m), abs(n)) > variant.n:
         raise ValueError("index out of the cut-off window")
     include0 = variant.include0
-    if not include0 and (m == 0 or n == 0):
-        raise ValueError("index 0 is not on the lattice")
-    hm, hn = _half_sign(m, include0), _half_sign(n, include0)
+    hm, hn = half_sign(m, include0), half_sign(n, include0)
     if hm == hn:
         return LieElement({}, 0, include0)
     return LieElement({(m, n): Scalar.of(2 * hm)}, 0, include0)
@@ -164,16 +150,15 @@ def heisenberg_apply(n: int, k: int, v: Vec, include0: bool = True) -> Vec:
     for s in v.terms:
         if s.bound() > n - abs(k):
             raise ValueError("support too close to the window edge")
-    pairs = [
-        (i, i + k) for i in range(-n, n + 1) if abs(i + k) <= n and (include0 or 0 not in (i, i + k))
-    ]
-    return lift_sum(v, rhat_state, pairs)
+    idx = window(n, include0)
+    inside = set(idx)
+    return lift_sum(v, rhat_state, [(i, i + k) for i in idx if i + k in inside])
 
 
 def window_identity_residual(n: int, states: list[FockState]) -> Scalar:
     """max residual of sum_{i<j, window}(E_ii - E_jj) = -2 sum_k k E_kk
     on the include-zero window, applied to the given basis states."""
-    idx = _window_indices(n, True)
+    idx = window(n, True)
     best = ZERO
     for s in states:
         lhs = 0

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterator
 
 from . import casimir as _cas
-from .fock import FockState, fock_basis, rhat_apply, rhat_pair_state, rhat_state
+from .fock import FockState, fock_basis, rhat_apply, rhat_pair_state, rhat_state, window, window_pairs
 from .linalg import ExactMatrix, Vec, _vec, add_to, lift_sum, spans_equal, vec_sum
 from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
 from .spinor import (
@@ -125,9 +125,7 @@ def dirac_apply(v: Vec) -> Vec:
 
 def dirac_cutoff_apply(n: int, v: Vec) -> Vec:
     """Literal windowed sum 1/2 sum_{|i|,|j|<=N, ij<0} E_ij (x) gamma_ji."""
-    window = [(i, j) for i in range(1, n + 1) for j in range(-n, 0)]
-    window += [(j, i) for i, j in window]
-    return lift_sum(v, _e_gamma_state, window).scaled(HALF_SQRT2)
+    return lift_sum(v, _e_gamma_state, window_pairs(n, -1)).scaled(HALF_SQRT2)
 
 
 def rho_apply(p: int, q: int, v: Vec) -> Vec:
@@ -146,8 +144,7 @@ def rho_apply(p: int, q: int, v: Vec) -> Vec:
 
 def diagonal_casimir_apply(n: int, v: Vec) -> Vec:
     """sum_{ij>0, window} rho(E_ij) rho(E_ji); kills the invariant sector."""
-    same_sign = [(s * i, s * j) for s in (1, -1) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return vec_sum(rho_apply(i, j, rho_apply(j, i, v)) for i, j in same_sign)
+    return vec_sum(rho_apply(i, j, rho_apply(j, i, v)) for i, j in window_pairs(n, 1))
 
 
 def rho_weight(ts: TensorState) -> dict[int, int]:
@@ -229,9 +226,9 @@ def _block_states(n: int, pairs: int, spin_length: int) -> list[TensorState]:
     return out
 
 
-def _invariant_nullspace(n: int, pairs: int, spin_length: int, window: int) -> list[Vec]:
-    """Exact kernel of rho(E_pq) over all same-sign (p, q) in the window,
-    diagonal included, on the (pairs, spin_length) block.
+def _invariant_nullspace(n: int, pairs: int, spin_length: int, cutoff: int) -> list[Vec]:
+    """Exact kernel of rho(E_pq) over all same-sign (p, q) in the window
+    |p|, |q| <= cutoff, diagonal included, on the (pairs, spin_length) block.
 
     Only the block states of weight zero (``rho_weight``) are columns;
     ``_block_states`` generates them and no other.
@@ -247,7 +244,7 @@ def _invariant_nullspace(n: int, pairs: int, spin_length: int, window: int) -> l
     cols = _block_states(n, pairs, spin_length)
     if not cols:
         return []
-    ops = [(s * i, s * j) for s in (1, -1) for i in range(1, window + 1) for j in range(1, window + 1)]
+    ops = window_pairs(cutoff, 1)
     rows: dict[tuple, dict[int, Scalar]] = {}
     for ci, ts in enumerate(cols):
         for op_i, (p, q) in enumerate(ops):
@@ -330,8 +327,7 @@ def _e_pair_state(p: int, q: int, a: tuple[int, int], b: tuple[int, int], ts: Te
 
 def _square_rhs_raw(n: int, v: Vec) -> Vec:
     """4 x the raw three-term expansion of the cut-off square."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(-n, 0)]
-    pairs += [(j, i) for (i, j) in pairs]
+    pairs = window_pairs(n, -1)
     # (1/16) sum (delta_jm E_in - delta_ni E_mj) (x) [gamma_ji, gamma_nm]
     # with gamma = sqrt(2) u this is (1/8)*... ; scaled by 4 -> 1/2, and
     # [gamma_ji, gamma_nm] = 2(u_ji u_nm - u_nm u_ji): the terms of sign
@@ -374,28 +370,25 @@ def _square_rhs_hk(n: int, v: Vec) -> Vec:
         sum_{ij<0} E_ij E_ji (x) 1 - 2 sum_{ij>0} E_ij (x) H_ji
           + 1 (x) sum_i sign(i) H_ii.
     """
-    idx = [i for i in range(-n, n + 1) if i != 0]
-    cross = [(i, j) for i in idx for j in idx if i * j < 0]
+    cross = window_pairs(n, -1)
     parts = [_fock_op_tensor(v, lambda fv: lift_sum(fv, rhat_pair_state, cross))]
-    for i in idx:
-        for j in idx:
-            if i * j > 0:
-                mid = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, j, i, sv))
-                parts.append(_fock_op_tensor(mid, lambda fv: rhat_apply(i, j, fv)).scaled(-2))
-    for i in idx:
+    for i, j in window_pairs(n, 1):
+        mid = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, j, i, sv))
+        parts.append(_fock_op_tensor(mid, lambda fv: rhat_apply(i, j, fv)).scaled(-2))
+    for i in window(n):
         h = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, i, i, sv))
         parts.append(h if i > 0 else -h)
     return vec_sum(parts)
 
 
-def invariance_residual(v: Vec, window: int) -> Scalar:
+def invariance_residual(v: Vec, cutoff: int) -> Scalar:
+    """Largest coefficient of rho(E_pq) v over the same-sign pairs
+    |p|, |q| <= cutoff."""
     best = ZERO
-    for s in (1, -1):
-        for i in range(1, window + 1):
-            for j in range(1, window + 1):
-                r = rho_apply(s * i, s * j, v).max_abs()
-                if best < r:
-                    best = r
+    for p, q in window_pairs(cutoff, 1):
+        r = rho_apply(p, q, v).max_abs()
+        if best < r:
+            best = r
     return best
 
 

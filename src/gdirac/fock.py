@@ -22,6 +22,11 @@ Two lattices coexist: the default one excludes the index 0, the
 "include zero" one admits 0 into the plus half (used by the
 highest-weight / Casimir machinery, where the vacuum sea sits strictly
 below 0).
+
+This module owns the polarization and the cut-off window: ``half_sign``
+places an index in its half, ``window`` lists the indices |i| <= N and
+``window_pairs`` the same-half or cross-half pairs of the window.  Every
+windowed operator and suite of the package sums over these.
 """
 
 from __future__ import annotations
@@ -111,9 +116,6 @@ class FockState:
         """Largest occupied |index| (0 for the vacuum)."""
         return max(self.plus_mask.bit_length() - 1, self.minus_mask.bit_length(), 0)
 
-    def in_plus_half(self, k: int) -> bool:
-        return _plus_half(k, self.zero_ok)
-
     def sort_key(self):
         return (self.degree, self.plus, self.minus)
 
@@ -170,14 +172,31 @@ def _fock_state(pm: int, mm: int, zero_ok: bool) -> FockState:
     return s
 
 
-def _plus_half(k: int, zero_ok: bool) -> bool:
+def half_sign(k: int, zero_ok: bool = False) -> int:
+    """+1 on the plus half of the lattice, -1 on the minus half.
+
+    Index 0 sits in the plus half of the include-zero lattice and off
+    the default one (``LatticeError``).
+    """
     if k > 0:
-        return True
+        return 1
     if k < 0:
-        return False
+        return -1
     if zero_ok:
-        return True
+        return 1
     raise LatticeError("index 0 is not on the lattice")
+
+
+def window(n: int, zero_ok: bool = False) -> list[int]:
+    """The lattice indices |i| <= n, ascending."""
+    return [*range(-n, 0), *range(0 if zero_ok else 1, n + 1)]
+
+
+def window_pairs(n: int, sign: int) -> list[tuple[int, int]]:
+    """Index pairs of ``window(n)`` in the same half (``sign`` 1) or
+    across the polarization (``sign`` -1), ascending."""
+    idx = window(n)
+    return [(i, j) for i in idx for j in idx if i * j * sign > 0]
 
 
 def _field(star: bool, k: int, pm: int, mm: int, zero_ok: bool):
@@ -186,7 +205,7 @@ def _field(star: bool, k: int, pm: int, mm: int, zero_ok: bool):
     Returns ``(crossings, pm, mm)``, the sign being ``(-1)^crossings``,
     or ``None`` when the result vanishes.
     """
-    if _plus_half(k, zero_ok):
+    if half_sign(k, zero_ok) > 0:
         bit = 1 << k
         if bool(pm & bit) == star:
             return None
@@ -268,7 +287,7 @@ def rhat_pair_state(p: int, q: int, state: FockState):
 
 def diagonal_weight(i: int, state: FockState) -> int:
     """Eigenvalue of the normal-ordered E_{i,i} on a basis state."""
-    if state.in_plus_half(i):
+    if half_sign(i, state.zero_ok) > 0:
         return state.plus_mask >> i & 1
     return -(state.minus_mask >> (-1 - i) & 1)
 
@@ -342,9 +361,6 @@ class LieElement:
         body = " + ".join(f"({c})E[{p},{q}]" for (p, q), c in sorted(self.terms.items()))
         return f"LieElement({body or '0'}, central={self.central})"
 
-    def _plus_half(self, k: int) -> bool:
-        return k > 0 or (k == 0 and self.zero_ok)
-
 
 def schwinger(a: LieElement, b: LieElement) -> Scalar:
     """Two-cocycle Tr(A_{-+} B_{+-} - B_{-+} A_{+-}) on finite combinations.
@@ -357,11 +373,9 @@ def schwinger(a: LieElement, b: LieElement) -> Scalar:
         cb = b.terms.get((q, p))
         if cb is None:
             continue
-        pp, qp = a._plus_half(p), a._plus_half(q)
-        if not pp and qp:
-            acc = acc + ca * cb
-        elif pp and not qp:
-            acc = acc - ca * cb
+        hq = half_sign(q, a.zero_ok)
+        if half_sign(p, a.zero_ok) != hq:
+            acc = acc + ca * cb if hq > 0 else acc - ca * cb
     return acc
 
 

@@ -58,10 +58,6 @@ class Scalar:
     def __hash__(self) -> int:
         return hash((self.a, self.b))
 
-    @staticmethod
-    def from_int(n: int) -> "Scalar":
-        return Scalar(n)
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
@@ -153,7 +149,6 @@ def _coerce(x: "Scalar | RatLike") -> Scalar:
 
 ZERO = Scalar.of(0)
 ONE = Scalar.of(1)
-TWO = Scalar.of(2)
 HALF = Scalar.of(Fraction(1, 2))
 SQRT2 = Scalar.of(0, 1)
 HALF_SQRT2 = Scalar.of(0, Fraction(1, 2))

@@ -20,6 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
+from .fock import window, window_pairs
 from .linalg import Vec, _vec, add_to, lift, lift_sum, set_bits, vec_sum
 from .scalar import HALF, SQRT2
 
@@ -228,10 +229,6 @@ def gamma_pair_state(a: tuple[int, int], b: tuple[int, int], state: SpinState):
     return -1 if (t[0] + u[0]) & 1 else 1, _spin_state(u[1])
 
 
-def _window(i: int, n: int) -> range:
-    return range(-1, -n - 1, -1) if i > 0 else range(1, n + 1)
-
-
 def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
     """Cut-off quadratic sums: K, the vacuum-normal-ordered K~, or H.
 
@@ -246,7 +243,7 @@ def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
         raise ValueError("K-family indices must share a sign")
     if max(abs(i), abs(j)) > n:
         raise ValueError("index out of the cut-off window")
-    pairs = [((i, k), (k, j)) for k in _window(i, n)]
+    pairs = [((i, k), (k, j)) for k in window(n) if i * k < 0]
     if family == H_N:
         # 1/4 sum [gamma_ik, gamma_kj] = 1/2 sum (u_ik u_kj - u_kj u_ik);
         # the reversed products already carry the -N/2 diagonal constant.
@@ -313,8 +310,9 @@ def fermion_number_apply(v: Vec) -> Vec:
 def fermion_number_cutoff_apply(n: int, v: Vec) -> Vec:
     """sum_{0<|i|<=N} sign(i) K~^(N)_ii, the cut-off fermion number."""
     parts = []
-    for i in range(1, n + 1):
-        parts += [k_family_apply(K_TILDE_N, n, i, i, v), -k_family_apply(K_TILDE_N, n, -i, -i, v)]
+    for i in window(n):
+        k = k_family_apply(K_TILDE_N, n, i, i, v)
+        parts.append(k if i > 0 else -k)
     return vec_sum(parts)
 
 
@@ -327,8 +325,7 @@ def spinor_casimir_apply(n: int, v: Vec, renormalized: bool = False) -> Vec:
     for s in v.terms:
         if s.bound() > n:
             raise ValueError("support exceeds the cut-off window")
-    same_sign = [(s * i, s * j) for s in (1, -1) for i in range(1, n + 1) for j in range(1, n + 1)]
-    parts = [k_family_apply(K_RAW, n, i, j, k_family_apply(K_RAW, n, j, i, v)) for i, j in same_sign]
+    parts = [k_family_apply(K_RAW, n, i, j, k_family_apply(K_RAW, n, j, i, v)) for i, j in window_pairs(n, 1)]
     if renormalized:
         parts.append(v.scaled(-(n**3)))
     return vec_sum(parts)

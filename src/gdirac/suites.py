@@ -63,19 +63,9 @@ def _bracket(a, b, v: Vec, sign: int = -1) -> Vec:
     return ab + ba if sign > 0 else ab - ba
 
 
-def _pairs(bound: int, sign: int) -> list[tuple[int, int]]:
-    """Nonzero index pairs up to ``bound``: same sign (1) or opposite (-1)."""
-    idx = _nonzero(bound)
-    return [(i, j) for i in idx for j in idx if i * j * sign > 0]
-
-
 def _delta_rhs(op, i, j, m, l, v: Vec) -> Vec:
     """delta_jm op(i, l) v - delta_il op(m, j) v: the right side of [X_ij, X_ml]."""
     return vec_sum(([op(i, l, v)] if j == m else []) + ([-op(m, j, v)] if i == l else []))
-
-
-def _nonzero(bound: int) -> list[int]:
-    return [i for i in range(-bound, bound + 1) if i != 0]
 
 
 def _windows(bound: int, count: int) -> range:
@@ -90,7 +80,7 @@ def suite_car(max_index: int = 3, **_) -> dict:
     """Anticommutation relations of the field operators, exhaustively."""
     rep = _Report("car")
     basis = fk.fock_basis(max_index)
-    idx = _nonzero(max_index)
+    idx = fk.window(max_index)
     field = lambda kind, k: partial(fk.apply_field, kind, k)
     rep.check(
         "car.relations",
@@ -142,7 +132,7 @@ def suite_clifford(max_index: int = 3, **_) -> dict:
     """{gamma_ij, gamma_mn} = 2 delta_in delta_jm on every bounded state."""
     rep = _Report("clifford")
     basis = sp.spin_basis(max_index)
-    gens = _pairs(max_index, -1)
+    gens = fk.window_pairs(max_index, -1)
     rep.check(
         "clifford.relations",
         f"indices<= {max_index}, {len(gens) ** 2 * len(basis)} checks",
@@ -168,7 +158,7 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
     """Central extension of the quadratic representation, both flavours."""
     rep = _Report("cocycle")
     basis = fk.fock_basis(max_index)
-    idx = _nonzero(max_index)
+    idx = fk.window(max_index)
     units = list(product(idx, repeat=2))
     rep.check(
         "cocycle.central-extension",
@@ -229,7 +219,7 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
     states = sp.spin_basis(2)
     small = [Vec.basis(s) for s in states]
     rand = [random_vector("spin", 100 + t, max_index) for t in range(10)]
-    sign_pairs = _pairs(max_index, 1)
+    sign_pairs = fk.window_pairs(max_index, 1)
     kraw = partial(sp.k_family_apply, sp.K_RAW, n)
     kt = partial(sp.k_family_apply, sp.K_TILDE_N, n)
     rep.check(
@@ -238,7 +228,7 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
         (
             _bracket(partial(kraw, i, j), partial(sp.gamma_apply, m, l), v) - _delta_rhs(sp.gamma_apply, i, j, m, l, v)
             for i, j in sign_pairs
-            for m, l in _pairs(max_index, -1)
+            for m, l in fk.window_pairs(max_index, -1)
             for v in small + rand
         ),
     )
@@ -289,7 +279,7 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
         "k-family.trace-zero",
         "bound-2 states",
         (
-            vec_sum(sp.k_family_apply(sp.K_TILDE_N, nn, i, i, v) for i in _nonzero(nn))
+            vec_sum(sp.k_family_apply(sp.K_TILDE_N, nn, i, i, v) for i in fk.window(nn))
             for s, v in zip(states, small)
             for nn in _windows(s.bound(), 2)
         ),
@@ -348,14 +338,16 @@ def suite_casimir(max_index: int = 3, **_) -> dict:
         ),
     )
 
-    # commutator table against brute force
-    var = cas.CasimirVariant(cas.NORMAL_N, max_index)
+    # commutator table against brute force; the window must hold the
+    # bound-2 states the table is applied to
+    nn = max(max_index, 2)
+    var = cas.CasimirVariant(cas.NORMAL_N, nn)
     states2 = fk.fock_basis(2, zero_ok=True)
     bound2 = [Vec.basis(s) for s in states2]
-    span = range(-max_index, max_index + 1)
+    span = fk.window(max_index, zero_ok=True)
     rep.check(
         "casimir.commutator-table",
-        f"indices <= {max_index}, N={max_index}",
+        f"indices <= {max_index}, N={nn}",
         (
             _bracket(partial(cas.casimir_apply, var), partial(fk.rhat_apply, m, n2), v)
             - fk.rhat_lie_apply(closed, v)
@@ -443,8 +435,8 @@ def suite_heisenberg(max_index: int = 3, **_) -> dict:
         f"|n|,|k| <= {max_index}, window {window}",
         (
             _bracket(shift(n2), shift(k), v) - v.scaled(n2 * (n2 == -k))
-            for n2 in _nonzero(max_index)
-            for k in _nonzero(max_index)
+            for n2 in fk.window(max_index)
+            for k in fk.window(max_index)
             for v in states
         ),
     )
@@ -491,12 +483,12 @@ def suite_dirac_equivariance(max_index: int = 3, **_) -> dict:
         ("equivariance.exhaustive", "all tensor states bound 2", map(Vec.basis, dr.tensor_states(2)), 2),
         ("equivariance.random", f"5 seeds, bound {max_index}", (random_vector("tensor", 300 + t, max_index) for t in range(5)), max_index),
     ):
-        pairs = _pairs(bound, 1)
+        pairs = fk.window_pairs(bound, 1)
         rep.check(check, inputs, (_bracket(partial(dr.rho_apply, p, q), dr.dirac_apply, v) for v in vs for p, q in pairs))
     # vacuum structure of the two factors
     vacf = Vec.basis(fk.FockState.vacuum())
     vacs = Vec.basis(sp.SpinState.vacuum())
-    idx = _nonzero(max_index + 1)
+    idx = fk.window(max_index + 1)
     rep.check(
         "equivariance.vacuum-structure",
         f"indices <= {max_index + 1}",

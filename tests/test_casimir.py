@@ -17,7 +17,18 @@ from gdirac.casimir import (
     num_of,
     window_identity_residual,
 )
-from gdirac.fock import FockState, fock_basis, rhat_apply, rhat_lie_apply
+from gdirac import casimir
+from gdirac.fock import (
+    FockState,
+    LatticeError,
+    LieElement,
+    bracket_central,
+    fock_basis,
+    half_sign,
+    rhat_apply,
+    rhat_lie_apply,
+    window,
+)
 from gdirac.linalg import Vec
 from gdirac.scalar import ZERO, Scalar
 
@@ -102,6 +113,15 @@ def test_commutator_table_closed_form():
     assert casimir_commutator(var, 0, 1).is_zero()
     with pytest.raises(ValueError):
         casimir_commutator(var, 4, 1)
+
+
+def test_commutator_table_rejects_index_zero_off_its_lattice():
+    var = CasimirVariant(G_REN_N, 3, include0=False)
+    for m, n in ((0, 1), (-1, 0), (0, 0)):
+        with pytest.raises(LatticeError, match="index 0 is not on the lattice"):
+            casimir_commutator(var, m, n)
+    assert casimir_commutator(var, -1, 2).terms == {(-1, 2): Scalar.of(-2)}
+    assert casimir_commutator(var, -1, -2).is_zero()
 
 
 def test_commutator_table_brute_force():
@@ -196,6 +216,41 @@ def test_heisenberg_casimir_shift():
     )
     assert lhs == rhat_apply(0, -1, VAC0).scaled(2)
     assert rhat_apply(1, 0, VAC0).is_zero()
+
+
+def _filter_pairs(n, k, include0):
+    """The pair filter of ``heisenberg_apply`` before it summed over
+    ``fock.window``, kept as the oracle of its pairs."""
+    return [(i, i + k) for i in range(-n, n + 1) if abs(i + k) <= n and (include0 or 0 not in (i, i + k))]
+
+
+def test_heisenberg_pairs_match_the_filter(monkeypatch):
+    seen = []
+    monkeypatch.setattr(casimir, "lift_sum", lambda v, fn, pairs: seen.append(pairs) or v)
+    for include0 in (True, False):
+        for n in range(1, 7):
+            for k in window(n):
+                seen.clear()
+                heisenberg_apply(n, k, Vec(), include0)
+                assert seen == [_filter_pairs(n, k, include0)], (n, k, include0)
+
+
+def test_heisenberg_exclude_zero():
+    # Skipping the pairs that touch 0 is not a translation of the
+    # exclude-zero lattice, so the shifts obey the central extension of
+    # their combinations, not [s_a, s_k] = a delta_{a,-k}: on the vacuum
+    # [s_a, s_-a] = a - sign(a).
+    n = 8
+    shift = lambda k: LieElement(dict.fromkeys(_filter_pairs(n, k, False), 1))
+    s = lambda k, v: heisenberg_apply(n, k, v, include0=False)
+    vac = Vec.basis(FockState.vacuum())
+    states = [vac] + [Vec.basis(f) for f in fock_basis(1) if f.degree]
+    for a in window(3):
+        for k in window(3):
+            closed = bracket_central(shift(a), shift(k))
+            for v in states:
+                assert s(a, s(k, v)) - s(k, s(a, v)) == rhat_lie_apply(closed, v), (a, k, v)
+        assert s(a, s(-a, vac)) - s(-a, s(a, vac)) == vac.scaled(a - half_sign(a))
 
 
 def test_heisenberg_boundary_precondition():

@@ -37,6 +37,13 @@ def test_verify_success_exit_zero(capsys):
     assert all(set(c) == {"check", "inputs", "residual", "pass"} for c in report["checks"])
 
 
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_suite_passes_at_the_smallest_bounds(capsys, name):
+    code, out, err = run_cli(capsys, "verify", name, "--max-index", "1", "--trunc", "1", "--degree", "0")
+    assert code == 0, err
+    assert json.loads(out)["failures"] == 0
+
+
 def test_unknown_suite_exit_two(capsys):
     code, _, err = run_cli(capsys, "verify", "nosuch")
     assert code == 2

@@ -13,12 +13,15 @@ from gdirac.fock import (
     charge_number_apply,
     field_state,
     fock_basis,
+    half_sign,
     ores_bracket,
     ores_cocycle,
     rhat_apply,
     rhat_lie_apply,
     schwinger,
     t_ores_apply,
+    window,
+    window_pairs,
 )
 from gdirac.linalg import Vec
 from gdirac.rng import SplitMix64
@@ -56,11 +59,41 @@ def test_minus_block_sign_counts_plus_block():
 def test_index_zero_rejected_on_default_lattice():
     with pytest.raises(LatticeError):
         apply_field(PSI, 0, VAC)
+    with pytest.raises(LatticeError, match="index 0 is not on the lattice"):
+        field_state(PSI_STAR, 0, FockState.vacuum())
     with pytest.raises(LatticeError):
         state([0])
     # but fine on the include-zero lattice
     v = Vec.basis(FockState.vacuum(True))
     assert apply_field(PSI_STAR, 0, v) == Vec.basis(state([0], zero_ok=True))
+
+
+def test_half_sign():
+    assert [half_sign(k) for k in (-3, -1, 1, 3)] == [-1, -1, 1, 1]
+    assert [half_sign(k, zero_ok=True) for k in (-1, 0, 1)] == [-1, 1, 1]
+    with pytest.raises(LatticeError, match="index 0 is not on the lattice"):
+        half_sign(0)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_window_matches_the_comprehensions_it_replaced(n):
+    nonzero = [i for i in range(-n, n + 1) if i != 0]
+    assert window(n) == nonzero
+    assert window(n, zero_ok=True) == list(range(-n, n + 1))
+    assert (len(window(n)), len(window(n, zero_ok=True))) == (2 * n, 2 * n + 1)
+    # cross-half: dirac_cutoff_apply and _square_rhs_raw
+    cross = [(i, j) for i in range(1, n + 1) for j in range(-n, 0)]
+    cross += [(j, i) for i, j in cross]
+    # same-half: diagonal_casimir_apply, _invariant_nullspace, spinor_casimir_apply
+    same = [(s * i, s * j) for s in (1, -1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for sign, old in ((-1, cross), (1, same)):
+        pairs = window_pairs(n, sign)
+        assert set(pairs) == set(old) == {(i, j) for i in nonzero for j in nonzero if i * j * sign > 0}
+        assert len(pairs) == len(set(pairs)) == 2 * n * n
+    # the K-family sums of spinor.k_family_apply
+    for i in nonzero:
+        old_k = range(-1, -n - 1, -1) if i > 0 else range(1, n + 1)
+        assert {k for k in window(n) if i * k < 0} == set(old_k)
 
 
 def test_car_relations_exhaustive_bound2():
