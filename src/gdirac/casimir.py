@@ -141,6 +141,12 @@ def hw_weight(m: int, i: int) -> int:
 def heisenberg_apply(n: int, k: int, v: Vec, include0: bool = True) -> Vec:
     """Windowed shift operator s_k = sum_i E_{i,i+k}.
 
+    With ``include0`` (the include-zero lattice) this is the Heisenberg
+    shift, [s_a, s_k] = a delta_{a,-k}.  With ``include0=False`` it is the
+    same window sum with every pair that touches the index 0 dropped,
+    which is not a translation of the exclude-zero lattice, so it is not
+    a Heisenberg shift: on the vacuum [s_a, s_-a] = a - sign(a).
+
     Hard interior precondition: every occupied |index| must stay
     <= N - |k|, otherwise the windowed sum would silently differ from
     the full one near the boundary.

@@ -261,45 +261,47 @@ def dump_basis_size(space: str, max_index: int) -> int:
 
 
 def _dump_operator(descriptor: str):
-    """Resolve a descriptor to (basis space, vector operator)."""
+    """Resolve a descriptor to (basis space, vector operator, window terms
+    per basis state)."""
     if ":" in descriptor:
         head, rest = descriptor.split(":", 1)
     else:
         head, rest = descriptor, ""
     if head == "rhat":
         p, q = _parse_indices(rest, 2)
-        return "fock", lambda v: fk.rhat_apply(p, q, v)
+        return "fock", lambda v: fk.rhat_apply(p, q, v), 1
     if head == "gamma":
         i, j = _parse_indices(rest, 2)
-        return "spin", lambda v: sp.gamma_apply(i, j, v)
+        return "spin", lambda v: sp.gamma_apply(i, j, v), 1
     if head == "ktilde":
         i, j = _parse_indices(rest, 2)
-        return "spin", lambda v: sp.ktilde_exact_apply(i, j, v)
+        return "spin", lambda v: sp.ktilde_exact_apply(i, j, v), 1
     if head == "fermion-number":
-        return "spin", sp.fermion_number_apply
+        return "spin", sp.fermion_number_apply, 1
     if head in ("charge", "number"):
-        return "fock", lambda v: fk.charge_number_apply(head, v)
+        return "fock", lambda v: fk.charge_number_apply(head, v), 1
     if head == "dirac":
         if not rest.startswith("N="):
             raise UsageError("dirac descriptor needs N=<cutoff>")
         n = int(rest[2:])
-        return "tensor", lambda v: dr.dirac_cutoff_apply(n, v)
+        if n < 0:
+            raise UsageError("dirac cut-off N must be >= 0")
+        return "tensor", lambda v: dr.dirac_cutoff_apply(n, v), 2 * n * n
     raise UsageError(f"unknown operator descriptor {descriptor!r}")
 
 
 def cmd_dump_op(args) -> int:
     cfg = _config_of(args, max_index=2)
-    space, op = _dump_operator(args.descriptor)
+    space, op, terms = _dump_operator(args.descriptor)
     k = cfg.max_index
     # every basis has at least 2^K states, so a K past the limit's bit
     # length is refused before the closed form meets a huge exponent
     size = dump_basis_size(space, k) if k <= MAX_DUMP_STATES.bit_length() else None
+    command = f"dump-op {args.descriptor} at --max-index {k}"
     if size is None or size > MAX_DUMP_STATES:
         shown = size if size is not None else f"more than 2^{k}"
-        raise UsageError(
-            f"dump-op {args.descriptor} at --max-index {k} needs {shown} basis states; "
-            f"the limit is {MAX_DUMP_STATES}"
-        )
+        raise UsageError(f"{command} needs {shown} basis states; the limit is {MAX_DUMP_STATES}")
+    _check_work(command, terms * size)
     basis = _DUMP_BASES[space](k)
     columns = []
     for state in basis:

@@ -7,30 +7,36 @@ The operator is the normal-ordered contraction
 whose two branches either annihilate a particle/antiparticle pair of
 the Fock factor while creating a spinor mode, or the reverse.  On
 finitely supported vectors each infinite sum collapses to the occupied
-indices, so D is exact with no cut-off; the cut-off version sums the
-window literally.  Its square, restricted to the diagonal-invariant
-sector, equals 1/4 (renormalized Casimir (x) 1 + 1 (x) fermion number).
+indices, so D is exact with no cut-off.  Its square, restricted to the
+diagonal-invariant sector, equals 1/4 (renormalized Casimir (x) 1 +
+1 (x) fermion number).
+
+The cut-off operator D_N and the ``raw`` and ``hk`` forms of 4 D_N^2 are
+literal window sums of words E_pq... (x) u_ab..., with u = gamma/sqrt(2).
+Each is compiled once per N into a word table, and one kernel
+(``_apply_table``) applies every table on the occupation masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Iterator
 
 from . import casimir as _cas
-from .fock import FockState, fock_basis, rhat_apply, rhat_pair_state, rhat_state, window, window_pairs
-from .linalg import ExactMatrix, Vec, _vec, add_to, lift_sum, spans_equal, vec_sum
+from .fock import FockState, _fock_state, _rhat_word, fock_basis, half_sign, rhat_state, window_pairs
+from .linalg import ExactMatrix, Vec, _vec, add_to, spans_equal, vec_sum
 from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
 from .spinor import (
-    H_N,
     SpinState,
+    _spin_state,
+    _unit_word,
     fermion_number_apply,
     fermion_number_cutoff_apply,
-    gamma_pair_state,
     gamma_unit_state,
-    k_family_apply,
+    k_pairs,
     ktilde_state_terms,
     spin_basis,
 )
@@ -94,38 +100,83 @@ def _tensor_state(fock: FockState, spin: SpinState) -> TensorState:
     return s
 
 
-def _e_gamma_state(p: int, q: int, ts: TensorState):
-    """E_pq (x) u_qp on a tensor basis state, u = gamma / sqrt(2).
-
-    One step of the Dirac sum; returns ``(sign, state)`` or ``None``.
-    """
-    t = gamma_unit_state(q, p, ts.spin)
-    if t is None:
-        return None
-    u = rhat_state(p, q, ts.fock)
-    if u is None:
-        return None
-    return t[0] * u[0], _tensor_state(u[1], t[1])
-
-
 def dirac_apply(v: Vec) -> Vec:
     """Exact Dirac action: the annihilating factors bound every sum."""
     out: dict = {}
     for ts, c in v.terms.items():
-        f = ts.fock
+        f, spin = ts.fock, ts.spin
         # pair annihilation in Fock, mode creation in spin: E_{p,q} over
         # occupied q > 0 > p; pair creation in Fock, mode annihilation in
         # spin: E_{m,l} over occupied modes (m, l)
-        for p, q in [(p, q) for q in f.plus for p in f.minus] + list(ts.spin.modes):
-            t = _e_gamma_state(p, q, ts)
-            if t is not None:
-                add_to(out, t[1], c if t[0] > 0 else -c)
+        for p, q in [(p, q) for q in f.plus for p in f.minus] + list(spin.modes):
+            t = gamma_unit_state(q, p, spin)
+            u = t and rhat_state(p, q, f)
+            if u:
+                add_to(out, _tensor_state(u[1], t[1]), c if t[0] * u[0] > 0 else -c)
     return _vec(out).scaled(HALF_SQRT2)
+
+
+# ---------------------------------------------------------------------------
+# Word tables of the windowed tensor operators
+#
+# A windowed operator is a literal sum of words  w * F (x) S, with an
+# integer weight w, a Fock word F (a product of E_pq) and a spin word S (a
+# product of unit operators u_ab = gamma_ab / sqrt(2)), times one scale
+# common to the whole sum.  Its table groups the words by Fock word, so the
+# kernel evaluates each Fock word once per basis state, on the occupation
+# masks, and its spin words only where it does not vanish, which is
+# exactly where their terms can be nonzero.
+
+
+@lru_cache(maxsize=48)
+def _word_table(words_of, n: int) -> tuple:
+    """The words ``(weight, fock_word, spin_word)`` of ``words_of(n)``,
+    grouped as ``((fock_word, [(weight, spin_word), ...]), ...)``."""
+    groups: dict = {}
+    for w, fock_word, spin_word in words_of(n):
+        groups.setdefault(fock_word, []).append((w, spin_word))
+    return tuple(groups.items())
+
+
+def _apply_table(words_of, scale: Scalar, n: int, v: Vec) -> Vec:
+    """``scale`` times the word sum ``words_of(n)``, extended linearly to ``v``.
+
+    Each input state collects its images as integer weights on masks, so
+    terms that cancel never reach a scalar; the scale multiplies each
+    output coefficient once, at the end, and states are built only for
+    the images that survive.
+    """
+    table = _word_table(words_of, n)
+    out: dict = {}
+    for ts, c in v.terms.items():
+        f = ts.fock
+        zero_ok, spin = f.zero_ok, ts.spin.mask
+        images: dict = {}
+        for fock_word, words in table:
+            t = _rhat_word(fock_word, f.plus_mask, f.minus_mask, zero_ok)
+            if t is not None:
+                for w, spin_word in words:
+                    u = _unit_word(spin_word, spin)
+                    if u is not None:
+                        key = (t[1], t[2], zero_ok, u[1])
+                        images[key] = images.get(key, 0) + (-w if (t[0] + u[0]) & 1 else w)
+        for key, w in images.items():
+            if w:
+                add_to(out, key, c if w == 1 else -c if w == -1 else c * w)
+    return _vec(
+        {_tensor_state(_fock_state(pm, mm, z), _spin_state(mask)): c * scale for (pm, mm, z, mask), c in out.items()}
+    )
+
+
+def _dirac_words(n: int):
+    """The words E_ij (x) u_ji, ij < 0, of D_N, whose scale is sqrt(2)/2."""
+    for i, j in window_pairs(n, -1):
+        yield 1, ((i, j),), ((j, i),)
 
 
 def dirac_cutoff_apply(n: int, v: Vec) -> Vec:
     """Literal windowed sum 1/2 sum_{|i|,|j|<=N, ij<0} E_ij (x) gamma_ji."""
-    return lift_sum(v, _e_gamma_state, window_pairs(n, -1)).scaled(HALF_SQRT2)
+    return _apply_table(_dirac_words, HALF_SQRT2, n, v)
 
 
 def rho_apply(p: int, q: int, v: Vec) -> Vec:
@@ -286,76 +337,48 @@ def t_square_apply(v: Vec) -> Vec:
     """Renormalized Casimir (x) 1 + 1 (x) fermion number (= 4 D^2 on
     the invariant sector)."""
     g = _cas.CasimirVariant(_cas.G_LIMIT, None, include0=False)
-    return _fock_op_tensor(v, lambda fv: _cas.casimir_apply(g, fv)) + _spin_op_tensor(v, fermion_number_apply)
+    return _factor_sum(v, partial(_cas.casimir_apply, g), fermion_number_apply)
 
 
 # ---------------------------------------------------------------------------
 # Square identities for the cut-off operator
 
 
-def _spin_op_tensor(v: Vec, spin_fn) -> Vec:
-    """1 (x) spin_fn applied factor-wise."""
-    grouped: dict[FockState, dict[SpinState, Scalar]] = {}
+def _factor_sum(v: Vec, fock_fn, spin_fn) -> Vec:
+    """fock_fn (x) 1 + 1 (x) spin_fn, applied state by state."""
+    out: dict = {}
     for ts, c in v.terms.items():
-        grouped.setdefault(ts.fock, {})[ts.spin] = c
-    # each group has its own Fock factor, so the images never overlap
-    return _vec(
-        {_tensor_state(f, s): c for f, terms in grouped.items() for s, c in spin_fn(_vec(terms)).terms.items()}
-    )
+        for f, x in fock_fn(_vec({ts.fock: c})).terms.items():
+            add_to(out, _tensor_state(f, ts.spin), x)
+        for s, x in spin_fn(_vec({ts.spin: c})).terms.items():
+            add_to(out, _tensor_state(ts.fock, s), x)
+    return _vec(out)
 
 
-def _fock_op_tensor(v: Vec, fock_fn) -> Vec:
-    """fock_fn (x) 1 applied factor-wise."""
-    grouped: dict[SpinState, dict[FockState, Scalar]] = {}
-    for ts, c in v.terms.items():
-        grouped.setdefault(ts.spin, {})[ts.fock] = c
-    return _vec(
-        {_tensor_state(f, s): c for s, terms in grouped.items() for f, c in fock_fn(_vec(terms)).terms.items()}
-    )
-
-
-def _e_pair_state(p: int, q: int, a: tuple[int, int], b: tuple[int, int], ts: TensorState):
-    """E_pq (x) u_a u_b on a tensor basis state; (sign, state) or None."""
-    t = gamma_pair_state(a, b, ts.spin)
-    if t is None:
-        return None
-    u = rhat_state(p, q, ts.fock)
-    if u is None:
-        return None
-    return t[0] * u[0], _tensor_state(u[1], t[1])
-
-
-def _square_rhs_raw(n: int, v: Vec) -> Vec:
-    """4 x the raw three-term expansion of the cut-off square."""
+def _raw_words(n: int):
+    """The words of 8 x the raw three-term expansion of the cut-off square."""
     pairs = window_pairs(n, -1)
     # (1/16) sum (delta_jm E_in - delta_ni E_mj) (x) [gamma_ji, gamma_nm]
     # with gamma = sqrt(2) u this is (1/8)*... ; scaled by 4 -> 1/2, and
-    # [gamma_ji, gamma_nm] = 2(u_ji u_nm - u_nm u_ji): the terms of sign
-    # +1 and -1 are collected as (p, q, a, b) for E_pq (x) u_a u_b.
-    plus, minus = [], []
+    # [gamma_ji, gamma_nm] = 2 [u_ji, u_nm]: weight +-1 on each word.
     for i, j in pairs:
         for m, n2 in pairs:
-            ji, nm = (j, i), (n2, m)
-            if j == m:
-                plus.append((i, n2, ji, nm))
-                minus.append((i, n2, nm, ji))
-            if n2 == i:
-                minus.append((m, j, ji, nm))
-                plus.append((m, j, nm, ji))
-    out = (lift_sum(v, _e_pair_state, plus) - lift_sum(v, _e_pair_state, minus)).scaled(HALF)
-    # (1/8) sum sign(i) 1 (x) gamma_ij gamma_ji = (1/4) sum sign(i) u u;
-    # scaled by 4 -> sign(i) * u_ij u_ji.
-    plus_units = [((i, j), (j, i)) for i, j in pairs if i > 0]
-    minus_units = [((i, j), (j, i)) for i, j in pairs if i < 0]
-    out = out + _spin_op_tensor(
-        v, lambda sv: lift_sum(sv, gamma_pair_state, plus_units) - lift_sum(sv, gamma_pair_state, minus_units)
-    )
-    # (1/4) sum E_ij E_ji (x) 1; scaled by 4 -> E_ij E_ji.
-    return out + _fock_op_tensor(v, lambda fv: lift_sum(fv, rhat_pair_state, pairs))
+            for w, spin_word in ((1, ((j, i), (n2, m))), (-1, ((n2, m), (j, i)))):
+                if j == m:
+                    yield w, ((i, n2),), spin_word
+                if n2 == i:
+                    yield -w, ((m, j),), spin_word
+    for i, j in pairs:
+        # (1/8) sum sign(i) 1 (x) gamma_ij gamma_ji = (1/4) sum sign(i) u u;
+        # scaled by 4 -> sign(i) * u_ij u_ji, weight 2 sign(i).
+        yield 2 * half_sign(i), (), ((i, j), (j, i))
+        # (1/4) sum E_ij E_ji (x) 1; scaled by 4 -> E_ij E_ji, weight 2.
+        yield 2, ((i, j), (j, i)), ()
 
 
-def _square_rhs_hk(n: int, v: Vec) -> Vec:
-    """Naive-Casimir form of 4 D_(N)^2 with the diagonal Casimir subtracted.
+def _hk_words(n: int):
+    """The words of 2 x the naive-Casimir form of 4 D_(N)^2 with the
+    diagonal Casimir subtracted.
 
     The regrouping reads
 
@@ -365,20 +388,27 @@ def _square_rhs_hk(n: int, v: Vec) -> Vec:
 
     with Delta_g^(N) = sum E_ij E_ji over all window pairs, both halves
     and the diagonal included.  The same-sign part of Delta_g^(N) and the
-    H H sums cancel, so it is computed as
+    H H sums cancel, so it is the sum
 
         sum_{ij<0} E_ij E_ji (x) 1 - 2 sum_{ij>0} E_ij (x) H_ji
-          + 1 (x) sum_i sign(i) H_ii.
+          + 1 (x) sum_i sign(i) H_ii,
+
+    where 2 H_ji is the sum of the commutators [u_a, u_b] over the terms
+    (u_a, u_b) of K^(N)_ji (``spinor.k_pairs``).
     """
-    cross = window_pairs(n, -1)
-    parts = [_fock_op_tensor(v, lambda fv: lift_sum(fv, rhat_pair_state, cross))]
+    for i, j in window_pairs(n, -1):
+        yield 2, ((i, j), (j, i)), ()
     for i, j in window_pairs(n, 1):
-        mid = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, j, i, sv))
-        parts.append(_fock_op_tensor(mid, lambda fv: rhat_apply(i, j, fv)).scaled(-2))
-    for i in window(n):
-        h = _spin_op_tensor(v, lambda sv: k_family_apply(H_N, n, i, i, sv))
-        parts.append(h if i > 0 else -h)
-    return vec_sum(parts)
+        # -2 E_ij (x) H_ji, and on the diagonal also sign(i) 1 (x) H_ii
+        for w, fock_word in [(-2, ((i, j),))] + ([(half_sign(i), ())] if i == j else []):
+            for a, b in k_pairs(n, j, i):
+                yield w, fock_word, (a, b)
+                yield -w, fock_word, (b, a)
+
+
+# the right-hand sides of 4 D_(N)^2, as functions of (n, v)
+_square_rhs_raw = partial(_apply_table, _raw_words, HALF)
+_square_rhs_hk = partial(_apply_table, _hk_words, HALF)
 
 
 def invariance_residual(v: Vec, cutoff: int) -> Scalar:
@@ -411,8 +441,7 @@ def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:
         if invariance_residual(v, max(n, bound) + 1):
             raise ValueError("final form needs an invariant vector")
         g = _cas.CasimirVariant(_cas.G_REN_N, n, include0=False)
-        rhs = _fock_op_tensor(v, lambda fv: _cas.casimir_apply(g, fv))
-        rhs = rhs + _spin_op_tensor(v, lambda sv: fermion_number_cutoff_apply(n, sv))
+        rhs = _factor_sum(v, partial(_cas.casimir_apply, g), partial(fermion_number_cutoff_apply, n))
         exact = dirac_apply(dirac_apply(v)).scaled(4)
         r2 = (exact - rhs).max_abs()
         r1 = (lhs - rhs).max_abs()

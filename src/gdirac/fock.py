@@ -268,12 +268,27 @@ def rhat_apply(p: int, q: int, v: Vec) -> Vec:
     return lift(v, rhat_state, p, q)
 
 
+def _rhat_word(word, pm: int, mm: int, zero_ok: bool):
+    """A product of E_pq on occupation masks, its rightmost factor acting
+    first.
+
+    Returns ``(crossings, pm, mm)`` or ``None`` once a factor vanishes.
+    """
+    odd = 0
+    for p, q in reversed(word):
+        t = _rhat(p, q, pm, mm, zero_ok)
+        if t is None:
+            return None
+        crossings, pm, mm = t
+        odd += crossings
+    return odd, pm, mm
+
+
 def rhat_pair_state(p: int, q: int, state: FockState):
     """E_{p,q} E_{q,p} on a basis state, E_{q,p} acting first.
 
     Returns ``(sign, state)`` or ``None``; summed over index pairs with
-    ``linalg.lift_sum`` it gives the pair quadratics of the Casimirs and
-    of the square identities.
+    ``linalg.lift_sum`` it gives the pair quadratics of the Casimirs.
     """
     zero_ok = state.zero_ok
     t = _rhat(q, p, state.plus_mask, state.minus_mask, zero_ok)

@@ -214,19 +214,37 @@ def gamma_apply(i: int, j: int, v: Vec) -> Vec:
     return lift(v, gamma_unit_state, i, j).scaled(SQRT2)
 
 
+def _unit_word(word, mask: int):
+    """A product of units u_ab on a grid mask, its rightmost factor
+    acting first.
+
+    Returns ``(crossings, mask)`` or ``None`` once a factor vanishes.
+    """
+    odd = 0
+    for a, b in reversed(word):
+        t = _unit(a, b, mask)
+        if t is None:
+            return None
+        crossings, mask = t
+        odd += crossings
+    return odd, mask
+
+
 def gamma_pair_state(a: tuple[int, int], b: tuple[int, int], state: SpinState):
     """u_a u_b on a basis state, u_b acting first; (sign, state) or None.
 
     ``u_ij`` is the unit-normalized generator gamma_ij / sqrt(2), so the
     product equals 1/2 gamma_a gamma_b.
     """
-    t = _unit(*b, state.mask)
+    t = _unit_word((a, b), state.mask)
     if t is None:
         return None
-    u = _unit(*a, t[1])
-    if u is None:
-        return None
-    return -1 if (t[0] + u[0]) & 1 else 1, _spin_state(u[1])
+    return -1 if t[0] & 1 else 1, _spin_state(t[1])
+
+
+def k_pairs(n: int, i: int, j: int) -> list:
+    """The window terms (u_ik, u_kj), |k| <= N, ik < 0, of K^(N)_ij."""
+    return [((i, k), (k, j)) for k in window(n) if i * k < 0]
 
 
 def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
@@ -243,7 +261,7 @@ def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
         raise ValueError("K-family indices must share a sign")
     if max(abs(i), abs(j)) > n:
         raise ValueError("index out of the cut-off window")
-    pairs = [((i, k), (k, j)) for k in window(n) if i * k < 0]
+    pairs = k_pairs(n, i, j)
     if family == H_N:
         # 1/4 sum [gamma_ik, gamma_kj] = 1/2 sum (u_ik u_kj - u_kj u_ik);
         # the reversed products already carry the -N/2 diagonal constant.

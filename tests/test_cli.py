@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gdirac import dirac
+from gdirac import cli, dirac
 from gdirac.cli import MAX_DUMP_STATES, MAX_WORK, RunConfig, block_work, dump_basis_size, main, verify_work
 from gdirac.dirac import tensor_states
 from gdirac.fock import fock_basis
@@ -317,6 +317,33 @@ def test_dump_op_dirac_cutoff(capsys):
     assert len(report["basis"]) == 4
     cells = {c for row in report["matrix"] for c in row}
     assert cells == {"0", "0+1/2√2"}
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ("dirac:N=-3", "cut-off N must be >= 0"),
+        ("dirac:N=1000", f"needs at least {2 * 1000**2 * 4} steps of work; the limit is {MAX_WORK}"),
+    ],
+)
+def test_dump_op_dirac_cutoff_refused(monkeypatch, capsys, descriptor, message):
+    # refused before any word table or basis is built
+    def never(*_):
+        raise AssertionError("built before the check")
+
+    monkeypatch.setattr(dirac, "_word_table", never)
+    monkeypatch.setitem(cli._DUMP_BASES, "tensor", never)
+    code, out, err = run_cli(capsys, "dump-op", descriptor, "--max-index", "1")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_dump_op_dirac_cutoff_zero(capsys):
+    # N = 0 is the empty window: D_0 = 0
+    code, out, _ = run_cli(capsys, "dump-op", "dirac:N=0", "--max-index", "1")
+    assert code == 0
+    assert {c for row in json.loads(out)["matrix"] for c in row} == {"0"}
 
 
 def test_module_entry_point():

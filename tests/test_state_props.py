@@ -1,5 +1,6 @@
 """Random states at bounds up to 40: the bitmask state maps against the
-tuple-based oracles of ``test_state_maps``."""
+tuple-based oracles of ``test_state_maps``; random tensor states: the
+weight ``rho_weight`` against the diagonal of ``rho_apply``."""
 
 import pytest
 
@@ -16,7 +17,9 @@ from test_state_maps import (
     _spin_result,
 )
 
-from gdirac.fock import FockState
+from gdirac.dirac import TensorState, rho_apply, rho_weight
+from gdirac.fock import FockState, window
+from gdirac.linalg import Vec
 from gdirac.spinor import SpinState, gamma_pair_state, ktilde_state_terms, mode_state
 
 MAX_BOUND = 40
@@ -81,3 +84,20 @@ def test_spin_maps_match_the_oracle_on_random_states(drawn, data):
         out = _same_outcome(lambda: ktilde_state_terms(i, j, s), lambda: _old_ktilde_state_terms(i, j, modes))
         if out:
             assert [_spin_result(t) for t in out[0]] == out[1], (i, j, s)
+
+
+@st.composite
+def tensor_states(draw, bound=3):
+    plus = draw(st.sets(st.integers(1, bound)))
+    minus = draw(st.sets(st.integers(-bound, -1)))
+    modes = draw(st.sets(st.tuples(st.integers(1, bound), st.integers(-bound, -1)), max_size=5))
+    return TensorState(FockState(tuple(sorted(plus)), tuple(sorted(minus))), SpinState(tuple(sorted(modes))))
+
+
+@EXAMPLES
+@given(tensor_states())
+def test_rho_weight_is_the_diagonal_of_rho_on_random_states(ts):
+    v = Vec.basis(ts)
+    w = rho_weight(ts)
+    for i in window(3):
+        assert rho_apply(i, i, v) == v.scaled(w.get(i, 0)), (ts, i)
