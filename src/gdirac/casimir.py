@@ -1,14 +1,17 @@
 """Normal-ordered Casimir operators, highest weight vectors, Heisenberg shifts.
 
-Two lattices are in play.  The include-zero lattice (plus half =
+Two lattices are in play, and each state records its own
+(``FockState.zero_ok``).  The include-zero lattice (plus half =
 {0, 1, 2, ...}) carries the cut-off Casimir
 
     D^(N) = 2 sum_{j<i, |i|,|j|<=N} E_ij E_ji + sum_{|i|<=N} E_ii (E_ii - 2i)
 
-and its window-free limit; the exclude-zero lattice carries the
-renormalized variant with diagonal term E_ii (E_ii - 2i + sign(i)).
-The naive double sums differ from the normal-ordered ones by the exact
-window constants
+(tag ``normal_N``), its window-free limit (``limit``) and the Heisenberg
+shifts; the exclude-zero lattice carries the renormalized variant with
+diagonal term E_ii (E_ii - 2i + sign(i)) (``g_ren_N``, ``g_limit``).
+The tag fixes the lattice of these four; the naive double sum
+(``naive_N``) runs over the window of each input state's own lattice.
+It differs from the normal-ordered sums by the exact window constants
 
     naive - normal = N(N+1)   (include-zero window),
     naive - g_ren  = N^2      (exclude-zero window),
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import FockState, LieElement, diagonal_weight, half_sign, rhat_pair_state, rhat_state, window
+from .fock import FockState, LatticeError, LieElement, diagonal_weight, half_sign, rhat_pair_state, rhat_state, window
 from .linalg import Vec, _vec, add_to, lift_sum
 from .scalar import ZERO, Scalar
 
@@ -33,32 +36,31 @@ LIMIT = "limit"
 G_REN_N = "g_ren_N"
 G_LIMIT = "g_limit"
 
-_TAGS = (NAIVE_N, NORMAL_N, LIMIT, G_REN_N, G_LIMIT)
+# The lattice of each tag as a ``zero_ok`` value; ``naive_N`` (None)
+# follows its input states.
+_LATTICE = {NAIVE_N: None, NORMAL_N: True, LIMIT: True, G_REN_N: False, G_LIMIT: False}
 
 
 @dataclass(frozen=True, slots=True)
 class CasimirVariant:
     tag: str
     n: int | None = None
-    include0: bool = True
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        if self.tag not in _LATTICE:
             raise ValueError(f"unknown casimir variant {self.tag!r}")
         if self.tag in (NAIVE_N, NORMAL_N, G_REN_N) and self.n is None:
             raise ValueError(f"{self.tag} needs a cut-off N")
-        if self.tag in (NORMAL_N, LIMIT) and not self.include0:
-            raise ValueError(f"{self.tag} lives on the include-zero lattice")
-        if self.tag in (G_REN_N, G_LIMIT) and self.include0:
-            raise ValueError(f"{self.tag} lives on the exclude-zero lattice")
 
 
-def _casimir_state(tag: str, n: int | None, include0: bool, s: FockState) -> Vec:
+def _casimir_state(tag: str, n: int | None, s: FockState) -> Vec:
     if tag in (LIMIT, G_LIMIT):
         # Annihilate-first ordering: every contributing pair stays
         # within the occupied window, so the infinite sums collapse.
         n = s.bound()
-    idx = window(n, include0)
+    idx = window(n, s.zero_ok)
+    if tag == NAIVE_N:
+        return lift_sum(Vec.basis(s), rhat_pair_state, [(i, j) for i in idx for j in idx])
     # quadratic part: 2 sum_{j<i} E_ij E_ji (raising first)
     lower = [(i, j) for i in idx for j in idx if j < i]
     quad = lift_sum(Vec.basis(s, 2), rhat_pair_state, lower)
@@ -80,31 +82,32 @@ def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
     like the shift operators): evaluating them across the boundary
     would produce plausible but silently truncated numbers.
     """
+    zero_ok = _LATTICE[variant.tag]
     for s in v.terms:
-        if s.zero_ok != variant.include0:
+        if zero_ok is not None and s.zero_ok != zero_ok:
             raise ValueError("state lattice does not match the variant lattice")
         if variant.n is not None and s.bound() > variant.n:
             raise ValueError("support exceeds the cut-off window")
-    if variant.tag == NAIVE_N:
-        idx = window(variant.n, variant.include0)
-        return lift_sum(v, rhat_pair_state, [(i, j) for i in idx for j in idx])
     out: dict = {}
     for s, c in v.terms.items():
-        for k, x in _casimir_state(variant.tag, variant.n, variant.include0, s).terms.items():
+        for k, x in _casimir_state(variant.tag, variant.n, s).terms.items():
             add_to(out, k, x * c)
     return _vec(out)
 
 
 def casimir_commutator(variant: CasimirVariant, m: int, n: int) -> LieElement:
     """Closed form of [Casimir, E_mn]: 2 * halfsign(m) * E_mn across the
-    polarization, zero when m and n sit in the same half."""
+    polarization, zero when m and n sit in the same half.
+
+    The halves are those of the variant's lattice; ``naive_N`` takes the
+    include-zero one."""
     if variant.n is not None and max(abs(m), abs(n)) > variant.n:
         raise ValueError("index out of the cut-off window")
-    include0 = variant.include0
-    hm, hn = half_sign(m, include0), half_sign(n, include0)
+    zero_ok = _LATTICE[variant.tag] is not False
+    hm, hn = half_sign(m, zero_ok), half_sign(n, zero_ok)
     if hm == hn:
-        return LieElement({}, 0, include0)
-    return LieElement({(m, n): Scalar.of(2 * hm)}, 0, include0)
+        return LieElement({}, 0, zero_ok)
+    return LieElement({(m, n): Scalar.of(2 * hm)}, 0, zero_ok)
 
 
 def num_of(w: FockState) -> int:
@@ -138,25 +141,23 @@ def hw_weight(m: int, i: int) -> int:
     return 0
 
 
-def heisenberg_apply(n: int, k: int, v: Vec, include0: bool = True) -> Vec:
-    """Windowed shift operator s_k = sum_i E_{i,i+k}.
+def heisenberg_apply(n: int, k: int, v: Vec) -> Vec:
+    """Windowed Heisenberg shift s_k = sum_i E_{i,i+k}, [s_a, s_k] = a delta_{a,-k}.
 
-    With ``include0`` (the include-zero lattice) this is the Heisenberg
-    shift, [s_a, s_k] = a delta_{a,-k}.  With ``include0=False`` it is the
-    same window sum with every pair that touches the index 0 dropped,
-    which is not a translation of the exclude-zero lattice, so it is not
-    a Heisenberg shift: on the vacuum [s_a, s_-a] = a - sign(a).
-
-    Hard interior precondition: every occupied |index| must stay
-    <= N - |k|, otherwise the windowed sum would silently differ from
-    the full one near the boundary.
+    The shifts translate the include-zero lattice, so a state of the
+    exclude-zero lattice raises ``LatticeError``.  Hard interior
+    precondition: every occupied |index| must stay <= N - |k|, otherwise
+    the windowed sum would silently differ from the full one near the
+    boundary.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
     for s in v.terms:
+        if not s.zero_ok:
+            raise LatticeError("the Heisenberg shifts act on the include-zero lattice")
         if s.bound() > n - abs(k):
             raise ValueError("support too close to the window edge")
-    idx = window(n, include0)
+    idx = window(n, True)
     inside = set(idx)
     return lift_sum(v, rhat_state, [(i, i + k) for i in idx if i + k in inside])
 

@@ -17,7 +17,7 @@ from . import dirac as dr
 from . import fock as fk
 from . import spinor as sp
 from .linalg import Vec
-from .serialize import dumps, scalar_to_csv, state_label, vec_to_json
+from .serialize import dumps, state_label, vec_to_json
 from .suites import SUITES, run_suite
 
 SCHEMA = "gdirac/1"
@@ -307,7 +307,7 @@ def cmd_dump_op(args) -> int:
     for state in basis:
         img = op(Vec.basis(state))
         columns.append([img.coeff(row) for row in basis])
-    matrix = [[scalar_to_csv(columns[c][r]) for c in range(len(basis))] for r in range(len(basis))]
+    matrix = [[str(columns[c][r]) for c in range(len(basis))] for r in range(len(basis))]
     if cfg.fmt == "json":
         payload = {
             "schema": SCHEMA,
@@ -395,10 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _resolve(args)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

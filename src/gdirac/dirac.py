@@ -336,7 +336,7 @@ def constraint_window_robust(n: int, pairs: int, spin_length: int) -> bool:
 def t_square_apply(v: Vec) -> Vec:
     """Renormalized Casimir (x) 1 + 1 (x) fermion number (= 4 D^2 on
     the invariant sector)."""
-    g = _cas.CasimirVariant(_cas.G_LIMIT, None, include0=False)
+    g = _cas.CasimirVariant(_cas.G_LIMIT)
     return _factor_sum(v, partial(_cas.casimir_apply, g), fermion_number_apply)
 
 
@@ -440,7 +440,7 @@ def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:
         bound = max((ts.bound() for ts in v.terms), default=0)
         if invariance_residual(v, max(n, bound) + 1):
             raise ValueError("final form needs an invariant vector")
-        g = _cas.CasimirVariant(_cas.G_REN_N, n, include0=False)
+        g = _cas.CasimirVariant(_cas.G_REN_N, n)
         rhs = _factor_sum(v, partial(_cas.casimir_apply, g), partial(fermion_number_cutoff_apply, n))
         exact = dirac_apply(dirac_apply(v)).scaled(4)
         r2 = (exact - rhs).max_abs()

@@ -396,14 +396,7 @@ def schwinger(a: LieElement, b: LieElement) -> Scalar:
 
 def bracket_central(a: LieElement, b: LieElement) -> LieElement:
     """[(A, alpha), (B, beta)] = ([A, B], s(A, B)); central parts drop out."""
-    terms: dict[tuple[int, int], Scalar] = {}
-    for (p, q), ca in a.terms.items():
-        for (m, n), cb in b.terms.items():
-            c = ca * cb
-            if q == m:
-                add_to(terms, (p, n), c)
-            if n == p:
-                add_to(terms, (m, q), -c)
+    terms = _table_sub(_table_matmul(a.terms, b.terms), _table_matmul(b.terms, a.terms))
     return LieElement(terms, schwinger(a, b), a.zero_ok or b.zero_ok)
 
 

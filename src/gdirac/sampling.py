@@ -21,8 +21,8 @@ SPACES = ("fock", "fock0", "fock-include0", "spin", "tensor")
 _MAX_TRIES = 64
 
 
-def _draw_subset(stream: SplitMix64, pool: list[int], size: int) -> tuple[int, ...]:
-    chosen: set[int] = set()
+def _draw_subset(stream: SplitMix64, pool: list, size: int) -> tuple:
+    chosen: set = set()
     tries = 0
     while len(chosen) < size and tries < _MAX_TRIES:
         chosen.add(pool[stream.pick(len(pool))])
@@ -46,13 +46,7 @@ def _draw_fock(stream: SplitMix64, bound: int, zero_ok: bool, charge0: bool) -> 
 
 def _draw_spin(stream: SplitMix64, bound: int) -> SpinState:
     pool = [(m, l) for m in range(1, bound + 1) for l in range(-bound, 0)]
-    k = stream.pick(bound + 1)
-    chosen: set = set()
-    tries = 0
-    while len(chosen) < k and tries < _MAX_TRIES:
-        chosen.add(pool[stream.pick(len(pool))])
-        tries += 1
-    return SpinState(tuple(sorted(chosen)))
+    return SpinState(_draw_subset(stream, pool, stream.pick(bound + 1)))
 
 
 def _draw_state(stream: SplitMix64, space: str, bound: int):

@@ -38,11 +38,6 @@ def scalar_from_json(d: dict) -> Scalar:
     return Scalar.of(frac_from_str(d["a"]), frac_from_str(d["b"]))
 
 
-def scalar_to_csv(x: Scalar) -> str:
-    """Exact display form: "3/2", "1+1√2", "0-1/2√2"."""
-    return str(x)
-
-
 def fock_state_to_json(s: FockState) -> dict:
     return {"plus": list(s.plus), "minus": list(s.minus)}
 
@@ -63,10 +58,8 @@ def tensor_state_to_json(t: TensorState) -> dict:
     return {"fock": fock_state_to_json(t.fock), "spin": spin_state_to_json(t.spin)}
 
 
-def tensor_state_from_json(d: dict, zero_ok: bool = False) -> TensorState:
-    return TensorState(
-        fock_state_from_json(d["fock"], zero_ok), spin_state_from_json(d["spin"])
-    )
+def tensor_state_from_json(d: dict) -> TensorState:
+    return TensorState(fock_state_from_json(d["fock"]), spin_state_from_json(d["spin"]))
 
 
 def _state_to_json(key) -> dict:
@@ -89,12 +82,11 @@ def variant_to_json(variant: CasimirVariant) -> dict:
     out: dict = {"tag": variant.tag}
     if variant.n is not None:
         out["N"] = variant.n
-    out["lattice"] = "include0" if variant.include0 else "exclude0"
     return out
 
 
 def variant_from_json(d: dict) -> CasimirVariant:
-    return CasimirVariant(d["tag"], d.get("N"), d.get("lattice", "include0") == "include0")
+    return CasimirVariant(d["tag"], d.get("N"))
 
 
 def dumps(payload: dict) -> str:

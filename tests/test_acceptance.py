@@ -336,7 +336,7 @@ def test_c07d_heisenberg_relations():
 
 def test_c08_main_text_casimir():
     with _clock(8, "renormalized Casimir = 2M on charge-0, vacuum kernel"):
-        g = CasimirVariant(G_LIMIT, None, False)
+        g = CasimirVariant(G_LIMIT)
         kernel = []
         for s in fock_basis(4, charge=0):
             v = Vec.basis(s)

@@ -21,10 +21,7 @@ from gdirac import casimir
 from gdirac.fock import (
     FockState,
     LatticeError,
-    LieElement,
-    bracket_central,
     fock_basis,
-    half_sign,
     rhat_apply,
     rhat_lie_apply,
     window,
@@ -40,10 +37,9 @@ def test_variant_validation():
         CasimirVariant("bogus")
     with pytest.raises(ValueError):
         CasimirVariant(NORMAL_N)  # needs N
-    with pytest.raises(ValueError):
-        CasimirVariant(LIMIT, None, include0=False)
-    with pytest.raises(ValueError):
-        CasimirVariant(G_LIMIT, None, include0=True)
+    # the tag fixes the lattice, so no variant takes a lattice flag
+    assert CasimirVariant(G_LIMIT) == CasimirVariant(G_LIMIT, None)
+    assert CasimirVariant(G_REN_N, 3).n == 3
 
 
 def test_lattice_mismatch_rejected():
@@ -116,7 +112,7 @@ def test_commutator_table_closed_form():
 
 
 def test_commutator_table_rejects_index_zero_off_its_lattice():
-    var = CasimirVariant(G_REN_N, 3, include0=False)
+    var = CasimirVariant(G_REN_N, 3)
     for m, n in ((0, 1), (-1, 0), (0, 0)):
         with pytest.raises(LatticeError, match="index 0 is not on the lattice"):
             casimir_commutator(var, m, n)
@@ -151,9 +147,9 @@ def test_stabilization_include0():
 def test_stabilization_exclude0():
     for s in fock_basis(2, charge=0):
         v = Vec.basis(s)
-        lim = casimir_apply(CasimirVariant(G_LIMIT, None, False), v)
+        lim = casimir_apply(CasimirVariant(G_LIMIT), v)
         for n in range(max(s.bound(), 1), s.bound() + 3):
-            assert casimir_apply(CasimirVariant(G_REN_N, n, False), v) == lim
+            assert casimir_apply(CasimirVariant(G_REN_N, n), v) == lim
 
 
 def test_window_constants():
@@ -167,14 +163,14 @@ def test_window_constants():
     for s in fock_basis(2):
         v = Vec.basis(s)
         for n in (2, 3):
-            naive = casimir_apply(CasimirVariant(NAIVE_N, n, False), v)
-            ren = casimir_apply(CasimirVariant(G_REN_N, n, False), v)
+            naive = casimir_apply(CasimirVariant(NAIVE_N, n), v)
+            ren = casimir_apply(CasimirVariant(G_REN_N, n), v)
             assert naive == ren + v.scaled(n * n)
 
 
 def test_charge0_sector_and_kernel():
     kernel = []
-    g = CasimirVariant(G_LIMIT, None, False)
+    g = CasimirVariant(G_LIMIT)
     for s in fock_basis(3, charge=0):
         v = Vec.basis(s)
         out = casimir_apply(g, v)
@@ -189,7 +185,7 @@ def test_limit_minus_gren_is_charge():
     for s in fock_basis(2):
         shared = FockState(s.plus, s.minus, True)
         a = casimir_apply(CasimirVariant(LIMIT), Vec.basis(shared))
-        b = casimir_apply(CasimirVariant(G_LIMIT, None, False), Vec.basis(s))
+        b = casimir_apply(CasimirVariant(G_LIMIT), Vec.basis(s))
         assert a.coeff(shared) - b.coeff(s) == Scalar.of(s.charge)
         # and no off-diagonal part on either side
         assert a == Vec.basis(shared).scaled(a.coeff(shared))
@@ -218,44 +214,32 @@ def test_heisenberg_casimir_shift():
     assert rhat_apply(1, 0, VAC0).is_zero()
 
 
-def _filter_pairs(n, k, include0):
+def _filter_pairs(n, k):
     """The pair filter of ``heisenberg_apply`` before it summed over
     ``fock.window``, kept as the oracle of its pairs."""
-    return [(i, i + k) for i in range(-n, n + 1) if abs(i + k) <= n and (include0 or 0 not in (i, i + k))]
+    return [(i, i + k) for i in range(-n, n + 1) if abs(i + k) <= n]
 
 
 def test_heisenberg_pairs_match_the_filter(monkeypatch):
     seen = []
     monkeypatch.setattr(casimir, "lift_sum", lambda v, fn, pairs: seen.append(pairs) or v)
-    for include0 in (True, False):
-        for n in range(1, 7):
-            for k in window(n):
-                seen.clear()
-                heisenberg_apply(n, k, Vec(), include0)
-                assert seen == [_filter_pairs(n, k, include0)], (n, k, include0)
-
-
-def test_heisenberg_exclude_zero():
-    # Skipping the pairs that touch 0 is not a translation of the
-    # exclude-zero lattice, so the shifts obey the central extension of
-    # their combinations, not [s_a, s_k] = a delta_{a,-k}: on the vacuum
-    # [s_a, s_-a] = a - sign(a).
-    n = 8
-    shift = lambda k: LieElement(dict.fromkeys(_filter_pairs(n, k, False), 1))
-    s = lambda k, v: heisenberg_apply(n, k, v, include0=False)
-    vac = Vec.basis(FockState.vacuum())
-    states = [vac] + [Vec.basis(f) for f in fock_basis(1) if f.degree]
-    for a in window(3):
-        for k in window(3):
-            closed = bracket_central(shift(a), shift(k))
-            for v in states:
-                assert s(a, s(k, v)) - s(k, s(a, v)) == rhat_lie_apply(closed, v), (a, k, v)
-        assert s(a, s(-a, vac)) - s(-a, s(a, vac)) == vac.scaled(a - half_sign(a))
+    for n in range(1, 7):
+        for k in window(n):
+            seen.clear()
+            heisenberg_apply(n, k, Vec())
+            assert seen == [_filter_pairs(n, k)], (n, k)
 
 
 def test_heisenberg_boundary_precondition():
     with pytest.raises(ValueError):
         heisenberg_apply(3, 3, Vec.basis(FockState((1,), (-1,), True)))
+
+
+def test_heisenberg_refuses_the_exclude_zero_lattice():
+    # the shifts translate the include-zero lattice only
+    for v in (Vec.basis(FockState.vacuum()), Vec.basis(FockState((1,), (-1,))) + VAC0):
+        with pytest.raises(LatticeError, match="include-zero lattice"):
+            heisenberg_apply(8, 1, v)
 
 
 def test_windowed_casimir_boundary_precondition():
@@ -264,7 +248,7 @@ def test_windowed_casimir_boundary_precondition():
         casimir_apply(CasimirVariant(NORMAL_N, 2), v)
     w = Vec.basis(FockState((3,), (-3,)))
     with pytest.raises(ValueError):
-        casimir_apply(CasimirVariant(G_REN_N, 2, False), w)
+        casimir_apply(CasimirVariant(G_REN_N, 2), w)
 
 
 def test_exclude_zero_linear_term_identity():

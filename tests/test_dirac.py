@@ -235,7 +235,7 @@ def test_t_square_examples():
 
 
 def test_t_square_is_gcasimir_plus_fermion_number():
-    g = CasimirVariant(G_LIMIT, None, False)
+    g = CasimirVariant(G_LIMIT)
     for t in range(5):
         v = random_vector("tensor", 50 + t, 2)
         lhs = t_square_apply(v)

@@ -61,9 +61,12 @@ def test_bracket_central_is_the_level_one_commutator(n, seed, zero_ok):
 @given(bounds, st.integers(0, 2), seeds, st.booleans())
 def test_window_constants(bound, extra, seed, zero_ok):
     # naive - normal = N(N+1) on the include-zero window, naive - g_ren = N^2
-    # on the exclude-zero one, for every support inside the window
+    # on the exclude-zero one, for every support inside the window; the one
+    # naive variant follows the lattice of its states, also on a sum of both
     n = bound + extra
     v = _fock_vector(seed, bound, zero_ok)
-    naive = casimir_apply(CasimirVariant(NAIVE_N, n, zero_ok), v)
-    normal = casimir_apply(CasimirVariant(NORMAL_N if zero_ok else G_REN_N, n, zero_ok), v)
-    assert naive - normal == v.scaled(n * (n + 1) if zero_ok else n * n)
+    w = _fock_vector(seed + 1, bound, not zero_ok)
+    naive = CasimirVariant(NAIVE_N, n)
+    normal = casimir_apply(CasimirVariant(NORMAL_N if zero_ok else G_REN_N, n), v)
+    assert casimir_apply(naive, v) - normal == v.scaled(n * (n + 1) if zero_ok else n * n)
+    assert casimir_apply(naive, v + w) == casimir_apply(naive, v) + casimir_apply(naive, w)

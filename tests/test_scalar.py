@@ -63,6 +63,7 @@ def test_str_forms():
     assert str(Scalar.of(Fraction(3, 2))) == "3/2"
     assert str(Scalar.of(1, 1)) == "1+1√2"
     assert str(Scalar.of(0, Fraction(-1, 2))) == "0-1/2√2"
+    assert str(Scalar.of(0, Fraction(1, 2))) == "0+1/2√2"
 
 
 def test_integral_fields_stored_as_int():

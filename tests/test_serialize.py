@@ -14,7 +14,6 @@ from gdirac.serialize import (
     fock_state_from_json,
     fock_state_to_json,
     scalar_from_json,
-    scalar_to_csv,
     scalar_to_json,
     spin_state_from_json,
     spin_state_to_json,
@@ -32,12 +31,6 @@ def test_scalar_roundtrip():
     d = scalar_to_json(x)
     assert d == {"a": "3/2", "b": "-1/4"}
     assert scalar_from_json(d) == x
-
-
-def test_scalar_csv_forms():
-    assert scalar_to_csv(Scalar.of(Fraction(3, 2))) == "3/2"
-    assert scalar_to_csv(Scalar.of(1, 1)) == "1+1√2"
-    assert scalar_to_csv(Scalar.of(0, Fraction(1, 2))) == "0+1/2√2"
 
 
 def test_state_roundtrips():
@@ -64,7 +57,7 @@ def test_vec_encoding_sorted():
 def test_variant_roundtrip():
     var = CasimirVariant(NORMAL_N, 4)
     d = variant_to_json(var)
-    assert d == {"tag": "normal_N", "N": 4, "lattice": "include0"}
+    assert d == {"tag": "normal_N", "N": 4}
     assert variant_from_json(d) == var
 
 
