@@ -1,5 +1,7 @@
 """Encoding round trips and deterministic rendering."""
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,14 @@ def test_scalar_roundtrip():
     d = scalar_to_json(x)
     assert d == {"a": "3/2", "b": "-1/4"}
     assert scalar_from_json(d) == x
+
+
+def test_scalar_csv_forms():
+    # a CSV cell of a scalar is its str form, written unquoted
+    cells = [Scalar.of(Fraction(3, 2)), Scalar.of(1, 1), Scalar.of(0, Fraction(1, 2))]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([str(x) for x in cells])
+    assert buf.getvalue() == "3/2,1+1√2,0+1/2√2\n"
 
 
 def test_state_roundtrips():
