@@ -12,9 +12,14 @@ diagonal-invariant sector, equals 1/4 (renormalized Casimir (x) 1 +
 1 (x) fermion number).
 
 The cut-off operator D_N and the ``raw`` and ``hk`` forms of 4 D_N^2 are
-literal window sums of words E_pq... (x) u_ab..., with u = gamma/sqrt(2).
-Each is compiled once per N into a word table, and one kernel
-(``_apply_table``) applies every table on the occupation masks.
+literal window sums of words E_pq... (x) u_ab..., with u = gamma/sqrt(2)
+and integer weights.  Each is compiled once per N into a word table that
+files every word under the one input bit it needs set, and one kernel
+(``_images``) maps a basis state through a table to integer weights on
+occupation masks, visiting only the words whose bit the state has.
+``_apply_table`` scales those images into a vector; the ``raw`` and
+``hk`` residuals compose them directly, 4 W_D W_D - W_R in integers per
+input state, and scale once at the end.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .linalg import ExactMatrix, Vec, _vec, add_to, spans_equal, vec_sum
 from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
 from .spinor import (
     SpinState,
+    _mode_bit,
     _spin_state,
     _unit_word,
     fermion_number_apply,
@@ -122,47 +128,110 @@ def dirac_apply(v: Vec) -> Vec:
 # A windowed operator is a literal sum of words  w * F (x) S, with an
 # integer weight w, a Fock word F (a product of E_pq) and a spin word S (a
 # product of unit operators u_ab = gamma_ab / sqrt(2)), times one scale
-# common to the whole sum.  Its table groups the words by Fock word, so the
-# kernel evaluates each Fock word once per basis state, on the occupation
-# masks, and its spin words only where it does not vanish, which is
-# exactly where their terms can be nonzero.
+# common to the whole sum.  The rightmost factor of a word acts first, so
+# the word vanishes on every state that lacks the bit this factor needs
+# (``_trigger``).  A table files each word once, under that trigger bit, or
+# in one "always" group when it has none, and collects the words of a
+# group by Fock word.  The kernel (``_images``) visits the always group
+# and the groups of the bits set on the input state, evaluates each Fock
+# word there once on the occupation masks, and its spin words only where
+# it does not vanish.  Images are integer weights on mask keys, so terms
+# that cancel never reach a scalar; the square residuals compose these
+# weights directly and scale once, at the end.
+
+
+def _trigger(fock_word, spin_word):
+    """The input bit the rightmost factor of a word needs set, as
+    ``(mask, position)`` on the plus (0), minus (1) or spin (2) mask, or
+    None when it needs none.
+
+    E_pq needs plus bit q when q > 0 (psi_q annihilates there), else
+    minus bit p when p < 0 (psi*_p fills a hole there; the diagonal
+    p = q < 0 too); u_ab needs the mode bit (b, a) when a < 0.  Window
+    indices are never 0, so the answer is the same on both lattices.
+    """
+    if fock_word:
+        p, q = fock_word[-1]
+        if half_sign(q) > 0:
+            return 0, q
+        if half_sign(p) < 0:
+            return 1, -1 - p
+    if spin_word:
+        a, b = spin_word[-1]
+        if a < 0:
+            return 2, _mode_bit(b, a)
+    return None
 
 
 @lru_cache(maxsize=48)
 def _word_table(words_of, n: int) -> tuple:
     """The words ``(weight, fock_word, spin_word)`` of ``words_of(n)``,
-    grouped as ``((fock_word, [(weight, spin_word), ...]), ...)``."""
-    groups: dict = {}
+    indexed by trigger: ``(always, by_plus, by_minus, by_mode)``, where
+    ``always`` and each value of the three ``position -> groups`` maps
+    are groups ``((fock_word, ((weight, spin_word), ...)), ...)``."""
+    always: dict = {}
+    buckets: tuple = ({}, {}, {})
+    # equal words are stored as one tuple, whichever side they are on
+    shared: dict = {}
     for w, fock_word, spin_word in words_of(n):
+        fock_word = shared.setdefault(fock_word, fock_word)
+        spin_word = shared.setdefault(spin_word, spin_word)
+        trigger = _trigger(fock_word, spin_word)
+        groups = always if trigger is None else buckets[trigger[0]].setdefault(trigger[1], {})
         groups.setdefault(fock_word, []).append((w, spin_word))
-    return tuple(groups.items())
+
+    def frozen(groups: dict) -> tuple:
+        return tuple((fock_word, tuple(words)) for fock_word, words in groups.items())
+
+    return (frozen(always), *({pos: frozen(g) for pos, g in b.items()} for b in buckets))
+
+
+def _images(table, pm: int, mm: int, zero_ok: bool, spin: int) -> dict:
+    """The images of one basis state under a table's word sum: integer
+    weights, some of them 0, on mask keys ``(pm, mm, spin)``."""
+    always, *buckets = table
+    visit = [always]
+    for bits, by_position in zip((pm, mm, spin), buckets):
+        while bits:
+            low = bits & -bits
+            groups = by_position.get(low.bit_length() - 1)
+            if groups:
+                visit.append(groups)
+            bits ^= low
+    images: dict = {}
+    for groups in visit:
+        for fock_word, words in groups:
+            t = _rhat_word(fock_word, pm, mm, zero_ok)
+            if t is not None:
+                for w, spin_word in words:
+                    u = _unit_word(spin_word, spin)
+                    if u is not None:
+                        key = (t[1], t[2], u[1])
+                        images[key] = images.get(key, 0) + (-w if (t[0] + u[0]) & 1 else w)
+    return images
+
+
+def _collect(v: Vec, images) -> dict:
+    """The sum of c * images(s) over the terms c s of ``v``, as scalars on
+    mask keys ``(pm, mm, zero_ok, spin)``; ``images`` maps the masks of one
+    basis state to integer weights."""
+    out: dict = {}
+    for ts, c in v.terms.items():
+        f = ts.fock
+        zero_ok = f.zero_ok
+        for (pm, mm, mask), w in images(f.plus_mask, f.minus_mask, zero_ok, ts.spin.mask).items():
+            if w:
+                add_to(out, (pm, mm, zero_ok, mask), c if w == 1 else -c if w == -1 else c * w)
+    return out
 
 
 def _apply_table(words_of, scale: Scalar, n: int, v: Vec) -> Vec:
     """``scale`` times the word sum ``words_of(n)``, extended linearly to ``v``.
 
-    Each input state collects its images as integer weights on masks, so
-    terms that cancel never reach a scalar; the scale multiplies each
-    output coefficient once, at the end, and states are built only for
-    the images that survive.
+    The scale multiplies each output coefficient once, at the end, and
+    states are built only for the images that survive.
     """
-    table = _word_table(words_of, n)
-    out: dict = {}
-    for ts, c in v.terms.items():
-        f = ts.fock
-        zero_ok, spin = f.zero_ok, ts.spin.mask
-        images: dict = {}
-        for fock_word, words in table:
-            t = _rhat_word(fock_word, f.plus_mask, f.minus_mask, zero_ok)
-            if t is not None:
-                for w, spin_word in words:
-                    u = _unit_word(spin_word, spin)
-                    if u is not None:
-                        key = (t[1], t[2], zero_ok, u[1])
-                        images[key] = images.get(key, 0) + (-w if (t[0] + u[0]) & 1 else w)
-        for key, w in images.items():
-            if w:
-                add_to(out, key, c if w == 1 else -c if w == -1 else c * w)
+    out = _collect(v, partial(_images, _word_table(words_of, n)))
     return _vec(
         {_tensor_state(_fock_state(pm, mm, z), _spin_state(mask)): c * scale for (pm, mm, z, mask), c in out.items()}
     )
@@ -406,7 +475,9 @@ def _hk_words(n: int):
                 yield -w, fock_word, (b, a)
 
 
-# the right-hand sides of 4 D_(N)^2, as functions of (n, v)
+# the right-hand sides of 4 D_(N)^2: their word sums (scale 1/2), and as
+# vectors, functions of (n, v), which only the oracle tests build
+_SQUARE_WORDS = {"raw": _raw_words, "hk": _hk_words}
 _square_rhs_raw = partial(_apply_table, _raw_words, HALF)
 _square_rhs_hk = partial(_apply_table, _hk_words, HALF)
 
@@ -422,6 +493,30 @@ def invariance_residual(v: Vec, cutoff: int) -> Scalar:
     return best
 
 
+def _square_residual(n: int, words_of, v: Vec) -> Scalar:
+    """max coefficient of 4 D_(N)^2 v - 1/2 words_of(n) v, in integers.
+
+    D_(N) is sqrt(2)/2 times the integer word sum W_D, so 4 D_(N)^2 -
+    1/2 W_R = 1/2 (4 W_D W_D - W_R).  The bracket is composed per input
+    state on mask keys as integer weights, and the largest coefficient is
+    halved at the end, which keeps the order on Q(sqrt2).
+    """
+    d_table = _word_table(_dirac_words, n)
+    rhs_table = _word_table(words_of, n)
+
+    def bracket(pm: int, mm: int, zero_ok: bool, spin: int) -> dict:
+        acc: dict = {}
+        for (pm1, mm1, spin1), w1 in _images(d_table, pm, mm, zero_ok, spin).items():
+            if w1:
+                for key, w2 in _images(d_table, pm1, mm1, zero_ok, spin1).items():
+                    acc[key] = acc.get(key, 0) + 4 * w1 * w2
+        for key, w in _images(rhs_table, pm, mm, zero_ok, spin).items():
+            acc[key] = acc.get(key, 0) - w
+        return acc
+
+    return HALF * max(map(abs, _collect(v, bracket).values()), default=ZERO)
+
+
 def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:
     """max coefficient residual between 4 D_(N)^2 v and the named form.
 
@@ -431,24 +526,20 @@ def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:
                 invariant sector only (checked, error otherwise); the
                 exact square (no cut-off) is required to agree as well.
     """
-    lhs = dirac_cutoff_apply(n, dirac_cutoff_apply(n, v)).scaled(4)
-    if form == "raw":
-        rhs = _square_rhs_raw(n, v)
-    elif form == "hk":
-        rhs = _square_rhs_hk(n, v)
-    elif form == "final":
-        bound = max((ts.bound() for ts in v.terms), default=0)
-        if invariance_residual(v, max(n, bound) + 1):
-            raise ValueError("final form needs an invariant vector")
-        g = _cas.CasimirVariant(_cas.G_REN_N, n)
-        rhs = _factor_sum(v, partial(_cas.casimir_apply, g), partial(fermion_number_cutoff_apply, n))
-        exact = dirac_apply(dirac_apply(v)).scaled(4)
-        r2 = (exact - rhs).max_abs()
-        r1 = (lhs - rhs).max_abs()
-        return r1 if r2 < r1 else r2
-    else:
+    if form in _SQUARE_WORDS:
+        return _square_residual(n, _SQUARE_WORDS[form], v)
+    if form != "final":
         raise ValueError(f"unknown square form {form!r}")
-    return (lhs - rhs).max_abs()
+    bound = max((ts.bound() for ts in v.terms), default=0)
+    if invariance_residual(v, max(n, bound) + 1):
+        raise ValueError("final form needs an invariant vector")
+    g = _cas.CasimirVariant(_cas.G_REN_N, n)
+    rhs = _factor_sum(v, partial(_cas.casimir_apply, g), partial(fermion_number_cutoff_apply, n))
+    lhs = dirac_cutoff_apply(n, dirac_cutoff_apply(n, v)).scaled(4)
+    exact = dirac_apply(dirac_apply(v)).scaled(4)
+    r1 = (lhs - rhs).max_abs()
+    r2 = (exact - rhs).max_abs()
+    return r1 if r2 < r1 else r2
 
 
 def spectrum_report(n: int, degree_bound: int) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .casimir import CasimirVariant
 from .dirac import TensorState
 from .fock import FockState
 from .linalg import Vec
@@ -76,17 +75,6 @@ def vec_to_json(v: Vec) -> list:
     return [
         {"state": _state_to_json(k), "coeff": scalar_to_json(c)} for k, c in v.items()
     ]
-
-
-def variant_to_json(variant: CasimirVariant) -> dict:
-    out: dict = {"tag": variant.tag}
-    if variant.n is not None:
-        out["N"] = variant.n
-    return out
-
-
-def variant_from_json(d: dict) -> CasimirVariant:
-    return CasimirVariant(d["tag"], d.get("N"))
 
 
 def dumps(payload: dict) -> str:

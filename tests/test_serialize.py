@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from gdirac.casimir import NORMAL_N, CasimirVariant
 from gdirac.dirac import TensorState
 from gdirac.fock import FockState
 from gdirac.linalg import Vec
@@ -21,8 +20,6 @@ from gdirac.serialize import (
     spin_state_to_json,
     tensor_state_from_json,
     tensor_state_to_json,
-    variant_from_json,
-    variant_to_json,
     vec_to_json,
 )
 from gdirac.spinor import SpinState
@@ -62,13 +59,6 @@ def test_vec_encoding_sorted():
     out = vec_to_json(v)
     assert out[0]["state"] == {"plus": [1], "minus": []}
     assert out[1]["coeff"] == {"a": "2/1", "b": "0/1"}
-
-
-def test_variant_roundtrip():
-    var = CasimirVariant(NORMAL_N, 4)
-    d = variant_to_json(var)
-    assert d == {"tag": "normal_N", "N": 4}
-    assert variant_from_json(d) == var
 
 
 def test_dumps_deterministic():

@@ -1,6 +1,6 @@
 """JSON round trips on random inputs: scalars, Fock states on both
-lattices, spin and tensor states, seeded vectors and every Casimir tag,
-each also through the rendered text of ``dumps``."""
+lattices, spin and tensor states and seeded vectors, each also through
+the rendered text of ``dumps``."""
 
 import json
 
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_state_props import fock_states, spin_states, tensor_states
 
-from gdirac.casimir import G_LIMIT, G_REN_N, LIMIT, NAIVE_N, NORMAL_N, CasimirVariant
 from gdirac.linalg import Vec
 from gdirac.sampling import SPACES, random_vector
 from gdirac.scalar import Scalar
@@ -26,8 +25,6 @@ from gdirac.serialize import (
     spin_state_to_json,
     tensor_state_from_json,
     tensor_state_to_json,
-    variant_from_json,
-    variant_to_json,
     vec_to_json,
 )
 
@@ -87,11 +84,3 @@ def test_vec_roundtrip(space, seed, bound, terms, x):
     assert len(decoded) == len(out)
     assert Vec(decoded) == v
 
-
-@EXAMPLES
-@given(st.sampled_from((NAIVE_N, NORMAL_N, LIMIT, G_REN_N, G_LIMIT)), st.integers(0, 64), st.booleans())
-def test_variant_roundtrip_every_tag(tag, n, windowed):
-    var = CasimirVariant(tag, n if windowed or tag not in (LIMIT, G_LIMIT) else None)
-    d = variant_to_json(var)
-    assert set(d) == ({"tag", "N"} if var.n is not None else {"tag"})
-    assert variant_from_json(_through_text(d)) == var
