@@ -12,6 +12,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import dirac as dr
 from . import fock as fk
@@ -84,8 +85,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write(cfg: RunConfig, payload: dict, header: list[str], rows: list[list]) -> None:
-    """Emit ``payload`` as a JSON report, or ``rows`` under ``header`` as CSV."""
+def _write(cfg: RunConfig, payload: dict, header: list[str], rows: Iterable[list]) -> None:
+    """Emit ``payload`` as a JSON report, or ``rows`` under ``header`` as
+    CSV; ``rows`` is read only for CSV."""
     if cfg.fmt == "json":
         text = dumps({"schema": SCHEMA, **payload})
     else:
@@ -145,24 +147,15 @@ def cmd_verify(args) -> int:
 
 def block_work(trunc: int, degree: int) -> int:
     """Closed-form work of one pass over the invariant blocks (M, k),
-    M, k <= degree, at truncation ``trunc``.
+    M, k <= degree, at truncation ``trunc``: one weight-zero generator
+    call per block, and the 2 (trunc + 1)^2 constraint operators met by
+    the vacuum, the only weight-zero column (``dirac._block_states``).
 
-    The weight-zero generator visits C(trunc, M)^2 Fock states per block,
-    and the vacuum, the only weight-zero column, meets 2 (trunc + 1)^2
-    constraint operators.  A degree past trunc stops the pass at the block
-    (0, trunc + 1).  The sum stops once it passes ``MAX_WORK``, so a huge
-    trunc costs no huge binomial.
+    A degree past trunc is refused here, before any block is built.
     """
-    work = 2 * (trunc + 1) ** 2
     if degree > trunc:
-        return work + trunc + 1
-    c = 1  # C(trunc, M)
-    for m in range(degree + 1):
-        work += (degree + 1) * c * c
-        if work > MAX_WORK:
-            break
-        c = c * (trunc - m) // (m + 1)
-    return work
+        raise UsageError("truncation too small for the requested block")
+    return (degree + 1) ** 2 + 2 * (trunc + 1) ** 2
 
 
 def verify_work(name: str, cfg: RunConfig) -> int:
@@ -175,6 +168,9 @@ def verify_work(name: str, cfg: RunConfig) -> int:
     grows with K and is past ``MAX_WORK`` at K = 21, so a larger K is
     refused without building a huge power.
     """
+    if name == "kernel":
+        # the spectrum pass, two more windows and the diagonal Casimir
+        return 4 * block_work(cfg.trunc, cfg.degree)
     k, n = cfg.max_index, cfg.trunc + 1
     fock, spin = (dump_basis_size(space, min(k, MAX_WORK.bit_length())) for space in ("fock", "spin"))
     return {
@@ -199,8 +195,6 @@ def verify_work(name: str, cfg: RunConfig) -> int:
         "square-hk": 40 * n**4,
         # cut-off fermion number: 2N K-sums x N terms on N^2-bit spin masks
         "square-final": 2 * n**3,
-        # the spectrum pass, two more windows and the diagonal Casimir
-        "kernel": 4 * block_work(cfg.trunc, cfg.degree),
     }[name]
 
 
@@ -217,7 +211,7 @@ def cmd_spectrum(args) -> int:
     cfg = _config_of(args)
     _check_work(f"spectrum at --trunc {cfg.trunc} --degree {cfg.degree}", block_work(cfg.trunc, cfg.degree))
     report = dr.spectrum_report(cfg.trunc, cfg.degree)
-    _write(cfg, report, _BLOCK_COLUMNS, [[b[c] for c in _BLOCK_COLUMNS] for b in report["blocks"]])
+    _write(cfg, report, _BLOCK_COLUMNS, ([b[c] for c in _BLOCK_COLUMNS] for b in report["blocks"]))
     return 0
 
 
@@ -237,7 +231,7 @@ def cmd_invariants(args) -> int:
                     "basis": [vec_to_json(v) for v in blk.basis],
                 }
             )
-    _write(cfg, {"trunc": cfg.trunc, "blocks": blocks}, _BLOCK_COLUMNS, [[b[c] for c in _BLOCK_COLUMNS] for b in blocks])
+    _write(cfg, {"trunc": cfg.trunc, "blocks": blocks}, _BLOCK_COLUMNS, ([b[c] for c in _BLOCK_COLUMNS] for b in blocks))
     return 0
 
 

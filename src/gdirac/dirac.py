@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations
-from typing import Iterator
 
 from . import casimir as _cas
 from .fock import FockState, _fock_state, _rhat_word, fock_basis, half_sign, rhat_state, window_pairs
@@ -302,64 +300,32 @@ class InvariantBlock:
         return Fraction(self.pairs + self.spin_length, 2)
 
 
-def _mode_sets(rows: list[tuple[int, int]], cols: dict[int, int]) -> Iterator[tuple]:
-    """Ascending mode tuples with ``count`` modes (m, .) for each
-    ``(m, count)`` in ``rows`` (ascending in m), ``cols[l]`` modes (., l)
-    for each l in ``cols``, and no other: the 0/1 matrices with these
-    row and column sums.  A negative sum admits no matrix.
-    """
-    if not rows:
-        if not any(cols.values()):
-            yield ()
-        return
-    (m, count), rest = rows[0], rows[1:]
-    if count < 0:
-        return
-    for chosen in combinations([l for l in sorted(cols) if cols[l] > 0], count):
-        left = dict(cols)
-        for l in chosen:
-            left[l] -= 1
-        head = tuple((m, l) for l in chosen)
-        for tail in _mode_sets(rest, left):
-            yield head + tail
-
-
 def _block_states(n: int, pairs: int, spin_length: int) -> list[TensorState]:
     """The weight-zero states of the (pairs, spin_length) block at
-    truncation n, in basis order.
+    truncation n: the vacuum for (0, 0), and none for any other block.
 
-    A mode (m, l) weighs +1 at m and -1 at l, so the spin factors of
-    weight -w(f) over a Fock state f (``rho_weight``) have -w_f(m) modes
-    (m, .) and w_f(l) modes (., l) at every index of the support of w_f,
-    and none elsewhere.  Those are the 0/1 matrices with these margins,
-    enumerated per Fock state at a cost set by its degree, not by n.
+    This is the weight lemma.  Every Fock and spin contribution to
+    ``rho_weight`` at an index i has the sign of i: an occupied i > 0 and
+    a mode (i, .) count +1, an occupied i < 0 and a mode (., i) count -1.
+    The weights therefore cancel only where nothing is occupied, at every
+    truncation.  The polarization behind it is that of Pressley and
+    Segal, *Loop Groups* (1986).
     """
-    out = []
-    for plus in combinations(range(1, n + 1), pairs):
-        for minus in combinations(range(-n, 0), pairs):
-            # w_f is +1 on plus and -1 on minus
-            margins = _mode_sets([(m, -1) for m in plus], dict.fromkeys(minus, -1))
-            spins = [modes for modes in margins if len(modes) == spin_length]
-            if spins:
-                f = FockState(plus, minus)
-                out += [TensorState(f, SpinState(modes)) for modes in spins]
-    return out
+    if pairs or spin_length:
+        return []
+    return [TensorState(FockState(), SpinState())]
 
 
 def _invariant_nullspace(n: int, pairs: int, spin_length: int, cutoff: int) -> list[Vec]:
     """Exact kernel of rho(E_pq) over all same-sign (p, q) in the window
     |p|, |q| <= cutoff, diagonal included, on the (pairs, spin_length) block.
 
-    Only the block states of weight zero (``rho_weight``) are columns;
-    ``_block_states`` generates them and no other.
-    This is exact: every nonzero weight of a block state sits at an index
-    |i| <= n, inside the window, and the diagonal row of rho(E_ii) at a
-    state of weight w_i != 0 holds that one column alone, with entry w_i.
-    So every kernel vector vanishes on the states of nonzero weight, each
-    of them is a pivot of the reduced echelon form of the full matrix,
-    the kernels of the full and the restricted matrix coincide, and so do
-    their free columns and the returned basis.  Every constraint row that
-    meets a remaining column is still built and eliminated.
+    Only the block states of weight zero are columns: by the weight lemma
+    (``_block_states``) the vacuum for (0, 0), and none otherwise.  This
+    is exact: every other block state has a weight w_i != 0 at some
+    |i| <= n, inside the window, where the diagonal row of rho(E_ii)
+    holds its column alone and forces its coefficient to 0.  Every
+    constraint row on the remaining column is still built and eliminated.
     """
     cols = _block_states(n, pairs, spin_length)
     if not cols:

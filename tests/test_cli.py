@@ -175,42 +175,63 @@ def test_dump_op_oversized_basis_exit_two(capsys, descriptor, max_index, shown):
 
 
 def test_block_work_counts_one_pass(monkeypatch):
-    # the generator calls _mode_sets once per Fock state it visits (the
-    # margins of a charge-0 block never recurse), and the constraint
-    # matrix calls rho_apply once per (column, operator)
-    calls = {"fock": 0, "rho": 0}
-    mode_sets, rho_apply = dirac._mode_sets, dirac.rho_apply
+    # one weight-zero generator call per block, and one rho_apply per
+    # (column, constraint operator)
+    calls = {"blocks": 0, "rho": 0}
+    block_states, rho_apply = dirac._block_states, dirac.rho_apply
 
-    def counted_mode_sets(rows, cols):
-        calls["fock"] += 1
-        return mode_sets(rows, cols)
+    def counted_block_states(n, pairs, spin_length):
+        calls["blocks"] += 1
+        return block_states(n, pairs, spin_length)
 
     def counted_rho(p, q, v):
         calls["rho"] += 1
         return rho_apply(p, q, v)
 
-    monkeypatch.setattr(dirac, "_mode_sets", counted_mode_sets)
+    monkeypatch.setattr(dirac, "_block_states", counted_block_states)
     monkeypatch.setattr(dirac, "rho_apply", counted_rho)
     for trunc in range(1, 5):
-        for degree in range(trunc + 2):
-            calls.update(fock=0, rho=0)
-            try:
-                dirac.spectrum_report(trunc, degree)
-            except ValueError:
-                assert degree > trunc
-            assert block_work(trunc, degree) == calls["fock"] + calls["rho"], (trunc, degree)
+        for degree in range(trunc + 1):
+            calls.update(blocks=0, rho=0)
+            dirac.spectrum_report(trunc, degree)
+            assert block_work(trunc, degree) == calls["blocks"] + calls["rho"], (trunc, degree)
 
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--trunc", "1000000"],
     ["invariants", "--trunc", "1000000"],
     ["verify", "kernel", "--trunc", "1000000"],
-    ["spectrum", "--trunc", "40", "--degree", "2"],
+    ["spectrum", "--trunc", "724", "--degree", "2"],
 ])
 def test_trunc_past_the_block_work_limit_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert str(MAX_WORK) in err and "needs at least" in err
+
+
+def test_block_work_caps():
+    # the largest --trunc accepted at degree 2 and at degree = trunc, for
+    # spectrum / invariants and for verify kernel (four passes)
+    assert block_work(723, 2) <= MAX_WORK < block_work(724, 2)
+    assert block_work(590, 590) <= MAX_WORK < block_work(591, 591)
+
+    def kernel(trunc, degree):
+        return verify_work("kernel", RunConfig(trunc=trunc, degree=degree))
+
+    assert kernel(361, 2) <= MAX_WORK < kernel(362, 2)
+    assert kernel(294, 294) <= MAX_WORK < kernel(295, 295)
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["invariants"], ["verify", "kernel"]])
+def test_degree_past_trunc_exits_two_before_any_block(capsys, monkeypatch, argv):
+    def never(*_):
+        raise AssertionError("built before the check")
+
+    monkeypatch.setattr(dirac, "_block_states", never)
+    monkeypatch.setattr(dirac, "rho_apply", never)
+    code, out, err = run_cli(capsys, *argv, "--trunc", "3", "--degree", "4")
+    assert code == 2 and out == ""
+    assert err == "error: truncation too small for the requested block\n"
 
 
 def test_trunc_cap_counts_only_the_generated_states(capsys):

@@ -1,7 +1,6 @@
 """The Dirac-type operator, its square, the invariant sector."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -10,7 +9,6 @@ from gdirac.dirac import (
     TensorState,
     _block_states,
     _invariant_nullspace,
-    _mode_sets,
     constraint_window_robust,
     diagonal_casimir_apply,
     dirac_apply,
@@ -142,22 +140,6 @@ def test_block_generator_yields_the_weight_zero_states(n):
         for k in range(3):
             want = [t for t in _full_block_states(n, pairs, k) if not rho_weight(t)]
             assert _block_states(n, pairs, k) == want, (n, pairs, k)
-
-
-def test_mode_sets_are_the_margin_matrices():
-    # brute force over all mode sets of a 3 x 3 grid, margins chosen so
-    # that several matrices share them
-    grid = [(m, l) for m in (1, 2, 3) for l in (-3, -2, -1)]
-    for rows, cols in [((1, 1, 0), (1, 0, 1)), ((2, 1, 1), (1, 1, 2)), ((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0))]:
-        want = []
-        for size in range(len(grid) + 1):
-            for modes in combinations(grid, size):
-                if all(sum(1 for a, _ in modes if a == m) == r for m, r in zip((1, 2, 3), rows)) and all(
-                    sum(1 for _, b in modes if b == l) == c for l, c in zip((-3, -2, -1), cols)
-                ):
-                    want.append(modes)
-        got = list(_mode_sets(list(zip((1, 2, 3), rows)), dict(zip((-3, -2, -1), cols))))
-        assert got == sorted(want), (rows, cols)
 
 
 def test_rho_weight_is_the_diagonal_of_rho():

@@ -1,12 +1,13 @@
 """Random states at bounds up to 40: the bitmask state maps against the
-tuple-based oracles of ``test_state_maps``; random tensor states: the
-weight ``rho_weight`` against the diagonal of ``rho_apply``."""
+tuple-based oracles of ``test_state_maps``, and the weight lemma; random
+tensor states: the weight ``rho_weight`` against the diagonal of
+``rho_apply``."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_state_maps import (
     _check_fock_maps,
@@ -101,3 +102,14 @@ def test_rho_weight_is_the_diagonal_of_rho_on_random_states(ts):
     w = rho_weight(ts)
     for i in window(3):
         assert rho_apply(i, i, v) == v.scaled(w.get(i, 0)), (ts, i)
+
+
+@EXAMPLES
+@given(fock_states(), spin_states())
+@example((FockState(), 1), (SpinState(), 1))
+def test_only_the_vacua_have_weight_zero(drawn_fock, drawn_spin):
+    # the weight lemma behind ``dirac._block_states``, on both lattices
+    # and at any charge
+    (f, _), (s, _) = drawn_fock, drawn_spin
+    vacua = f == FockState.vacuum(f.zero_ok) and s == SpinState.vacuum()
+    assert (not rho_weight(TensorState(f, s))) == vacua, (f, s)
