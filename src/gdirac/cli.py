@@ -169,8 +169,11 @@ def verify_work(name: str, cfg: RunConfig) -> int:
     refused without building a huge power.
     """
     if name == "kernel":
-        # the spectrum pass, two more windows and the diagonal Casimir
-        return 4 * block_work(cfg.trunc, cfg.degree)
+        # three passes at window T+1 (the spectrum, the first window of
+        # the robustness check, the invariant bases again), its second
+        # window T+2, and 4 (T+1)^2 rho calls of the diagonal Casimir
+        t, d = cfg.trunc, cfg.degree
+        return 3 * block_work(t, d) + (d + 1) ** 2 + 2 * (t + 2) ** 2 + 4 * (t + 1) ** 2
     k, n = cfg.max_index, cfg.trunc + 1
     fock, spin = (dump_basis_size(space, min(k, MAX_WORK.bit_length())) for space in ("fock", "spin"))
     return {

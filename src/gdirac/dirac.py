@@ -13,13 +13,16 @@ diagonal-invariant sector, equals 1/4 (renormalized Casimir (x) 1 +
 
 The cut-off operator D_N and the ``raw`` and ``hk`` forms of 4 D_N^2 are
 literal window sums of words E_pq... (x) u_ab..., with u = gamma/sqrt(2)
-and integer weights.  Each is compiled once per N into a word table that
-files every word under the one input bit it needs set, and one kernel
-(``_images``) maps a basis state through a table to integer weights on
-occupation masks, visiting only the words whose bit the state has.
-``_apply_table`` scales those images into a vector; the ``raw`` and
+and integer weights.  Each is built once per N into a word table that
+files every word under the one input bit it needs set; the words of a bit
+are compiled to integer-mask steps the first time a state has it.  One
+kernel (``_images``) maps a basis state through a table to integer
+weights on occupation masks, visiting only the words whose bit the state
+has.  ``_apply_table`` scales those images into a vector; the ``raw`` and
 ``hk`` residuals compose them directly, 4 W_D W_D - W_R in integers per
-input state, and scale once at the end.
+input state, and scale once at the end.  The exact D (``dirac_apply``)
+uses no table: it walks the occupied pairs and modes of each state on
+its masks, and is the oracle the cut-off tables are compared against.
 """
 
 from __future__ import annotations
@@ -29,17 +32,17 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import casimir as _cas
-from .fock import FockState, _fock_state, _rhat_word, fock_basis, half_sign, rhat_state, window_pairs
+from .fock import FockState, _fock_state, _rhat, _rhat_step, fock_basis, half_sign, rhat_state, window_pairs
 from .linalg import ExactMatrix, Vec, _vec, add_to, spans_equal, vec_sum
 from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
 from .spinor import (
     SpinState,
     _mode_bit,
+    _mode_masks,
     _spin_state,
-    _unit_word,
+    _unit,
     fermion_number_apply,
     fermion_number_cutoff_apply,
-    gamma_unit_state,
     k_pairs,
     ktilde_state_terms,
     spin_basis,
@@ -104,20 +107,29 @@ def _tensor_state(fock: FockState, spin: SpinState) -> TensorState:
     return s
 
 
+def _tensor_vec(out: dict, scale: Scalar) -> Vec:
+    """``scale`` times the scalars on mask keys ``(pm, mm, zero_ok, spin)``,
+    as a vector; states are built only for the keys that survive."""
+    return _vec(
+        {_tensor_state(_fock_state(pm, mm, z), _spin_state(mask)): c * scale for (pm, mm, z, mask), c in out.items()}
+    )
+
+
 def dirac_apply(v: Vec) -> Vec:
     """Exact Dirac action: the annihilating factors bound every sum."""
     out: dict = {}
     for ts, c in v.terms.items():
         f, spin = ts.fock, ts.spin
+        pm, mm, zero_ok, mask = f.plus_mask, f.minus_mask, f.zero_ok, spin.mask
         # pair annihilation in Fock, mode creation in spin: E_{p,q} over
         # occupied q > 0 > p; pair creation in Fock, mode annihilation in
         # spin: E_{m,l} over occupied modes (m, l)
         for p, q in [(p, q) for q in f.plus for p in f.minus] + list(spin.modes):
-            t = gamma_unit_state(q, p, spin)
-            u = t and rhat_state(p, q, f)
+            t = _unit(q, p, mask)
+            u = t and _rhat(p, q, pm, mm, zero_ok)
             if u:
-                add_to(out, _tensor_state(u[1], t[1]), c if t[0] * u[0] > 0 else -c)
-    return _vec(out).scaled(HALF_SQRT2)
+                add_to(out, (u[1], u[2], zero_ok, t[1]), -c if (t[0] + u[0]) & 1 else c)
+    return _tensor_vec(out, HALF_SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +142,18 @@ def dirac_apply(v: Vec) -> Vec:
 # the word vanishes on every state that lacks the bit this factor needs
 # (``_trigger``).  A table files each word once, under that trigger bit, or
 # in one "always" group when it has none, and collects the words of a
-# group by Fock word.  The kernel (``_images``) visits the always group
-# and the groups of the bits set on the input state, evaluates each Fock
-# word there once on the occupation masks, and its spin words only where
-# it does not vanish.  Images are integer weights on mask keys, so terms
-# that cancel never reach a scalar; the square residuals compose these
-# weights directly and scale once, at the end.
+# group by Fock word.  A group is compiled when the kernel first visits its
+# bit: the Fock word becomes one affine step on the occupation masks
+# (``fock._rhat_step``: required bits and values, parity masks, a constant
+# parity and flip masks), and each spin word its required mode bits and
+# values and its units (m, l, bit), whose parities stay symbolic because
+# they depend on the width of the mask.  Words that can never act are
+# dropped then.  The kernel (``_images``) visits the always group and the
+# groups of the bits set on the input state; a Fock step costs two mask
+# tests, two popcounts and two XORs, with no call, and its spin words are
+# tested only where it acts.  Images are integer weights on mask keys, so
+# terms that cancel never reach a scalar; the square residuals compose
+# these weights directly and scale once, at the end.
 
 
 def _trigger(fock_word, spin_word):
@@ -161,8 +179,57 @@ def _trigger(fock_word, spin_word):
     return None
 
 
-@lru_cache(maxsize=48)
-def _word_table(words_of, n: int) -> tuple:
+def _spin_step(spin_word):
+    """A spin word compiled to ``(req, val, units)``: it acts on a grid
+    mask s when s & req == val, and ``units`` lists ``(m, l, bit)`` for
+    its factors in acting order, whose parities stay symbolic (they need
+    the width of the mask).  None when the word vanishes on every mask."""
+    req = val = flips = 0
+    units = []
+    for a, b in reversed(spin_word):
+        m, l = (a, b) if a > 0 else (b, a)
+        bit = 1 << _mode_bit(m, l)
+        # u_ab creates the mode (a, b) when a > 0, else removes (b, a)
+        need = (0 if a > 0 else bit) ^ (flips & bit)
+        if req & bit and val & bit != need:
+            return None
+        req |= bit
+        val |= need
+        flips ^= bit
+        units.append((m, l, bit))
+    return req, val, tuple(units)
+
+
+def _compiled(groups) -> tuple:
+    """Raw groups ``((fock_word, ((weight, spin_word), ...)), ...)``
+    compiled to ``(*fock_step, ((weight, *spin_step), ...))``, without
+    the words that vanish on every state."""
+    out = []
+    for fock_word, words in groups:
+        step = _rhat_step(fock_word)
+        if step is not None:
+            spins = tuple((w, *t) for w, spin_word in words if (t := _spin_step(spin_word)) is not None)
+            if spins:
+                out.append((*step, spins))
+    return tuple(out)
+
+
+class _Bucket(dict):
+    """The compiled groups of one trigger kind, by position; the raw
+    groups of a position are compiled on its first lookup."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: dict):
+        super().__init__()
+        self.raw = raw
+
+    def __missing__(self, position: int) -> tuple:
+        groups = self[position] = _compiled(self.raw.pop(position, ()))
+        return groups
+
+
+def _raw_table(words_of, n: int) -> tuple:
     """The words ``(weight, fock_word, spin_word)`` of ``words_of(n)``,
     indexed by trigger: ``(always, by_plus, by_minus, by_mode)``, where
     ``always`` and each value of the three ``position -> groups`` maps
@@ -184,40 +251,53 @@ def _word_table(words_of, n: int) -> tuple:
     return (frozen(always), *({pos: frozen(g) for pos, g in b.items()} for b in buckets))
 
 
-def _images(table, pm: int, mm: int, zero_ok: bool, spin: int) -> dict:
+@lru_cache(maxsize=48)
+def _word_table(words_of, n: int) -> tuple:
+    """``_raw_table`` with its groups compiled: the always group at once,
+    and the groups of each trigger position in a ``_Bucket``, on the
+    first visit of that position."""
+    always, *buckets = _raw_table(words_of, n)
+    return (_compiled(always), *map(_Bucket, buckets))
+
+
+def _images(table, pm: int, mm: int, spin: int) -> dict:
     """The images of one basis state under a table's word sum: integer
     weights, some of them 0, on mask keys ``(pm, mm, spin)``."""
     always, *buckets = table
     visit = [always]
-    for bits, by_position in zip((pm, mm, spin), buckets):
+    for bits, bucket in zip((pm, mm, spin), buckets):
         while bits:
             low = bits & -bits
-            groups = by_position.get(low.bit_length() - 1)
+            groups = bucket[low.bit_length() - 1]
             if groups:
                 visit.append(groups)
             bits ^= low
     images: dict = {}
     for groups in visit:
-        for fock_word, words in groups:
-            t = _rhat_word(fock_word, pm, mm, zero_ok)
-            if t is not None:
-                for w, spin_word in words:
-                    u = _unit_word(spin_word, spin)
-                    if u is not None:
-                        key = (t[1], t[2], u[1])
-                        images[key] = images.get(key, 0) + (-w if (t[0] + u[0]) & 1 else w)
+        for rp, vp, rm, vm, xp, xm, odd, fp, fm, words in groups:
+            if pm & rp == vp and mm & rm == vm:
+                odd += (pm & xp).bit_count() + (mm & xm).bit_count()
+                pm1, mm1 = pm ^ fp, mm ^ fm
+                for w, req, val, units in words:
+                    if spin & req == val:
+                        s, crossings = spin, odd
+                        for m, l, bit in units:
+                            crossings += (s & _mode_masks(m, l, s.bit_length())[1]).bit_count()
+                            s ^= bit
+                        key = (pm1, mm1, s)
+                        images[key] = images.get(key, 0) + (-w if crossings & 1 else w)
     return images
 
 
 def _collect(v: Vec, images) -> dict:
     """The sum of c * images(s) over the terms c s of ``v``, as scalars on
-    mask keys ``(pm, mm, zero_ok, spin)``; ``images`` maps the masks of one
-    basis state to integer weights."""
+    mask keys ``(pm, mm, zero_ok, spin)``; ``images`` maps the masks
+    ``(pm, mm, spin)`` of one basis state to integer weights."""
     out: dict = {}
     for ts, c in v.terms.items():
         f = ts.fock
         zero_ok = f.zero_ok
-        for (pm, mm, mask), w in images(f.plus_mask, f.minus_mask, zero_ok, ts.spin.mask).items():
+        for (pm, mm, mask), w in images(f.plus_mask, f.minus_mask, ts.spin.mask).items():
             if w:
                 add_to(out, (pm, mm, zero_ok, mask), c if w == 1 else -c if w == -1 else c * w)
     return out
@@ -229,10 +309,7 @@ def _apply_table(words_of, scale: Scalar, n: int, v: Vec) -> Vec:
     The scale multiplies each output coefficient once, at the end, and
     states are built only for the images that survive.
     """
-    out = _collect(v, partial(_images, _word_table(words_of, n)))
-    return _vec(
-        {_tensor_state(_fock_state(pm, mm, z), _spin_state(mask)): c * scale for (pm, mm, z, mask), c in out.items()}
-    )
+    return _tensor_vec(_collect(v, partial(_images, _word_table(words_of, n))), scale)
 
 
 def _dirac_words(n: int):
@@ -333,10 +410,11 @@ def _invariant_nullspace(n: int, pairs: int, spin_length: int, cutoff: int) -> l
     ops = window_pairs(cutoff, 1)
     rows: dict[tuple, dict[int, Scalar]] = {}
     for ci, ts in enumerate(cols):
+        col = Vec.basis(ts)
         for op_i, (p, q) in enumerate(ops):
             # the image of one column has distinct states, so each row
             # gets at most one entry per column
-            for state, coeff in rho_apply(p, q, Vec.basis(ts)).terms.items():
+            for state, coeff in rho_apply(p, q, col).terms.items():
                 rows.setdefault((op_i, state), {})[ci] = coeff
     matrix = ExactMatrix(list(rows.values()), len(cols))
     basis = []
@@ -470,13 +548,13 @@ def _square_residual(n: int, words_of, v: Vec) -> Scalar:
     d_table = _word_table(_dirac_words, n)
     rhs_table = _word_table(words_of, n)
 
-    def bracket(pm: int, mm: int, zero_ok: bool, spin: int) -> dict:
+    def bracket(pm: int, mm: int, spin: int) -> dict:
         acc: dict = {}
-        for (pm1, mm1, spin1), w1 in _images(d_table, pm, mm, zero_ok, spin).items():
+        for (pm1, mm1, spin1), w1 in _images(d_table, pm, mm, spin).items():
             if w1:
-                for key, w2 in _images(d_table, pm1, mm1, zero_ok, spin1).items():
+                for key, w2 in _images(d_table, pm1, mm1, spin1).items():
                     acc[key] = acc.get(key, 0) + 4 * w1 * w2
-        for key, w in _images(rhs_table, pm, mm, zero_ok, spin).items():
+        for key, w in _images(rhs_table, pm, mm, spin).items():
             acc[key] = acc.get(key, 0) - w
         return acc
 

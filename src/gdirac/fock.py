@@ -284,6 +284,59 @@ def _rhat_word(word, pm: int, mm: int, zero_ok: bool):
     return odd, pm, mm
 
 
+# An affine step on occupation masks is the tuple
+#
+#     (rp, vp, rm, vm, xp, xm, odd, fp, fm)
+#
+# of a word that acts on (pm, mm) when pm & rp == vp and mm & rm == vm,
+# with crossings odd + #(pm & xp) + #(mm & xm), and sends the masks to
+# (pm ^ fp, mm ^ fm).  The parity masks xp, xm may be negative: -1 counts
+# every bit, so a step stays exact on masks of any width.
+_IDENTITY_STEP = (0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def _field_step(star: bool, k: int) -> tuple:
+    """psi*_k (``star``) or psi_k as an affine step, as ``_field``."""
+    if half_sign(k) > 0:
+        bit = 1 << k
+        return bit, 0 if star else bit, 0, 0, bit - 1, 0, 0, bit, 0
+    bit = 1 << (-1 - k)
+    return 0, 0, bit, bit if star else 0, -1, -(1 << -k), 0, 0, bit
+
+
+def _then(first: tuple, second: tuple):
+    """The step ``second`` after ``first``, or None when their
+    requirements conflict and the product vanishes on every state."""
+    rp1, vp1, rm1, vm1, xp1, xm1, odd1, fp1, fm1 = first
+    rp2, vp2, rm2, vm2, xp2, xm2, odd2, fp2, fm2 = second
+    # the later requirement is read on the masks the earlier flips made
+    vp2 ^= fp1 & rp2
+    vm2 ^= fm1 & rm2
+    if (vp1 ^ vp2) & rp1 & rp2 or (vm1 ^ vm2) & rm1 & rm2:
+        return None
+    odd = odd1 + odd2 + (fp1 & xp2).bit_count() + (fm1 & xm2).bit_count()
+    return rp1 | rp2, vp1 | vp2, rm1 | rm2, vm1 | vm2, xp1 ^ xp2, xm1 ^ xm2, odd & 1, fp1 ^ fp2, fm1 ^ fm2
+
+
+def _rhat_step(word):
+    """``_rhat_word`` compiled to one affine step, or None when the word
+    vanishes on every state.  Indices are never 0, so a step holds on
+    both lattices."""
+    step = _IDENTITY_STEP
+    for p, q in reversed(word):
+        if p == q and p < 0:
+            # psi*_p psi_p - 1: -1 on states occupied at p, else 0
+            bit = 1 << (-1 - p)
+            factors = ((0, 0, bit, bit, 0, 0, 1, 0, 0),)
+        else:
+            factors = (_field_step(False, q), _field_step(True, p))
+        for factor in factors:
+            step = _then(step, factor)
+            if step is None:
+                return None
+    return step
+
+
 def rhat_pair_state(p: int, q: int, state: FockState):
     """E_{p,q} E_{q,p} on a basis state, E_{q,p} acting first.
 

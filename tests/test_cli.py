@@ -174,9 +174,8 @@ def test_dump_op_oversized_basis_exit_two(capsys, descriptor, max_index, shown):
     assert str(MAX_DUMP_STATES) in err
 
 
-def test_block_work_counts_one_pass(monkeypatch):
-    # one weight-zero generator call per block, and one rho_apply per
-    # (column, constraint operator)
+def _count_block_steps(monkeypatch) -> dict:
+    """Count the weight-zero generator calls and the rho_apply calls."""
     calls = {"blocks": 0, "rho": 0}
     block_states, rho_apply = dirac._block_states, dirac.rho_apply
 
@@ -190,11 +189,31 @@ def test_block_work_counts_one_pass(monkeypatch):
 
     monkeypatch.setattr(dirac, "_block_states", counted_block_states)
     monkeypatch.setattr(dirac, "rho_apply", counted_rho)
+    return calls
+
+
+def test_block_work_counts_one_pass(monkeypatch):
+    # one weight-zero generator call per block, and one rho_apply per
+    # (column, constraint operator)
+    calls = _count_block_steps(monkeypatch)
     for trunc in range(1, 5):
         for degree in range(trunc + 1):
             calls.update(blocks=0, rho=0)
             dirac.spectrum_report(trunc, degree)
             assert block_work(trunc, degree) == calls["blocks"] + calls["rho"], (trunc, degree)
+
+
+def test_kernel_work_counts_every_pass(monkeypatch):
+    # the spectrum, both robustness windows, the invariant bases again and
+    # the diagonal Casimir on them: 10 (T+1)^2 + 2 (T+2)^2 rho_apply calls
+    calls = _count_block_steps(monkeypatch)
+    for trunc in range(1, 6):
+        for degree in range(trunc + 1):
+            calls.update(blocks=0, rho=0)
+            assert SUITES["kernel"](trunc=trunc, degree=degree)["failures"] == 0
+            assert calls["rho"] == 10 * (trunc + 1) ** 2 + 2 * (trunc + 2) ** 2
+            cfg = RunConfig(trunc=trunc, degree=degree)
+            assert verify_work("kernel", cfg) == calls["blocks"] + calls["rho"], (trunc, degree)
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,15 +230,15 @@ def test_trunc_past_the_block_work_limit_exits_two(capsys, argv):
 
 def test_block_work_caps():
     # the largest --trunc accepted at degree 2 and at degree = trunc, for
-    # spectrum / invariants and for verify kernel (four passes)
+    # spectrum / invariants and for verify kernel (every pass it makes)
     assert block_work(723, 2) <= MAX_WORK < block_work(724, 2)
     assert block_work(590, 590) <= MAX_WORK < block_work(591, 591)
 
     def kernel(trunc, degree):
         return verify_work("kernel", RunConfig(trunc=trunc, degree=degree))
 
-    assert kernel(361, 2) <= MAX_WORK < kernel(362, 2)
-    assert kernel(294, 294) <= MAX_WORK < kernel(295, 295)
+    assert kernel(294, 2) <= MAX_WORK < kernel(295, 2)
+    assert kernel(254, 254) <= MAX_WORK < kernel(255, 255)
 
 
 @pytest.mark.parametrize("argv", [["spectrum"], ["invariants"], ["verify", "kernel"]])

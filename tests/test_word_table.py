@@ -1,10 +1,14 @@
-"""The trigger index of the word tables, and the fused square residual.
+"""The trigger index of the word tables, its compiled steps, and the
+fused square residual.
 
 A table files each word under the one input bit its rightmost factor
 needs set (``dirac._trigger``), and the kernel visits only the buckets of
 the bits set on the input state.  That is sound when every word whose
 trigger bit is clear vanishes on the state, and then the indexed kernel
-must equal the flat sum over every word.  The ``raw`` and ``hk`` residuals
+must equal the flat sum over every word, also on states wider than the
+window.  A bucket is compiled on its first visit, each Fock word to one
+integer-mask step that must agree with ``fock._rhat_word``, the word
+evaluated factor by factor.  The ``raw`` and ``hk`` residuals
 compose the integer word sums directly; a perturbed table shows that they
 report a nonzero residual exactly as the vector subtraction would.
 """
@@ -13,21 +17,25 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdirac.dirac import (
     TensorState,
     _apply_table,
+    _compiled,
     _dirac_words,
     _hk_words,
+    _raw_table,
     _raw_words,
     _square_residual,
     _trigger,
     _word_table,
+    dirac_apply,
     dirac_cutoff_apply,
+    tensor_states,
 )
-from gdirac.fock import _fock_state, _rhat_word
+from gdirac.fock import _fock_state, _rhat_step, _rhat_word, window
 from gdirac.linalg import _vec, add_to
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
 from gdirac.spinor import _spin_state, _unit_word
@@ -49,6 +57,21 @@ def tensor_masks(draw):
     return sum(1 << p for p in plus), sum(1 << (-1 - l) for l in minus), zero_ok, spin
 
 
+@st.composite
+def wide_tensor_masks(draw):
+    """Masks of a tensor basis state of bound <= 7 = N + 3 at the largest
+    N drawn here, of any charge: wider than every window, with spin bits
+    past N^2."""
+    zero_ok = draw(st.booleans())
+    pm = draw(st.integers(0, (1 << 8) - 1)) & (-1 if zero_ok else -2)
+    mm = draw(st.integers(0, (1 << 7) - 1))
+    spin = draw(st.integers(0, (1 << 49) - 1))
+    return pm, mm, zero_ok, spin
+
+
+any_tensor_masks = st.one_of(tensor_masks(), wide_tensor_masks())
+
+
 def _state(masks) -> TensorState:
     pm, mm, zero_ok, spin = masks
     return TensorState(_fock_state(pm, mm, zero_ok), _spin_state(spin))
@@ -56,9 +79,9 @@ def _state(masks) -> TensorState:
 
 @st.composite
 def tensor_vectors(draw):
-    """Up to 4 distinct states from ``tensor_masks`` with nonzero Q(sqrt2)
-    coefficients."""
-    states = draw(st.lists(tensor_masks().map(_state), min_size=1, max_size=4, unique=True))
+    """Up to 4 distinct states from ``any_tensor_masks`` with nonzero
+    Q(sqrt2) coefficients."""
+    states = draw(st.lists(any_tensor_masks.map(_state), min_size=1, max_size=4, unique=True))
     coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda ab: Scalar(*ab))
     return _vec({s: draw(coeffs) for s in states})
 
@@ -78,7 +101,7 @@ def flat_apply(words_of, scale, n, v):
 
 
 @EXAMPLES
-@given(st.sampled_from(sorted(TABLES)), st.integers(1, 4), tensor_masks())
+@given(st.sampled_from(sorted(TABLES)), st.integers(1, 4), any_tensor_masks)
 def test_a_word_with_its_trigger_bit_clear_vanishes(form, n, masks):
     pm, mm, zero_ok, spin = masks
     for _, fock_word, spin_word in TABLES[form][0](n):
@@ -101,13 +124,75 @@ def test_the_indexed_kernel_equals_the_flat_word_sum(form, n, v):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_each_word_is_stored_once_and_every_d_word_is_indexed(n):
     for words_of, _ in TABLES.values():
-        always, *buckets = _word_table(words_of, n)
+        always, *buckets = _raw_table(words_of, n)
         groups = [always, *(g for b in buckets for g in b.values())]
         stored = [(w, f, s) for g in groups for f, words in g for w, s in words]
         assert sorted(stored) == sorted(words_of(n))
+        # the compiled table holds the same groups, each compiled once
+        table = _word_table.__wrapped__(words_of, n)
+        assert table[0] == _compiled(always)
+        for bucket, raw in zip(table[1:], buckets):
+            assert bucket.raw == raw and not bucket
+            for pos, g in raw.items():
+                assert bucket[pos] == _compiled(g) and pos not in bucket.raw
     # every word of D_N needs a bit: pair annihilation a plus bit, pair
     # creation the mode bit it removes
+    assert _raw_table(_dirac_words, n)[0] == ()
     assert _word_table(_dirac_words, n)[0] == ()
+
+
+def _run_step(step, pm, mm):
+    rp, vp, rm, vm, xp, xm, odd, fp, fm = step
+    if pm & rp != vp or mm & rm != vm:
+        return None
+    return (odd + (pm & xp).bit_count() + (mm & xm).bit_count()) & 1, pm ^ fp, mm ^ fm
+
+
+def _check_step(word, pm, mm, zero_ok):
+    t = _rhat_word(word, pm, mm, zero_ok)
+    step = _rhat_step(word)
+    got = None if step is None else _run_step(step, pm, mm)
+    assert got == (None if t is None else (t[0] & 1, t[1], t[2])), (word, pm, mm, zero_ok)
+
+
+def test_each_compiled_fock_step_equals_the_word_on_every_small_state():
+    # every word of up to two factors over window(2), on every state of
+    # bound <= 2 of both lattices; the words compiled to None must vanish
+    # on all of them
+    units = [(p, q) for p in window(2) for q in window(2)]
+    words = [()] + [(a,) for a in units] + [(a, b) for a in units for b in units]
+    for word in words:
+        for zero_ok in (False, True):
+            for pm in range(0, 8, 1 if zero_ok else 2):
+                for mm in range(4):
+                    _check_step(word, pm, mm, zero_ok)
+    assert _rhat_step(((1, 2), (1, 2))) is None
+    assert _rhat_step(((-1, -1),)) == (0, 0, 1, 1, 0, 0, 1, 0, 0)
+
+
+@EXAMPLES
+@given(
+    st.lists(st.tuples(st.sampled_from(window(5)), st.sampled_from(window(5))), max_size=4),
+    wide_tensor_masks(),
+)
+@example(((-3, -3),), (0, 1 << 2, False, 0))
+@example(((-3, -3), (2, -3)), (1 << 2, 1 << 2, True, 0))
+@example(((1, 2), (1, 2)), (1 << 2, 0, False, 0))
+def test_each_compiled_fock_step_equals_rhat_word(word, masks):
+    pm, mm, zero_ok, _ = masks
+    _check_step(tuple(word), pm, mm, zero_ok)
+
+
+def test_a_bound_one_vector_compiles_only_the_buckets_of_its_bits():
+    _word_table.cache_clear()
+    v = _vec({ts: Scalar(1) for ts in tensor_states(1)})
+    assert dirac_cutoff_apply(50, v) == dirac_apply(v)
+    # the bound-1 states set plus bit 1, minus bit 0 and mode bit 0
+    _, by_plus, by_minus, by_mode = _word_table(_dirac_words, 50)
+    assert set(by_plus) == {1} and set(by_minus) == {0} and set(by_mode) == {0}
+    assert sorted(by_plus.raw) == list(range(2, 51))
+    assert not by_minus.raw
+    assert sorted(by_mode.raw) == list(range(1, 50 * 50))
 
 
 def _perturbed(k):
