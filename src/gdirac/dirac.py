@@ -18,11 +18,19 @@ files every word under the one input bit it needs set; the words of a bit
 are compiled to integer-mask steps the first time a state has it.  One
 kernel (``_images``) maps a basis state through a table to integer
 weights on occupation masks, visiting only the words whose bit the state
-has.  ``_apply_table`` scales those images into a vector; the ``raw`` and
-``hk`` residuals compose them directly, 4 W_D W_D - W_R in integers per
-input state, and scale once at the end.  The exact D (``dirac_apply``)
-uses no table: it walks the occupied pairs and modes of each state on
-its masks, and is the oracle the cut-off tables are compared against.
+has.  The exact D (``dirac_apply``) uses no table: it walks the occupied
+pairs and modes of each state on its masks, and is the oracle the cut-off
+tables are compared against.
+
+D, D_N and the square residuals share one accumulate-and-finish step.
+``_collect`` writes the input coefficients over one common denominator,
+(a + b sqrt2) / den, and sums the integer image weights times a and b in
+plain ints per mask key.  ``_tensor_vec`` then applies the operator's
+scale (sqrt(2)/2 for D and D_N, 1/2 for the square forms) to those
+numerators in integers and builds one canonical scalar per surviving
+key.  The ``raw`` and ``hk`` residuals compose 4 W_D W_D - W_R in
+integers per input state, take the largest coefficient by an exact
+integer sign test and build only that one scalar.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from functools import lru_cache, partial
 from . import casimir as _cas
 from .fock import FockState, _fock_state, _rhat, _rhat_step, fock_basis, half_sign, rhat_state, window_pairs
 from .linalg import ExactMatrix, Vec, _vec, add_to, spans_equal, vec_sum
-from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
+from .scalar import HALF, HALF_SQRT2, ZERO, Scalar, _from_numerators, _numerators, _sign
 from .spinor import (
     SpinState,
     _mode_bit,
@@ -107,29 +115,71 @@ def _tensor_state(fock: FockState, spin: SpinState) -> TensorState:
     return s
 
 
-def _tensor_vec(out: dict, scale: Scalar) -> Vec:
-    """``scale`` times the scalars on mask keys ``(pm, mm, zero_ok, spin)``,
-    as a vector; states are built only for the keys that survive."""
-    return _vec(
-        {_tensor_state(_fock_state(pm, mm, z), _spin_state(mask)): c * scale for (pm, mm, z, mask), c in out.items()}
-    )
+def _collect(v: Vec, images) -> tuple[int, dict, dict]:
+    """The sum of c * images(s) over the terms c s of ``v``, in integers.
+
+    ``images`` maps one tensor basis state to integer weights on the
+    masks ``(pm, mm, spin)`` of its images.  The coefficients of ``v``
+    are written over one common denominator ``den`` as (a + b sqrt2) / den
+    (``scalar._numerators``), and w * a and w * b are summed per mask key
+    ``(pm, mm, zero_ok, spin)`` into the dicts ``a`` and ``b``; a key of
+    ``a`` missing from ``b`` has a sqrt2 part of 0.  Returns ``(den, a, b)``.
+    """
+    den, nums = _numerators(v.terms.values())
+    acc_a: dict = {}
+    acc_b: dict = {}
+    for ts, (a, b) in zip(v.terms, nums):
+        zero_ok = ts.fock.zero_ok
+        for (pm, mm, mask), w in images(ts).items():
+            if w:
+                key = (pm, mm, zero_ok, mask)
+                acc_a[key] = acc_a.get(key, 0) + w * a
+                if b:
+                    acc_b[key] = acc_b.get(key, 0) + w * b
+    return den, acc_a, acc_b
+
+
+def _tensor_vec(acc: tuple, scale: Scalar) -> Vec:
+    """``scale`` times the numerators ``(den, a, b)`` of ``_collect``, as
+    a vector.  The scale multiplies the numerators in integers; a state
+    and one canonical scalar are built only for each key that survives."""
+    den, acc_a, acc_b = acc
+    m, ((p, q),) = _numerators((scale,))
+    den *= m
+    out = {}
+    for key, a in acc_a.items():
+        b = acc_b.get(key, 0)
+        if a or b:
+            pm, mm, z, mask = key
+            # (p + q sqrt2)(a + b sqrt2) = (pa + 2qb) + (qa + pb) sqrt2
+            out[_tensor_state(_fock_state(pm, mm, z), _spin_state(mask))] = _from_numerators(
+                p * a + 2 * q * b, q * a + p * b, den
+            )
+    return _vec(out)
+
+
+def _dirac_images(ts: TensorState) -> dict:
+    """The images of one basis state under sqrt(2) D, as integer weights
+    on mask keys ``(pm, mm, spin)``; the annihilating factors bound every
+    sum."""
+    f, spin = ts.fock, ts.spin
+    pm, mm, zero_ok, mask = f.plus_mask, f.minus_mask, f.zero_ok, spin.mask
+    images: dict = {}
+    # pair annihilation in Fock, mode creation in spin: E_{p,q} over
+    # occupied q > 0 > p; pair creation in Fock, mode annihilation in
+    # spin: E_{m,l} over occupied modes (m, l)
+    for p, q in [(p, q) for q in f.plus for p in f.minus] + list(spin.modes):
+        t = _unit(q, p, mask)
+        u = t and _rhat(p, q, pm, mm, zero_ok)
+        if u:
+            key = (u[1], u[2], t[1])
+            images[key] = images.get(key, 0) + (-1 if (t[0] + u[0]) & 1 else 1)
+    return images
 
 
 def dirac_apply(v: Vec) -> Vec:
-    """Exact Dirac action: the annihilating factors bound every sum."""
-    out: dict = {}
-    for ts, c in v.terms.items():
-        f, spin = ts.fock, ts.spin
-        pm, mm, zero_ok, mask = f.plus_mask, f.minus_mask, f.zero_ok, spin.mask
-        # pair annihilation in Fock, mode creation in spin: E_{p,q} over
-        # occupied q > 0 > p; pair creation in Fock, mode annihilation in
-        # spin: E_{m,l} over occupied modes (m, l)
-        for p, q in [(p, q) for q in f.plus for p in f.minus] + list(spin.modes):
-            t = _unit(q, p, mask)
-            u = t and _rhat(p, q, pm, mm, zero_ok)
-            if u:
-                add_to(out, (u[1], u[2], zero_ok, t[1]), -c if (t[0] + u[0]) & 1 else c)
-    return _tensor_vec(out, HALF_SQRT2)
+    """Exact Dirac action, with no cut-off and no word table."""
+    return _tensor_vec(_collect(v, _dirac_images), HALF_SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +201,10 @@ def dirac_apply(v: Vec) -> Vec:
 # dropped then.  The kernel (``_images``) visits the always group and the
 # groups of the bits set on the input state; a Fock step costs two mask
 # tests, two popcounts and two XORs, with no call, and its spin words are
-# tested only where it acts.  Images are integer weights on mask keys, so
-# terms that cancel never reach a scalar; the square residuals compose
-# these weights directly and scale once, at the end.
+# tested only where it acts.  Images are integer weights on mask keys, and
+# ``_collect`` turns them into integer numerators of the output, so terms
+# that cancel never reach a scalar; the square residuals compose these
+# weights directly, and every caller scales once, at the end.
 
 
 def _trigger(fock_word, spin_word):
@@ -289,18 +340,9 @@ def _images(table, pm: int, mm: int, spin: int) -> dict:
     return images
 
 
-def _collect(v: Vec, images) -> dict:
-    """The sum of c * images(s) over the terms c s of ``v``, as scalars on
-    mask keys ``(pm, mm, zero_ok, spin)``; ``images`` maps the masks
-    ``(pm, mm, spin)`` of one basis state to integer weights."""
-    out: dict = {}
-    for ts, c in v.terms.items():
-        f = ts.fock
-        zero_ok = f.zero_ok
-        for (pm, mm, mask), w in images(f.plus_mask, f.minus_mask, ts.spin.mask).items():
-            if w:
-                add_to(out, (pm, mm, zero_ok, mask), c if w == 1 else -c if w == -1 else c * w)
-    return out
+def _state_images(table, ts: TensorState) -> dict:
+    """``_images`` of the masks of one tensor basis state."""
+    return _images(table, ts.fock.plus_mask, ts.fock.minus_mask, ts.spin.mask)
 
 
 def _apply_table(words_of, scale: Scalar, n: int, v: Vec) -> Vec:
@@ -309,7 +351,8 @@ def _apply_table(words_of, scale: Scalar, n: int, v: Vec) -> Vec:
     The scale multiplies each output coefficient once, at the end, and
     states are built only for the images that survive.
     """
-    return _tensor_vec(_collect(v, partial(_images, _word_table(words_of, n))), scale)
+    table = _word_table(words_of, n)
+    return _tensor_vec(_collect(v, partial(_state_images, table)), scale)
 
 
 def _dirac_words(n: int):
@@ -542,13 +585,16 @@ def _square_residual(n: int, words_of, v: Vec) -> Scalar:
 
     D_(N) is sqrt(2)/2 times the integer word sum W_D, so 4 D_(N)^2 -
     1/2 W_R = 1/2 (4 W_D W_D - W_R).  The bracket is composed per input
-    state on mask keys as integer weights, and the largest coefficient is
-    halved at the end, which keeps the order on Q(sqrt2).
+    state on mask keys as integer weights and collected as integer
+    numerators (``_collect``); the largest |a + b sqrt2| among them is
+    found by exact integer sign tests, and only it becomes a scalar,
+    halved and over the common denominator.
     """
     d_table = _word_table(_dirac_words, n)
     rhs_table = _word_table(words_of, n)
 
-    def bracket(pm: int, mm: int, spin: int) -> dict:
+    def bracket(ts: TensorState) -> dict:
+        pm, mm, spin = ts.fock.plus_mask, ts.fock.minus_mask, ts.spin.mask
         acc: dict = {}
         for (pm1, mm1, spin1), w1 in _images(d_table, pm, mm, spin).items():
             if w1:
@@ -558,7 +604,15 @@ def _square_residual(n: int, words_of, v: Vec) -> Scalar:
             acc[key] = acc.get(key, 0) - w
         return acc
 
-    return HALF * max(map(abs, _collect(v, bracket).values()), default=ZERO)
+    den, acc_a, acc_b = _collect(v, bracket)
+    best_a = best_b = 0
+    for key, a in acc_a.items():
+        b = acc_b.get(key, 0)
+        if _sign(a, b) < 0:
+            a, b = -a, -b
+        if _sign(a - best_a, b - best_b) > 0:
+            best_a, best_b = a, b
+    return _from_numerators(best_a, best_b, 2 * den)
 
 
 def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:

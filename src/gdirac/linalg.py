@@ -207,36 +207,6 @@ class ExactMatrix:
         self.rows = rows
         self.ncols = ncols
 
-    @staticmethod
-    def from_dense(rows: list[list[Scalar | RatLike]]) -> "ExactMatrix":
-        ncols = len(rows[0]) if rows else 0
-        out = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-            out.append({j: _coerce(x) for j, x in enumerate(row) if _coerce(x)})
-        return ExactMatrix(out, ncols)
-
-    def apply(self, xs: list[Scalar]) -> list[Scalar]:
-        if len(xs) != self.ncols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = ZERO
-            for j, c in row.items():
-                acc = acc + c * xs[j]
-            out.append(acc)
-        return out
-
-    def apply_vec(self, v: Vec) -> Vec:
-        xs = [ZERO] * self.ncols
-        for j, c in v.terms.items():
-            if not (0 <= j < self.ncols):
-                raise ValueError("dimension mismatch")
-            xs[j] = c
-        ys = self.apply(xs)
-        return Vec({i: y for i, y in enumerate(ys)})
-
     def _reduce(self) -> dict[int, dict[int, Scalar]]:
         """Reduced row echelon form, as pivot column -> row.
 

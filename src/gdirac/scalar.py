@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 RatLike = int | Fraction
 
@@ -26,6 +27,41 @@ def _rat(x) -> RatLike:
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _numerators(cs) -> tuple[int, list[tuple[int, int]]]:
+    """The scalars ``cs`` over one common denominator: ``(den, nums)``
+    with ``c = (a + b*sqrt2) / den`` for each c and its ``(a, b)`` in
+    ``nums``, in order.  ``den`` is the least common denominator of all
+    the fields, 1 when every field is an ``int``.
+    """
+    cs = list(cs)
+    den = 1
+    for c in cs:
+        den = lcm(den, c.a.denominator, c.b.denominator)
+    return den, [(c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator)) for c in cs]
+
+
+def _from_numerators(a: int, b: int, den: int) -> "Scalar":
+    """The canonical ``Scalar`` (a + b*sqrt2) / den, for integers a, b
+    and den > 0: a field is an ``int`` when den divides its numerator,
+    otherwise one reduced ``Fraction``."""
+    return _make(a // den if not a % den else Fraction(a, den), b // den if not b % den else Fraction(b, den))
+
+
+def _sign(a: RatLike, b: RatLike) -> int:
+    """Sign of the real number a + b*sqrt(2), computed exactly."""
+    if not a and not b:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    # Mixed signs: compare a^2 with 2 b^2 (equality impossible for
+    # nonzero rationals since sqrt(2) is irrational).
+    if a > 0:
+        return 1 if a * a > 2 * b * b else -1
+    return -1 if a * a > 2 * b * b else 1
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -97,17 +133,7 @@ class Scalar:
 
     def sign(self) -> int:
         """Sign of the real number a + b*sqrt(2), computed exactly."""
-        if not self.a and not self.b:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
-            return -1
-        # Mixed signs: compare a^2 with 2 b^2 (equality impossible for
-        # nonzero rationals since sqrt(2) is irrational).
-        if self.a > 0:
-            return 1 if self.a * self.a > 2 * self.b * self.b else -1
-        return -1 if self.a * self.a > 2 * self.b * self.b else 1
+        return _sign(self.a, self.b)
 
     def __abs__(self) -> "Scalar":
         return -self if self.sign() < 0 else self

@@ -1,11 +1,12 @@
 """Field arithmetic in Q(sqrt2)."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from gdirac.rng import SplitMix64
-from gdirac.scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar
+from gdirac.scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar, _from_numerators, _numerators
 from gdirac.serialize import scalar_from_json
 
 
@@ -83,3 +84,57 @@ def test_integer_division_stays_exact():
     assert q == Scalar.of(Fraction(1, 3))
     assert type(q.a) is Fraction and type(q.b) is int
     assert hash(q) == hash(Scalar.of(Fraction(1, 3)))
+
+
+def _canonical(x: Scalar) -> bool:
+    """Each field an int, or a Fraction that is not an integer."""
+    return all(type(f) is int or (type(f) is Fraction and f.denominator > 1) for f in (x.a, x.b))
+
+
+def _round_trip(cs: list[Scalar]) -> list[Scalar]:
+    den, nums = _numerators(cs)
+    assert den == lcm(*(f.denominator for c in cs for f in (c.a, c.b)))
+    for c, (a, b) in zip(cs, nums):
+        assert type(a) is int and type(b) is int
+        assert (a, b) == (c.a * den, c.b * den)
+    back = [_from_numerators(a, b, den) for a, b in nums]
+    assert all(_canonical(x) for x in back)
+    return back
+
+
+def test_numerators_round_trip_randomized():
+    stream = SplitMix64(15)
+    for _ in range(300):
+        cs = [_random_scalar(stream) for _ in range(1 + stream.pick(5))]
+        back = _round_trip(cs)
+        assert back == cs
+        assert [(x.a, x.b) for x in back] == [(c.a, c.b) for c in cs]
+
+
+def test_numerators_round_trip_edge_elements():
+    cases = [
+        [ZERO],
+        [ZERO, HALF_SQRT2],
+        [SQRT2, Scalar.of(0, Fraction(-5, 6))],
+        [Scalar.of(Fraction(1, 3), Fraction(-3, 4)), Scalar.of(-2, Fraction(7, 2)), Scalar.of(3, -1)],
+        [Scalar.of(Fraction(-9, 4), 2), HALF, ONE],
+    ]
+    for cs in cases:
+        assert _round_trip(cs) == cs
+    # every field an int: no common denominator, the fields themselves
+    assert _numerators([Scalar.of(2, -3), ZERO]) == (1, [(2, -3), (0, 0)])
+    assert _numerators([ZERO]) == (1, [(0, 0)])
+
+
+def test_from_numerators_reduces_to_the_canonical_form():
+    for (a, b, den), want in [
+        ((6, 0, 3), (2, 0)),
+        ((4, -6, 8), (Fraction(1, 2), Fraction(-3, 4))),
+        ((0, -10, 4), (0, Fraction(-5, 2))),
+        ((-7, 14, 7), (-1, 2)),
+        ((0, 0, 12), (0, 0)),
+    ]:
+        x = _from_numerators(a, b, den)
+        assert (x.a, x.b) == want and _canonical(x)
+        assert x == Scalar.of(Fraction(a, den), Fraction(b, den))
+        assert hash(x) == hash(Scalar.of(*want))

@@ -9,9 +9,14 @@ must equal the flat sum over every word, also on states wider than the
 window.  A bucket is compiled on its first visit, each Fock word to one
 integer-mask step that must agree with ``fock._rhat_word``, the word
 evaluated factor by factor.  The ``raw`` and ``hk`` residuals
-compose the integer word sums directly; a perturbed table shows that they
-report a nonzero residual exactly as the vector subtraction would.
+compose the integer word sums directly; a perturbed table, and D_N's own
+word sum as a right side, show that they report a nonzero residual
+exactly as the vector subtraction would.  Coefficients are drawn from
+Q(sqrt2) with denominators up to 6, so the common denominator of the
+integer numerators the kernels carry is rarely 1.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -35,13 +40,16 @@ from gdirac.dirac import (
     dirac_cutoff_apply,
     tensor_states,
 )
-from gdirac.fock import _fock_state, _rhat_step, _rhat_word, window
+from gdirac.fock import _fock_state, _rhat, _rhat_step, _rhat_word, window
 from gdirac.linalg import _vec, add_to
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
-from gdirac.spinor import _spin_state, _unit_word
+from gdirac.spinor import _spin_state, _unit, _unit_word
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 TABLES = {"dirac": (_dirac_words, HALF_SQRT2), "raw": (_raw_words, HALF), "hk": (_hk_words, HALF)}
+# a nonzero a + b sqrt2 with rational a, b of denominators 1..6
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+q_sqrt2 = st.builds(Scalar, fractions, fractions).filter(bool)
 
 
 @st.composite
@@ -78,12 +86,17 @@ def _state(masks) -> TensorState:
 
 
 @st.composite
-def tensor_vectors(draw):
-    """Up to 4 distinct states from ``any_tensor_masks`` with nonzero
-    Q(sqrt2) coefficients."""
-    states = draw(st.lists(any_tensor_masks.map(_state), min_size=1, max_size=4, unique=True))
-    coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda ab: Scalar(*ab))
-    return _vec({s: draw(coeffs) for s in states})
+def tensor_vectors(draw, masks=any_tensor_masks):
+    """Up to 4 distinct states from ``masks`` with nonzero Q(sqrt2)
+    coefficients."""
+    states = draw(st.lists(masks.map(_state), min_size=1, max_size=4, unique=True))
+    return _vec({s: draw(q_sqrt2) for s in states})
+
+
+def canonical(cs) -> bool:
+    """Every field of the scalars ``cs`` an int, or a non-integral
+    Fraction (``Vec.__eq__`` cannot tell Fraction(2, 1) from 2)."""
+    return all(type(x) is int or x.denominator > 1 for c in cs for x in (c.a, c.b))
 
 
 def flat_apply(words_of, scale, n, v):
@@ -118,7 +131,46 @@ def test_a_word_with_its_trigger_bit_clear_vanishes(form, n, masks):
 @given(st.sampled_from(sorted(TABLES)), st.integers(1, 4), tensor_vectors())
 def test_the_indexed_kernel_equals_the_flat_word_sum(form, n, v):
     words_of, scale = TABLES[form]
-    assert _apply_table(words_of, scale, n, v) == flat_apply(words_of, scale, n, v)
+    got = _apply_table(words_of, scale, n, v)
+    assert got == flat_apply(words_of, scale, n, v)
+    assert canonical(got.terms.values())
+
+
+def scalar_dirac(v):
+    """The exact D in Scalar arithmetic: +-c per image, then one
+    ``Vec.scaled`` by sqrt(2)/2."""
+    out = {}
+    for ts, c in v.terms.items():
+        f, spin = ts.fock, ts.spin
+        for p, q in [(p, q) for q in f.plus for p in f.minus] + list(spin.modes):
+            t = _unit(q, p, spin.mask)
+            u = t and _rhat(p, q, f.plus_mask, f.minus_mask, f.zero_ok)
+            if u:
+                image = TensorState(_fock_state(u[1], u[2], f.zero_ok), _spin_state(t[1]))
+                add_to(out, image, -c if (t[0] + u[0]) & 1 else c)
+    return _vec(out).scaled(HALF_SQRT2)
+
+
+# index 0 has no spinor mode, so D is taken on states with 0 unoccupied,
+# on both lattices
+off_zero_masks = any_tensor_masks.map(lambda masks: (masks[0] & ~1, *masks[1:]))
+
+
+@EXAMPLES
+@given(tensor_vectors(off_zero_masks))
+def test_dirac_apply_matches_scalar_arithmetic(v):
+    d1 = dirac_apply(v)
+    assert d1 == scalar_dirac(v) and canonical(d1.terms.values())
+    # and once more on D v, whose coefficients have other denominators
+    d2 = dirac_apply(d1)
+    assert d2 == scalar_dirac(d1) and canonical(d2.terms.values())
+
+
+def test_dirac_apply_refuses_index_zero_as_the_scalar_walk_does():
+    v = _vec({_state((1, 1, True, 0)): Scalar(Fraction(1, 3), -1)})
+    for apply in (dirac_apply, scalar_dirac):
+        with pytest.raises(ValueError):
+            apply(v)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -230,3 +282,27 @@ def test_fused_residual_sees_a_perturbed_weight(n, masks, ab):
     # the unperturbed identity holds, so only the one extra term remains
     assert residual == HALF * abs(c) != 0
     assert _square_residual(n, _raw_words, v) == 0
+
+
+@EXAMPLES
+@given(st.integers(1, 4), tensor_vectors())
+@example(2, _vec({_state((1 << 1, 1, False, 0)): Scalar(Fraction(1, 3), Fraction(-5, 6))}))
+@example(
+    3,
+    _vec(
+        {
+            _state((1 << 2, 1 << 1, False, 1)): Scalar(-2, Fraction(-1, 2)),
+            _state((0, 0, True, 1 << 3)): Scalar(Fraction(5, 4), Fraction(-3, 2)),
+        }
+    ),
+)
+def test_fused_residual_against_a_right_side_that_is_not_the_square(n, v):
+    # 4 D_N^2 - 1/2 W_D: D_N's own word sum, deliberately not the square
+    d = dirac_cutoff_apply(n, v)
+    lhs = dirac_cutoff_apply(n, d).scaled(4)
+    expected = (lhs - _apply_table(_dirac_words, HALF, n, v)).max_abs()
+    residual = _square_residual(n, _dirac_words, v)
+    assert residual == expected and canonical([residual])
+    # W_D changes the spin length by one and D_N^2 by an even number, so
+    # nothing cancels the W_D v = sqrt(2) D_N v side
+    assert bool(residual) == bool(d)
