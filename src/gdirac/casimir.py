@@ -25,10 +25,12 @@ the cocycle treat 0 like a positive index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .fock import FockState, LatticeError, LieElement, diagonal_weight, half_sign, rhat_pair_state, rhat_state, window
-from .linalg import Vec, _vec, add_to, lift_sum
-from .scalar import ZERO, Scalar
+from .fock import FockState, LatticeError, LieElement, _fock_state, diagonal_weight, half_sign, window
+from .linalg import Vec
+from .scalar import ONE, ZERO, Scalar
+from .words import _collect, _finish, _images, _word_table
 
 NAIVE_N = "naive_N"
 NORMAL_N = "normal_N"
@@ -53,26 +55,45 @@ class CasimirVariant:
             raise ValueError(f"{self.tag} needs a cut-off N")
 
 
-def _casimir_state(tag: str, n: int | None, s: FockState) -> Vec:
-    if tag in (LIMIT, G_LIMIT):
-        # Annihilate-first ordering: every contributing pair stays
-        # within the occupied window, so the infinite sums collapse.
-        n = s.bound()
-    idx = window(n, s.zero_ok)
+# The window-free limits are their cut-offs at each state's own bound:
+# with annihilate-first ordering every contributing pair stays within the
+# occupied window, so the infinite sums collapse.
+_CUTOFF = {LIMIT: NORMAL_N, G_LIMIT: G_REN_N}
+
+
+def _casimir_words(tag: str, n: int, zero_ok: bool):
+    """The words of a cut-off Casimir on the window of one lattice.
+
+    ``naive_N`` is sum_{i,j} E_ij E_ji.  ``normal_N`` (corr 0) and
+    ``g_ren_N`` (corr 1) are 2 sum_{j<i} E_ij E_ji (raising first) plus
+    the diagonal E_ii (E_ii - 2i + corr sign(i)), as the words E_ii E_ii
+    of weight 1 and E_ii of weight -2i + corr sign(i).
+    """
+    idx = window(n, zero_ok)
     if tag == NAIVE_N:
-        return lift_sum(Vec.basis(s), rhat_pair_state, [(i, j) for i in idx for j in idx])
-    # quadratic part: 2 sum_{j<i} E_ij E_ji (raising first)
-    lower = [(i, j) for i in idx for j in idx if j < i]
-    quad = lift_sum(Vec.basis(s, 2), rhat_pair_state, lower)
-    # diagonal part (the caller guarantees the support sits inside the
-    # window, so the occupied sums are complete)
-    sign_corr = 0 if tag in (NORMAL_N, LIMIT) else 1
-    diag = 0
-    for i in s.plus:
-        diag += 1 - 2 * i + sign_corr
-    for i in s.minus:
-        diag += 1 + 2 * i + sign_corr
-    return quad + Vec.basis(s, diag)
+        for i in idx:
+            for j in idx:
+                yield 1, ((i, j), (j, i)), ()
+        return
+    corr = 0 if tag == NORMAL_N else 1
+    for i in idx:
+        for j in idx:
+            if j < i:
+                yield 2, ((i, j), (j, i)), ()
+    for i in idx:
+        yield 1, ((i, i), (i, i)), ()
+        w = -2 * i + corr * half_sign(i, zero_ok)
+        if w:
+            yield w, ((i, i),), ()
+
+
+def _fock_images(table, s: FockState) -> dict:
+    """``words._images`` of a Fock basis state."""
+    return _images(table, s.plus_mask, s.minus_mask, s.zero_ok, 0)
+
+
+def _key_state(pm: int, mm: int, zero_ok: bool, spin: int) -> FockState:
+    return _fock_state(pm, mm, zero_ok)
 
 
 def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
@@ -80,7 +101,8 @@ def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
 
     Windowed variants demand the support inside the window (hard error,
     like the shift operators): evaluating them across the boundary
-    would produce plausible but silently truncated numbers.
+    would produce plausible but silently truncated numbers.  The sum
+    runs through the word table of the window of each state's lattice.
     """
     zero_ok = _LATTICE[variant.tag]
     for s in v.terms:
@@ -88,11 +110,13 @@ def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
             raise ValueError("state lattice does not match the variant lattice")
         if variant.n is not None and s.bound() > variant.n:
             raise ValueError("support exceeds the cut-off window")
-    out: dict = {}
-    for s, c in v.terms.items():
-        for k, x in _casimir_state(variant.tag, variant.n, s).terms.items():
-            add_to(out, k, x * c)
-    return _vec(out)
+    tag, n = _CUTOFF.get(variant.tag, variant.tag), variant.n
+
+    def images(s: FockState) -> dict:
+        table = _word_table(_casimir_words, tag, s.bound() if n is None else n, s.zero_ok)
+        return _fock_images(table, s)
+
+    return _finish(_collect(v, images), ONE, _key_state)
 
 
 def casimir_commutator(variant: CasimirVariant, m: int, n: int) -> LieElement:
@@ -141,6 +165,15 @@ def hw_weight(m: int, i: int) -> int:
     return 0
 
 
+def _heisenberg_words(n: int, k: int):
+    """The words E_{i,i+k} of s_k, i and i + k in the include-zero window."""
+    idx = window(n, True)
+    inside = set(idx)
+    for i in idx:
+        if i + k in inside:
+            yield 1, ((i, i + k),), ()
+
+
 def heisenberg_apply(n: int, k: int, v: Vec) -> Vec:
     """Windowed Heisenberg shift s_k = sum_i E_{i,i+k}, [s_a, s_k] = a delta_{a,-k}.
 
@@ -157,9 +190,8 @@ def heisenberg_apply(n: int, k: int, v: Vec) -> Vec:
             raise LatticeError("the Heisenberg shifts act on the include-zero lattice")
         if s.bound() > n - abs(k):
             raise ValueError("support too close to the window edge")
-    idx = window(n, True)
-    inside = set(idx)
-    return lift_sum(v, rhat_state, [(i, i + k) for i in idx if i + k in inside])
+    table = _word_table(_heisenberg_words, n, k)
+    return _finish(_collect(v, partial(_fock_images, table)), ONE, _key_state)
 
 
 def window_identity_residual(n: int, states: list[FockState]) -> Scalar:

@@ -13,40 +13,33 @@ diagonal-invariant sector, equals 1/4 (renormalized Casimir (x) 1 +
 
 The cut-off operator D_N and the ``raw`` and ``hk`` forms of 4 D_N^2 are
 literal window sums of words E_pq... (x) u_ab..., with u = gamma/sqrt(2)
-and integer weights.  Each is built once per N into a word table that
-files every word under the one input bit it needs set; the words of a bit
-are compiled to integer-mask steps the first time a state has it.  One
-kernel (``_images``) maps a basis state through a table to integer
-weights on occupation masks, visiting only the words whose bit the state
-has.  The exact D (``dirac_apply``) uses no table: it walks the occupied
-pairs and modes of each state on its masks, and is the oracle the cut-off
-tables are compared against.
+and integer weights, and run through the word tables of ``words``.  The
+exact D (``dirac_apply``) uses no table: it walks the occupied pairs and
+modes of each state on its masks, and is the oracle the cut-off tables
+are compared against.
 
-D, D_N and the square residuals share one accumulate-and-finish step.
-``_collect`` writes the input coefficients over one common denominator,
-(a + b sqrt2) / den, and sums the integer image weights times a and b in
-plain ints per mask key.  ``_tensor_vec`` then applies the operator's
-scale (sqrt(2)/2 for D and D_N, 1/2 for the square forms) to those
-numerators in integers and builds one canonical scalar per surviving
-key.  The ``raw`` and ``hk`` residuals compose 4 W_D W_D - W_R in
-integers per input state, take the largest coefficient by an exact
-integer sign test and build only that one scalar.
+D, D_N and the square residuals share the accumulate-and-finish step of
+``words`` (``_collect``, ``_finish``): integer image weights times the
+integer numerators of the input coefficients, then the operator's scale
+(sqrt(2)/2 for D and D_N, 1/2 for the square forms) and one canonical
+scalar per surviving key.  The ``raw`` and ``hk`` residuals compose
+4 W_D W_D - W_R in integers per input state, take the largest
+coefficient by an exact integer sign test and build only that one
+scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from . import casimir as _cas
-from .fock import FockState, _fock_state, _rhat, _rhat_step, fock_basis, half_sign, rhat_state, window_pairs
+from .fock import FockState, _fock_state, _rhat, fock_basis, half_sign, rhat_state, window_pairs
 from .linalg import ExactMatrix, Vec, _vec, add_to, spans_equal, vec_sum
-from .scalar import HALF, HALF_SQRT2, ZERO, Scalar, _from_numerators, _numerators, _sign
+from .scalar import HALF_SQRT2, ZERO, Scalar, _from_numerators, _sign
 from .spinor import (
     SpinState,
-    _mode_bit,
-    _mode_masks,
     _spin_state,
     _unit,
     fermion_number_apply,
@@ -55,6 +48,7 @@ from .spinor import (
     ktilde_state_terms,
     spin_basis,
 )
+from .words import _collect, _finish, _images, _word_table
 
 
 class TensorState:
@@ -115,53 +109,14 @@ def _tensor_state(fock: FockState, spin: SpinState) -> TensorState:
     return s
 
 
-def _collect(v: Vec, images) -> tuple[int, dict, dict]:
-    """The sum of c * images(s) over the terms c s of ``v``, in integers.
-
-    ``images`` maps one tensor basis state to integer weights on the
-    masks ``(pm, mm, spin)`` of its images.  The coefficients of ``v``
-    are written over one common denominator ``den`` as (a + b sqrt2) / den
-    (``scalar._numerators``), and w * a and w * b are summed per mask key
-    ``(pm, mm, zero_ok, spin)`` into the dicts ``a`` and ``b``; a key of
-    ``a`` missing from ``b`` has a sqrt2 part of 0.  Returns ``(den, a, b)``.
-    """
-    den, nums = _numerators(v.terms.values())
-    acc_a: dict = {}
-    acc_b: dict = {}
-    for ts, (a, b) in zip(v.terms, nums):
-        zero_ok = ts.fock.zero_ok
-        for (pm, mm, mask), w in images(ts).items():
-            if w:
-                key = (pm, mm, zero_ok, mask)
-                acc_a[key] = acc_a.get(key, 0) + w * a
-                if b:
-                    acc_b[key] = acc_b.get(key, 0) + w * b
-    return den, acc_a, acc_b
-
-
-def _tensor_vec(acc: tuple, scale: Scalar) -> Vec:
-    """``scale`` times the numerators ``(den, a, b)`` of ``_collect``, as
-    a vector.  The scale multiplies the numerators in integers; a state
-    and one canonical scalar are built only for each key that survives."""
-    den, acc_a, acc_b = acc
-    m, ((p, q),) = _numerators((scale,))
-    den *= m
-    out = {}
-    for key, a in acc_a.items():
-        b = acc_b.get(key, 0)
-        if a or b:
-            pm, mm, z, mask = key
-            # (p + q sqrt2)(a + b sqrt2) = (pa + 2qb) + (qa + pb) sqrt2
-            out[_tensor_state(_fock_state(pm, mm, z), _spin_state(mask))] = _from_numerators(
-                p * a + 2 * q * b, q * a + p * b, den
-            )
-    return _vec(out)
+def _key_state(pm: int, mm: int, zero_ok: bool, spin: int) -> TensorState:
+    return _tensor_state(_fock_state(pm, mm, zero_ok), _spin_state(spin))
 
 
 def _dirac_images(ts: TensorState) -> dict:
     """The images of one basis state under sqrt(2) D, as integer weights
-    on mask keys ``(pm, mm, spin)``; the annihilating factors bound every
-    sum."""
+    on mask keys ``(pm, mm, zero_ok, spin)``; the annihilating factors
+    bound every sum."""
     f, spin = ts.fock, ts.spin
     pm, mm, zero_ok, mask = f.plus_mask, f.minus_mask, f.zero_ok, spin.mask
     images: dict = {}
@@ -172,177 +127,24 @@ def _dirac_images(ts: TensorState) -> dict:
         t = _unit(q, p, mask)
         u = t and _rhat(p, q, pm, mm, zero_ok)
         if u:
-            key = (u[1], u[2], t[1])
+            key = (u[1], u[2], zero_ok, t[1])
             images[key] = images.get(key, 0) + (-1 if (t[0] + u[0]) & 1 else 1)
     return images
 
 
 def dirac_apply(v: Vec) -> Vec:
     """Exact Dirac action, with no cut-off and no word table."""
-    return _tensor_vec(_collect(v, _dirac_images), HALF_SQRT2)
+    return _finish(_collect(v, _dirac_images), HALF_SQRT2, _key_state)
 
 
 # ---------------------------------------------------------------------------
-# Word tables of the windowed tensor operators
-#
-# A windowed operator is a literal sum of words  w * F (x) S, with an
-# integer weight w, a Fock word F (a product of E_pq) and a spin word S (a
-# product of unit operators u_ab = gamma_ab / sqrt(2)), times one scale
-# common to the whole sum.  The rightmost factor of a word acts first, so
-# the word vanishes on every state that lacks the bit this factor needs
-# (``_trigger``).  A table files each word once, under that trigger bit, or
-# in one "always" group when it has none, and collects the words of a
-# group by Fock word.  A group is compiled when the kernel first visits its
-# bit: the Fock word becomes one affine step on the occupation masks
-# (``fock._rhat_step``: required bits and values, parity masks, a constant
-# parity and flip masks), and each spin word its required mode bits and
-# values and its units (m, l, bit), whose parities stay symbolic because
-# they depend on the width of the mask.  Words that can never act are
-# dropped then.  The kernel (``_images``) visits the always group and the
-# groups of the bits set on the input state; a Fock step costs two mask
-# tests, two popcounts and two XORs, with no call, and its spin words are
-# tested only where it acts.  Images are integer weights on mask keys, and
-# ``_collect`` turns them into integer numerators of the output, so terms
-# that cancel never reach a scalar; the square residuals compose these
-# weights directly, and every caller scales once, at the end.
-
-
-def _trigger(fock_word, spin_word):
-    """The input bit the rightmost factor of a word needs set, as
-    ``(mask, position)`` on the plus (0), minus (1) or spin (2) mask, or
-    None when it needs none.
-
-    E_pq needs plus bit q when q > 0 (psi_q annihilates there), else
-    minus bit p when p < 0 (psi*_p fills a hole there; the diagonal
-    p = q < 0 too); u_ab needs the mode bit (b, a) when a < 0.  Window
-    indices are never 0, so the answer is the same on both lattices.
-    """
-    if fock_word:
-        p, q = fock_word[-1]
-        if half_sign(q) > 0:
-            return 0, q
-        if half_sign(p) < 0:
-            return 1, -1 - p
-    if spin_word:
-        a, b = spin_word[-1]
-        if a < 0:
-            return 2, _mode_bit(b, a)
-    return None
-
-
-def _spin_step(spin_word):
-    """A spin word compiled to ``(req, val, units)``: it acts on a grid
-    mask s when s & req == val, and ``units`` lists ``(m, l, bit)`` for
-    its factors in acting order, whose parities stay symbolic (they need
-    the width of the mask).  None when the word vanishes on every mask."""
-    req = val = flips = 0
-    units = []
-    for a, b in reversed(spin_word):
-        m, l = (a, b) if a > 0 else (b, a)
-        bit = 1 << _mode_bit(m, l)
-        # u_ab creates the mode (a, b) when a > 0, else removes (b, a)
-        need = (0 if a > 0 else bit) ^ (flips & bit)
-        if req & bit and val & bit != need:
-            return None
-        req |= bit
-        val |= need
-        flips ^= bit
-        units.append((m, l, bit))
-    return req, val, tuple(units)
-
-
-def _compiled(groups) -> tuple:
-    """Raw groups ``((fock_word, ((weight, spin_word), ...)), ...)``
-    compiled to ``(*fock_step, ((weight, *spin_step), ...))``, without
-    the words that vanish on every state."""
-    out = []
-    for fock_word, words in groups:
-        step = _rhat_step(fock_word)
-        if step is not None:
-            spins = tuple((w, *t) for w, spin_word in words if (t := _spin_step(spin_word)) is not None)
-            if spins:
-                out.append((*step, spins))
-    return tuple(out)
-
-
-class _Bucket(dict):
-    """The compiled groups of one trigger kind, by position; the raw
-    groups of a position are compiled on its first lookup."""
-
-    __slots__ = ("raw",)
-
-    def __init__(self, raw: dict):
-        super().__init__()
-        self.raw = raw
-
-    def __missing__(self, position: int) -> tuple:
-        groups = self[position] = _compiled(self.raw.pop(position, ()))
-        return groups
-
-
-def _raw_table(words_of, n: int) -> tuple:
-    """The words ``(weight, fock_word, spin_word)`` of ``words_of(n)``,
-    indexed by trigger: ``(always, by_plus, by_minus, by_mode)``, where
-    ``always`` and each value of the three ``position -> groups`` maps
-    are groups ``((fock_word, ((weight, spin_word), ...)), ...)``."""
-    always: dict = {}
-    buckets: tuple = ({}, {}, {})
-    # equal words are stored as one tuple, whichever side they are on
-    shared: dict = {}
-    for w, fock_word, spin_word in words_of(n):
-        fock_word = shared.setdefault(fock_word, fock_word)
-        spin_word = shared.setdefault(spin_word, spin_word)
-        trigger = _trigger(fock_word, spin_word)
-        groups = always if trigger is None else buckets[trigger[0]].setdefault(trigger[1], {})
-        groups.setdefault(fock_word, []).append((w, spin_word))
-
-    def frozen(groups: dict) -> tuple:
-        return tuple((fock_word, tuple(words)) for fock_word, words in groups.items())
-
-    return (frozen(always), *({pos: frozen(g) for pos, g in b.items()} for b in buckets))
-
-
-@lru_cache(maxsize=48)
-def _word_table(words_of, n: int) -> tuple:
-    """``_raw_table`` with its groups compiled: the always group at once,
-    and the groups of each trigger position in a ``_Bucket``, on the
-    first visit of that position."""
-    always, *buckets = _raw_table(words_of, n)
-    return (_compiled(always), *map(_Bucket, buckets))
-
-
-def _images(table, pm: int, mm: int, spin: int) -> dict:
-    """The images of one basis state under a table's word sum: integer
-    weights, some of them 0, on mask keys ``(pm, mm, spin)``."""
-    always, *buckets = table
-    visit = [always]
-    for bits, bucket in zip((pm, mm, spin), buckets):
-        while bits:
-            low = bits & -bits
-            groups = bucket[low.bit_length() - 1]
-            if groups:
-                visit.append(groups)
-            bits ^= low
-    images: dict = {}
-    for groups in visit:
-        for rp, vp, rm, vm, xp, xm, odd, fp, fm, words in groups:
-            if pm & rp == vp and mm & rm == vm:
-                odd += (pm & xp).bit_count() + (mm & xm).bit_count()
-                pm1, mm1 = pm ^ fp, mm ^ fm
-                for w, req, val, units in words:
-                    if spin & req == val:
-                        s, crossings = spin, odd
-                        for m, l, bit in units:
-                            crossings += (s & _mode_masks(m, l, s.bit_length())[1]).bit_count()
-                            s ^= bit
-                        key = (pm1, mm1, s)
-                        images[key] = images.get(key, 0) + (-w if crossings & 1 else w)
-    return images
+# The windowed tensor operators, through the word tables of ``words``
 
 
 def _state_images(table, ts: TensorState) -> dict:
-    """``_images`` of the masks of one tensor basis state."""
-    return _images(table, ts.fock.plus_mask, ts.fock.minus_mask, ts.spin.mask)
+    """``words._images`` of a tensor basis state."""
+    f = ts.fock
+    return _images(table, f.plus_mask, f.minus_mask, f.zero_ok, ts.spin.mask)
 
 
 def _apply_table(words_of, scale: Scalar, n: int, v: Vec) -> Vec:
@@ -352,7 +154,7 @@ def _apply_table(words_of, scale: Scalar, n: int, v: Vec) -> Vec:
     states are built only for the images that survive.
     """
     table = _word_table(words_of, n)
-    return _tensor_vec(_collect(v, partial(_state_images, table)), scale)
+    return _finish(_collect(v, partial(_state_images, table)), scale, _key_state)
 
 
 def _dirac_words(n: int):
@@ -562,11 +364,8 @@ def _hk_words(n: int):
                 yield -w, fock_word, (b, a)
 
 
-# the right-hand sides of 4 D_(N)^2: their word sums (scale 1/2), and as
-# vectors, functions of (n, v), which only the oracle tests build
+# the right-hand sides of 4 D_(N)^2, as word sums of scale 1/2
 _SQUARE_WORDS = {"raw": _raw_words, "hk": _hk_words}
-_square_rhs_raw = partial(_apply_table, _raw_words, HALF)
-_square_rhs_hk = partial(_apply_table, _hk_words, HALF)
 
 
 def invariance_residual(v: Vec, cutoff: int) -> Scalar:
@@ -594,13 +393,12 @@ def _square_residual(n: int, words_of, v: Vec) -> Scalar:
     rhs_table = _word_table(words_of, n)
 
     def bracket(ts: TensorState) -> dict:
-        pm, mm, spin = ts.fock.plus_mask, ts.fock.minus_mask, ts.spin.mask
         acc: dict = {}
-        for (pm1, mm1, spin1), w1 in _images(d_table, pm, mm, spin).items():
+        for (pm1, mm1, zero_ok, spin1), w1 in _state_images(d_table, ts).items():
             if w1:
-                for key, w2 in _images(d_table, pm1, mm1, spin1).items():
+                for key, w2 in _images(d_table, pm1, mm1, zero_ok, spin1).items():
                     acc[key] = acc.get(key, 0) + 4 * w1 * w2
-        for key, w in _images(rhs_table, pm, mm, spin).items():
+        for key, w in _state_images(rhs_table, ts).items():
             acc[key] = acc.get(key, 0) - w
         return acc
 

@@ -296,8 +296,11 @@ _IDENTITY_STEP = (0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def _field_step(star: bool, k: int) -> tuple:
-    """psi*_k (``star``) or psi_k as an affine step, as ``_field``."""
-    if half_sign(k) > 0:
+    """psi*_k (``star``) or psi_k as an affine step, as ``_field``.
+
+    Index 0 is plus bit 0, as on the include-zero lattice; only
+    include-zero windows hold it."""
+    if half_sign(k, True) > 0:
         bit = 1 << k
         return bit, 0 if star else bit, 0, 0, bit - 1, 0, 0, bit, 0
     bit = 1 << (-1 - k)
@@ -320,8 +323,9 @@ def _then(first: tuple, second: tuple):
 
 def _rhat_step(word):
     """``_rhat_word`` compiled to one affine step, or None when the word
-    vanishes on every state.  Indices are never 0, so a step holds on
-    both lattices."""
+    vanishes on every state.  A word without the index 0 gives the same
+    step on both lattices; one with it is compiled for the include-zero
+    lattice, the only one whose windows hold 0."""
     step = _IDENTITY_STEP
     for p, q in reversed(word):
         if p == q and p < 0:
@@ -335,22 +339,6 @@ def _rhat_step(word):
             if step is None:
                 return None
     return step
-
-
-def rhat_pair_state(p: int, q: int, state: FockState):
-    """E_{p,q} E_{q,p} on a basis state, E_{q,p} acting first.
-
-    Returns ``(sign, state)`` or ``None``; summed over index pairs with
-    ``linalg.lift_sum`` it gives the pair quadratics of the Casimirs.
-    """
-    zero_ok = state.zero_ok
-    t = _rhat(q, p, state.plus_mask, state.minus_mask, zero_ok)
-    if t is None:
-        return None
-    u = _rhat(p, q, t[1], t[2], zero_ok)
-    if u is None:
-        return None
-    return -1 if (t[0] + u[0]) & 1 else 1, _fock_state(u[1], u[2], zero_ok)
 
 
 def diagonal_weight(i: int, state: FockState) -> int:

@@ -16,32 +16,20 @@ the K sums cancels it).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import isqrt
 
-from .fock import window, window_pairs
-from .linalg import Vec, _vec, add_to, lift, lift_sum, set_bits, vec_sum
-from .scalar import HALF, SQRT2
+from .fock import half_sign, window, window_pairs
+from .linalg import Vec, _vec, add_to, lift, lift_sum, set_bits
+from .scalar import HALF, ONE, SQRT2
+from .words import _collect, _finish, _images, _mode_bit, _mode_masks, _word_table
 
 SpinMode = tuple[int, int]
 
 K_RAW = "K_raw"
 K_TILDE_N = "K_tilde_N"
 H_N = "H_N"
-
-
-def _mode_bit(m: int, l: int) -> int:
-    """Position of the mode (m, l) on the grid mask.
-
-    Shell r = max(m, -l) holds the bits [(r-1)^2, r^2) in lexicographic
-    order: (1, -r), ..., (r-1, -r), then (r, -r), ..., (r, -1).  The
-    modes of bound <= B fill exactly the first B^2 bits.
-    """
-    b = -l
-    if m < b:
-        return (b - 1) * (b - 1) + m - 1
-    return m * m - b
 
 
 @lru_cache(maxsize=1 << 16)
@@ -52,26 +40,6 @@ def _mode_at(t: int) -> SpinMode:
     if offset < r - 1:
         return offset + 1, -r
     return r, t - r * r
-
-
-@lru_cache(maxsize=1 << 14)
-def _mode_masks(m: int, l: int, width: int) -> tuple[int, int]:
-    """The bit of the mode (m, l), and the bits of the modes
-    lexicographically below it on every shell that meets the first
-    ``width`` bits of the grid.
-
-    Below (m, l) are the modes with a smaller m, and those (m, l') with
-    l' < l.  Shells under m hold only the first kind; shell s >= m holds
-    (1, -s) ... (m-1, -s) of the first kind, then (m, -s) when s > -l,
-    and in shell m itself the run (m, -m) ... (m, l-1) of the second.
-    """
-    r = max(m, -l)
-    lower = (1 << (m - 1) * (m - 1)) - 1
-    shells = isqrt(width - 1) + 1 if width else 0
-    for s in range(m, shells + 1):
-        count = m - 1 + (s > r) + (max(0, m + l) if s == m else 0)
-        lower |= ((1 << count) - 1) << (s - 1) * (s - 1)
-    return 1 << _mode_bit(m, l), lower
 
 
 class SpinState:
@@ -325,13 +293,46 @@ def fermion_number_apply(v: Vec) -> Vec:
     return _vec(out)
 
 
+def _key_state(pm: int, mm: int, zero_ok: bool, spin: int) -> SpinState:
+    return _spin_state(spin)
+
+
+def _spin_images(table, s: SpinState) -> dict:
+    """``words._images`` of a spin basis state."""
+    return _images(table, 0, 0, False, s.mask)
+
+
+def _apply_words(table, v: Vec) -> Vec:
+    """The word sum of a spin-side table, extended linearly to ``v``."""
+    return _finish(_collect(v, partial(_spin_images, table)), ONE, _key_state)
+
+
+def _fermion_number_words(n: int):
+    """The words sign(i) u_ik u_ki of sum_{0<|i|<=N} sign(i) K^(N)_ii,
+    and N^2 times the identity: K~^(N)_ii = K^(N)_ii - N at each of the
+    N indices i < 0, where sign(i) = -1."""
+    for i in window(n):
+        for a, b in k_pairs(n, i, i):
+            yield half_sign(i), (), (a, b)
+    if n:
+        yield n * n, (), ()
+
+
 def fermion_number_cutoff_apply(n: int, v: Vec) -> Vec:
     """sum_{0<|i|<=N} sign(i) K~^(N)_ii, the cut-off fermion number."""
-    parts = []
-    for i in window(n):
-        k = k_family_apply(K_TILDE_N, n, i, i, v)
-        parts.append(k if i > 0 else -k)
-    return vec_sum(parts)
+    return _apply_words(_word_table(_fermion_number_words, n), v)
+
+
+def _spinor_casimir_words(n: int, renormalized: bool):
+    """The words u_ik u_kj u_jk' u_k'i of sum_{ij>0} K^(N)_ij K^(N)_ji
+    (``k_pairs``, K^(N)_ji acting first), and -N^3 times the identity
+    when ``renormalized``."""
+    for i, j in window_pairs(n, 1):
+        for a, b in k_pairs(n, i, j):
+            for c, d in k_pairs(n, j, i):
+                yield 1, (), (a, b, c, d)
+    if renormalized:
+        yield -(n**3), (), ()
 
 
 def spinor_casimir_apply(n: int, v: Vec, renormalized: bool = False) -> Vec:
@@ -343,10 +344,7 @@ def spinor_casimir_apply(n: int, v: Vec, renormalized: bool = False) -> Vec:
     for s in v.terms:
         if s.bound() > n:
             raise ValueError("support exceeds the cut-off window")
-    parts = [k_family_apply(K_RAW, n, i, j, k_family_apply(K_RAW, n, j, i, v)) for i, j in window_pairs(n, 1)]
-    if renormalized:
-        parts.append(v.scaled(-(n**3)))
-    return vec_sum(parts)
+    return _apply_words(_word_table(_spinor_casimir_words, n, renormalized), v)
 
 
 def spin_basis(bound: int, length: int | None = None) -> list[SpinState]:

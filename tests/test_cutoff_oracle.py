@@ -1,34 +1,71 @@
 """The word-table kernel against the literal window sums it replaced.
 
-The oracles below are the earlier implementations of the cut-off Dirac
-operator D_N and of the ``raw`` and ``hk`` right-hand sides of 4 D_N^2:
-the basis-state maps lifted over the window one pair or quadruple at a
-time, and the ``hk`` form as one ``k_family_apply(H_N)`` per window pair.
-They must agree exactly on random tensor vectors, also when N is below
-the support bound of the vector, where D_N differs from D, and with
-coefficients whose fields have denominators up to 6.
+The oracles below are the earlier implementations of the windowed
+operators: the basis-state maps lifted over the window one pair or
+quadruple at a time.  On the tensor side they are the cut-off Dirac
+operator D_N and the ``raw`` and ``hk`` right-hand sides of 4 D_N^2, the
+``hk`` form as one ``k_family_apply(H_N)`` per window pair.  On the Fock
+side they are the five Casimir variants, as ``rhat_pair_state`` lifted
+over the window plus the diagonal summed over the occupied indices, and
+the Heisenberg shifts, as ``rhat_state`` lifted over the shifted pairs.
+On the spin side they are the spinor Casimir and the cut-off fermion
+number, as sums of ``k_family_apply``.  They must agree exactly on random
+vectors, also past the window where an operator allows it (D_N then
+differs from D), on vectors that mix both Fock lattices where the naive
+Casimir allows it, and with coefficients whose fields have denominators
+up to 6.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdirac.dirac import TensorState, _square_rhs_hk, _square_rhs_raw, dirac_cutoff_apply
-from gdirac.fock import rhat_apply, rhat_pair_state, rhat_state, window, window_pairs
-from gdirac.linalg import _vec, lift_sum, vec_sum
+from gdirac import casimir as cas
+from gdirac.casimir import casimir_apply, heisenberg_apply
+from gdirac.dirac import TensorState, _apply_table, _hk_words, _raw_words, dirac_cutoff_apply
+from gdirac.fock import _fock_state, _rhat, rhat_apply, rhat_state, window, window_pairs
+from gdirac.linalg import Vec, _vec, lift_sum, vec_sum
 from gdirac.sampling import random_vector
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
-from gdirac.spinor import H_N, gamma_pair_state, gamma_unit_state, k_family_apply
+from gdirac.spinor import (
+    H_N,
+    K_RAW,
+    K_TILDE_N,
+    _spin_state,
+    fermion_number_cutoff_apply,
+    gamma_pair_state,
+    gamma_unit_state,
+    k_family_apply,
+    spinor_casimir_apply,
+)
 
 EXAMPLES = settings(max_examples=100, deadline=None)
 # a nonzero a + b sqrt2 with rational a, b of denominators 1..6
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 q_sqrt2 = st.builds(Scalar, fractions, fractions).filter(bool)
+
+# the right-hand sides of 4 D_N^2 as vectors, functions of (n, v)
+square_rhs_raw = partial(_apply_table, _raw_words, HALF)
+square_rhs_hk = partial(_apply_table, _hk_words, HALF)
+
+
+def rhat_pair_state(p, q, state):
+    """E_pq E_qp on a basis state, E_qp acting first; (sign, state) or
+    None."""
+    zero_ok = state.zero_ok
+    t = _rhat(q, p, state.plus_mask, state.minus_mask, zero_ok)
+    if t is None:
+        return None
+    u = _rhat(p, q, t[1], t[2], zero_ok)
+    if u is None:
+        return None
+    return -1 if (t[0] + u[0]) & 1 else 1, _fock_state(u[1], u[2], zero_ok)
 
 
 def _e_gamma_state(p, q, ts):
@@ -125,13 +162,13 @@ def test_cutoff_operator_matches_the_window_sum(n, v):
 @EXAMPLES
 @given(st.integers(1, 5), tensor_vectors())
 def test_raw_form_matches_the_quadruple_sum(n, v):
-    assert _square_rhs_raw(n, v) == oracle_raw(n, v)
+    assert square_rhs_raw(n, v) == oracle_raw(n, v)
 
 
 @EXAMPLES
 @given(st.integers(1, 5), tensor_vectors())
 def test_hk_form_matches_the_k_family_sum(n, v):
-    assert _square_rhs_hk(n, v) == oracle_hk(n, v)
+    assert square_rhs_hk(n, v) == oracle_hk(n, v)
 
 
 def test_oracles_see_states_past_the_window():
@@ -140,5 +177,139 @@ def test_oracles_see_states_past_the_window():
     v = random_vector("tensor", 7, 3, terms=4, nonzero=True)
     assert max(ts.bound() for ts in v.terms) > 1
     assert dirac_cutoff_apply(1, v) == oracle_cutoff(1, v)
-    assert _square_rhs_raw(1, v) == oracle_raw(1, v)
-    assert _square_rhs_hk(1, v) == oracle_hk(1, v)
+    assert square_rhs_raw(1, v) == oracle_raw(1, v)
+    assert square_rhs_hk(1, v) == oracle_hk(1, v)
+
+
+# ---------------------------------------------------------------------------
+# Fock side: the Casimir variants and the Heisenberg shifts
+
+
+def casimir_state(tag, n, s):
+    """One Casimir variant on a Fock basis state: the pair quadratics
+    lifted over the window of the state's lattice, plus the diagonal."""
+    if tag in (cas.LIMIT, cas.G_LIMIT):
+        n = s.bound()
+    idx = window(n, s.zero_ok)
+    if tag == cas.NAIVE_N:
+        return lift_sum(Vec.basis(s), rhat_pair_state, [(i, j) for i in idx for j in idx])
+    # quadratic part: 2 sum_{j<i} E_ij E_ji (raising first)
+    lower = [(i, j) for i in idx for j in idx if j < i]
+    quad = lift_sum(Vec.basis(s, 2), rhat_pair_state, lower)
+    # diagonal part, summed over the occupied indices
+    sign_corr = 0 if tag in (cas.NORMAL_N, cas.LIMIT) else 1
+    diag = 0
+    for i in s.plus:
+        diag += 1 - 2 * i + sign_corr
+    for i in s.minus:
+        diag += 1 + 2 * i + sign_corr
+    return quad + Vec.basis(s, diag)
+
+
+def oracle_casimir(variant, v):
+    return vec_sum(casimir_state(variant.tag, variant.n, s).scaled(c) for s, c in v.terms.items())
+
+
+def fock_vectors(bound, zero_ok):
+    """Up to 4 distinct Fock basis states of any charge and bound <=
+    ``bound`` with nonzero Q(sqrt2) coefficients; the lattice of each
+    state is ``zero_ok``, or drawn per state when it is None."""
+    lattice = st.booleans() if zero_ok is None else st.just(zero_ok)
+    states = st.builds(
+        lambda z, pm, mm: _fock_state(pm if z else pm & ~1, mm, z),
+        lattice,
+        st.integers(0, (2 << bound) - 1),
+        st.integers(0, (1 << bound) - 1),
+    )
+    return st.lists(st.tuples(states, q_sqrt2), min_size=1, max_size=4, unique_by=lambda t: t[0]).map(
+        lambda terms: _vec(dict(terms))
+    )
+
+
+@st.composite
+def casimir_inputs(draw):
+    """A Casimir tag, a cut-off N and a vector on the tag's lattice inside
+    the window; ``naive_N`` draws the lattice of each state."""
+    tag = draw(st.sampled_from(sorted(cas._LATTICE)))
+    n = draw(st.integers(1, 4))
+    return tag, n, draw(fock_vectors(n, cas._LATTICE[tag]))
+
+
+@EXAMPLES
+@given(casimir_inputs())
+@example(
+    (
+        cas.NAIVE_N,
+        3,
+        _vec(
+            {
+                _fock_state(0b101, 0b10, True): Scalar(Fraction(1, 3), Fraction(-5, 6)),
+                _fock_state(0b110, 0b01, False): Scalar(-2, Fraction(1, 2)),
+                _fock_state(0b011, 0b11, True): Scalar(0, 1),
+            }
+        ),
+    )
+)
+def test_each_casimir_variant_matches_the_pair_sum(args):
+    tag, n, v = args
+    windowed = tag not in (cas.LIMIT, cas.G_LIMIT)
+    variant = cas.CasimirVariant(tag, n if windowed else None)
+    assert casimir_apply(variant, v) == oracle_casimir(variant, v)
+
+
+def oracle_heisenberg(n, k, v):
+    pairs = [(i, i + k) for i in range(-n, n + 1) if abs(i + k) <= n]
+    return lift_sum(v, rhat_state, pairs)
+
+
+@EXAMPLES
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), fock_vectors(n - 1, True))))
+def test_each_heisenberg_shift_matches_the_pair_sum(args):
+    # every shift of window(n) whose interior holds the vector
+    n, v = args
+    bound = max(s.bound() for s in v.terms)
+    for k in window(n - bound):
+        assert heisenberg_apply(n, k, v) == oracle_heisenberg(n, k, v), k
+
+
+# ---------------------------------------------------------------------------
+# Spin side: the spinor Casimir and the cut-off fermion number
+
+
+def spin_vectors(bound):
+    """Up to 4 distinct spin basis states of bound <= ``bound`` with
+    nonzero Q(sqrt2) coefficients."""
+    states = st.integers(0, (1 << bound * bound) - 1).map(_spin_state)
+    return st.lists(st.tuples(states, q_sqrt2), min_size=1, max_size=4, unique_by=lambda t: t[0]).map(
+        lambda terms: _vec(dict(terms))
+    )
+
+
+def oracle_spinor_casimir(n, v, renormalized):
+    parts = [k_family_apply(K_RAW, n, i, j, k_family_apply(K_RAW, n, j, i, v)) for i, j in window_pairs(n, 1)]
+    if renormalized:
+        parts.append(v.scaled(-(n**3)))
+    return vec_sum(parts)
+
+
+@EXAMPLES
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_spinor_casimir_matches_the_k_family_sum(n, renormalized, data):
+    v = data.draw(spin_vectors(n))
+    assert spinor_casimir_apply(n, v, renormalized) == oracle_spinor_casimir(n, v, renormalized)
+
+
+def oracle_fermion_number(n, v):
+    parts = []
+    for i in window(n):
+        k = k_family_apply(K_TILDE_N, n, i, i, v)
+        parts.append(k if i > 0 else -k)
+    return vec_sum(parts)
+
+
+@EXAMPLES
+@given(st.integers(0, 4), st.data())
+def test_cutoff_fermion_number_matches_the_k_family_sum(n, data):
+    # also on states past the window, where F_N is not F
+    v = data.draw(spin_vectors(n + 2))
+    assert fermion_number_cutoff_apply(n, v) == oracle_fermion_number(n, v)

@@ -81,7 +81,7 @@ def test_window_matches_the_comprehensions_it_replaced(n):
     assert window(n) == nonzero
     assert window(n, zero_ok=True) == list(range(-n, n + 1))
     assert (len(window(n)), len(window(n, zero_ok=True))) == (2 * n, 2 * n + 1)
-    # cross-half: dirac_cutoff_apply and _square_rhs_raw
+    # cross-half: dirac_cutoff_apply and the raw square words
     cross = [(i, j) for i in range(1, n + 1) for j in range(-n, 0)]
     cross += [(j, i) for i, j in cross]
     # same-half: diagonal_casimir_apply, _invariant_nullspace, spinor_casimir_apply

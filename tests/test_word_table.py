@@ -2,7 +2,7 @@
 fused square residual.
 
 A table files each word under the one input bit its rightmost factor
-needs set (``dirac._trigger``), and the kernel visits only the buckets of
+needs set (``words._trigger``), and the kernel visits only the buckets of
 the bits set on the input state.  That is sound when every word whose
 trigger bit is clear vanishes on the state, and then the indexed kernel
 must equal the flat sum over every word, also on states wider than the
@@ -25,17 +25,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gdirac import words
 from gdirac.dirac import (
     TensorState,
     _apply_table,
-    _compiled,
     _dirac_words,
     _hk_words,
-    _raw_table,
     _raw_words,
     _square_residual,
-    _trigger,
-    _word_table,
     dirac_apply,
     dirac_cutoff_apply,
     tensor_states,
@@ -44,6 +41,7 @@ from gdirac.fock import _fock_state, _rhat, _rhat_step, _rhat_word, window
 from gdirac.linalg import _vec, add_to
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
 from gdirac.spinor import _spin_state, _unit, _unit_word
+from gdirac.words import _compiled, _new_table, _raw_table, _tables, _trigger, _word_table
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 TABLES = {"dirac": (_dirac_words, HALF_SQRT2), "raw": (_raw_words, HALF), "hk": (_hk_words, HALF)}
@@ -176,12 +174,13 @@ def test_dirac_apply_refuses_index_zero_as_the_scalar_walk_does():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_each_word_is_stored_once_and_every_d_word_is_indexed(n):
     for words_of, _ in TABLES.values():
-        always, *buckets = _raw_table(words_of, n)
+        size, always, *buckets = _raw_table(words_of, n)
         groups = [always, *(g for b in buckets for g in b.values())]
-        stored = [(w, f, s) for g in groups for f, words in g for w, s in words]
-        assert sorted(stored) == sorted(words_of(n))
+        stored = [(w, f, s) for g in groups for f, ws in g for w, s in ws]
+        assert sorted(stored) == sorted(words_of(n)) and size == len(stored)
         # the compiled table holds the same groups, each compiled once
-        table = _word_table.__wrapped__(words_of, n)
+        size_again, table = _new_table(words_of, n)
+        assert size_again == size
         assert table[0] == _compiled(always)
         for bucket, raw in zip(table[1:], buckets):
             assert bucket.raw == raw and not bucket
@@ -189,7 +188,7 @@ def test_each_word_is_stored_once_and_every_d_word_is_indexed(n):
                 assert bucket[pos] == _compiled(g) and pos not in bucket.raw
     # every word of D_N needs a bit: pair annihilation a plus bit, pair
     # creation the mode bit it removes
-    assert _raw_table(_dirac_words, n)[0] == ()
+    assert _raw_table(_dirac_words, n)[1] == ()
     assert _word_table(_dirac_words, n)[0] == ()
 
 
@@ -208,13 +207,13 @@ def _check_step(word, pm, mm, zero_ok):
 
 
 def test_each_compiled_fock_step_equals_the_word_on_every_small_state():
-    # every word of up to two factors over window(2), on every state of
-    # bound <= 2 of both lattices; the words compiled to None must vanish
-    # on all of them
-    units = [(p, q) for p in window(2) for q in window(2)]
-    words = [()] + [(a,) for a in units] + [(a, b) for a in units for b in units]
-    for word in words:
-        for zero_ok in (False, True):
+    # every word of up to two factors over the window(2) of a lattice, on
+    # every state of bound <= 2 of that lattice; the include-zero words
+    # hold index 0, compiled as plus bit 0.  The words compiled to None
+    # must vanish on all of them
+    for zero_ok in (False, True):
+        units = [(p, q) for p in window(2, zero_ok) for q in window(2, zero_ok)]
+        for word in [()] + [(a,) for a in units] + [(a, b) for a in units for b in units]:
             for pm in range(0, 8, 1 if zero_ok else 2):
                 for mm in range(4):
                     _check_step(word, pm, mm, zero_ok)
@@ -236,7 +235,7 @@ def test_each_compiled_fock_step_equals_rhat_word(word, masks):
 
 
 def test_a_bound_one_vector_compiles_only_the_buckets_of_its_bits():
-    _word_table.cache_clear()
+    _tables.clear()
     v = _vec({ts: Scalar(1) for ts in tensor_states(1)})
     assert dirac_cutoff_apply(50, v) == dirac_apply(v)
     # the bound-1 states set plus bit 1, minus bit 0 and mode bit 0
@@ -245,6 +244,26 @@ def test_a_bound_one_vector_compiles_only_the_buckets_of_its_bits():
     assert sorted(by_plus.raw) == list(range(2, 51))
     assert not by_minus.raw
     assert sorted(by_mode.raw) == list(range(1, 50 * 50))
+
+
+def test_walking_n_upward_keeps_the_held_words_within_the_budget(monkeypatch):
+    budget = 600
+    monkeypatch.setattr(words, "TABLE_WORDS", budget)
+    _tables.clear()
+    try:
+        for n in range(1, 25):
+            # N = 1 stays in use, so the tables between go first
+            _word_table(_dirac_words, 1)
+            table = _word_table(_dirac_words, n)
+            held = [size for size, _ in _tables.values()]
+            # D_N holds 2 N^2 words; one past the budget is held alone
+            assert sum(held) <= budget or held == [2 * n * n], n
+            assert _tables[(_dirac_words, (n,))][1] is table
+            if 2 * n * n + 2 <= budget:
+                assert (_dirac_words, (1,)) in _tables
+        assert words.TABLE_WORDS == budget < 2 * 24 * 24
+    finally:
+        _tables.clear()
 
 
 def _perturbed(k):
