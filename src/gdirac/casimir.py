@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .fock import FockState, LatticeError, LieElement, _fock_state, diagonal_weight, half_sign, window
+from .fock import FockState, LatticeError, LieElement, diagonal_weight, half_sign, window
 from .linalg import Vec
 from .scalar import ONE, ZERO, Scalar
-from .words import _collect, _finish, _images, _word_table
+from .words import _apply, _bound, _images, _word_table
 
 NAIVE_N = "naive_N"
 NORMAL_N = "normal_N"
@@ -87,15 +87,6 @@ def _casimir_words(tag: str, n: int, zero_ok: bool):
             yield w, ((i, i),), ()
 
 
-def _fock_images(table, s: FockState) -> dict:
-    """``words._images`` of a Fock basis state."""
-    return _images(table, s.plus_mask, s.minus_mask, s.zero_ok, 0)
-
-
-def _key_state(pm: int, mm: int, zero_ok: bool, spin: int) -> FockState:
-    return _fock_state(pm, mm, zero_ok)
-
-
 def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
     """Apply the selected Casimir variant exactly.
 
@@ -112,11 +103,10 @@ def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
             raise ValueError("support exceeds the cut-off window")
     tag, n = _CUTOFF.get(variant.tag, variant.tag), variant.n
 
-    def images(s: FockState) -> dict:
-        table = _word_table(_casimir_words, tag, s.bound() if n is None else n, s.zero_ok)
-        return _fock_images(table, s)
+    def images(key) -> dict:
+        return _images(_word_table(_casimir_words, tag, _bound(key) if n is None else n, key[2]), key)
 
-    return _finish(_collect(v, images), ONE, _key_state)
+    return _apply(v, images, ONE)
 
 
 def casimir_commutator(variant: CasimirVariant, m: int, n: int) -> LieElement:
@@ -190,8 +180,7 @@ def heisenberg_apply(n: int, k: int, v: Vec) -> Vec:
             raise LatticeError("the Heisenberg shifts act on the include-zero lattice")
         if s.bound() > n - abs(k):
             raise ValueError("support too close to the window edge")
-    table = _word_table(_heisenberg_words, n, k)
-    return _finish(_collect(v, partial(_fock_images, table)), ONE, _key_state)
+    return _apply(v, partial(_images, _word_table(_heisenberg_words, n, k)), ONE)
 
 
 def window_identity_residual(n: int, states: list[FockState]) -> Scalar:

@@ -11,21 +11,21 @@ indices, so D is exact with no cut-off.  Its square, restricted to the
 diagonal-invariant sector, equals 1/4 (renormalized Casimir (x) 1 +
 1 (x) fermion number).
 
-The cut-off operator D_N and the ``raw`` and ``hk`` forms of 4 D_N^2 are
+The cut-off operator D_N and the three right sides of 4 D_N^2 (``raw``,
+``hk`` and ``final``, the last Cas_ren^(N) (x) 1 + 1 (x) F_N) are
 literal window sums of words E_pq... (x) u_ab..., with u = gamma/sqrt(2)
 and integer weights, and run through the word tables of ``words``.  The
 exact D (``dirac_apply``) uses no table: it walks the occupied pairs and
-modes of each state on its masks, and is the oracle the cut-off tables
-are compared against.
+modes of each state's masks, and is the oracle the tables are compared
+against.
 
-D, D_N and the square residuals share the accumulate-and-finish step of
-``words`` (``_collect``, ``_finish``): integer image weights times the
-integer numerators of the input coefficients, then the operator's scale
-(sqrt(2)/2 for D and D_N, 1/2 for the square forms) and one canonical
-scalar per surviving key.  The ``raw`` and ``hk`` residuals compose
-4 W_D W_D - W_R in integers per input state, take the largest
-coefficient by an exact integer sign test and build only that one
-scalar.
+D, D_N and ``t_square_apply`` (the ``final`` words at each state's own
+bound) run through the one entry point of ``words``, ``_apply``, with
+scale sqrt(2)/2 for D and D_N and 1/2 for the square forms.  Every square
+form is one integer residual (``_square_residual``): it composes
+4 W W - W_R per input state, W the integer images of D_N's table or, for
+the exact half of ``final``, of the exact D, takes the largest
+coefficient by an exact integer sign test and builds only that scalar.
 """
 
 from __future__ import annotations
@@ -33,22 +33,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from . import casimir as _cas
 from .fock import FockState, _fock_state, _rhat, fock_basis, half_sign, rhat_state, window_pairs
-from .linalg import ExactMatrix, Vec, _vec, add_to, spans_equal, vec_sum
-from .scalar import HALF_SQRT2, ZERO, Scalar, _from_numerators, _sign
+from .linalg import ExactMatrix, Vec, _vec, add_to, set_bits, spans_equal, vec_sum
+from .scalar import HALF, HALF_SQRT2, ZERO, Scalar, _from_numerators, _sign
 from .spinor import (
     SpinState,
+    _fermion_number_words,
+    _mode_at,
     _spin_state,
     _unit,
-    fermion_number_apply,
-    fermion_number_cutoff_apply,
     k_pairs,
     ktilde_state_terms,
     spin_basis,
 )
-from .words import _collect, _finish, _images, _word_table
+from .words import _apply, _bound, _collect, _images, _word_table
 
 
 class TensorState:
@@ -65,7 +66,16 @@ class TensorState:
         _set_hash(self, hash((fock._hash, spin._hash)))
 
     def bound(self) -> int:
-        return max(self.fock.bound(), self.spin.bound())
+        return _bound(self.mask_key)
+
+    @property
+    def mask_key(self) -> tuple:
+        f = self.fock
+        return f.plus_mask, f.minus_mask, f.zero_ok, self.spin.mask
+
+    @staticmethod
+    def from_mask_key(pm: int, mm: int, zero_ok: bool, spin: int) -> "TensorState":
+        return _tensor_state(_fock_state(pm, mm, zero_ok), _spin_state(spin))
 
     def sort_key(self):
         return (self.fock.sort_key(), self.spin.sort_key())
@@ -109,21 +119,17 @@ def _tensor_state(fock: FockState, spin: SpinState) -> TensorState:
     return s
 
 
-def _key_state(pm: int, mm: int, zero_ok: bool, spin: int) -> TensorState:
-    return _tensor_state(_fock_state(pm, mm, zero_ok), _spin_state(spin))
-
-
-def _dirac_images(ts: TensorState) -> dict:
-    """The images of one basis state under sqrt(2) D, as integer weights
-    on mask keys ``(pm, mm, zero_ok, spin)``; the annihilating factors
-    bound every sum."""
-    f, spin = ts.fock, ts.spin
-    pm, mm, zero_ok, mask = f.plus_mask, f.minus_mask, f.zero_ok, spin.mask
+def _dirac_images(key) -> dict:
+    """The images of the basis state with mask key ``key`` under
+    sqrt(2) D, as integer weights on mask keys; the annihilating factors
+    bound every sum, and the masks are decoded with no state built."""
+    pm, mm, zero_ok, mask = key
+    minus = [-1 - i for i in set_bits(mm)]
     images: dict = {}
     # pair annihilation in Fock, mode creation in spin: E_{p,q} over
     # occupied q > 0 > p; pair creation in Fock, mode annihilation in
     # spin: E_{m,l} over occupied modes (m, l)
-    for p, q in [(p, q) for q in f.plus for p in f.minus] + list(spin.modes):
+    for p, q in [(p, q) for q in set_bits(pm) for p in minus] + [_mode_at(t) for t in set_bits(mask)]:
         t = _unit(q, p, mask)
         u = t and _rhat(p, q, pm, mm, zero_ok)
         if u:
@@ -134,27 +140,11 @@ def _dirac_images(ts: TensorState) -> dict:
 
 def dirac_apply(v: Vec) -> Vec:
     """Exact Dirac action, with no cut-off and no word table."""
-    return _finish(_collect(v, _dirac_images), HALF_SQRT2, _key_state)
+    return _apply(v, _dirac_images, HALF_SQRT2)
 
 
 # ---------------------------------------------------------------------------
 # The windowed tensor operators, through the word tables of ``words``
-
-
-def _state_images(table, ts: TensorState) -> dict:
-    """``words._images`` of a tensor basis state."""
-    f = ts.fock
-    return _images(table, f.plus_mask, f.minus_mask, f.zero_ok, ts.spin.mask)
-
-
-def _apply_table(words_of, scale: Scalar, n: int, v: Vec) -> Vec:
-    """``scale`` times the word sum ``words_of(n)``, extended linearly to ``v``.
-
-    The scale multiplies each output coefficient once, at the end, and
-    states are built only for the images that survive.
-    """
-    table = _word_table(words_of, n)
-    return _finish(_collect(v, partial(_state_images, table)), scale, _key_state)
 
 
 def _dirac_words(n: int):
@@ -165,7 +155,7 @@ def _dirac_words(n: int):
 
 def dirac_cutoff_apply(n: int, v: Vec) -> Vec:
     """Literal windowed sum 1/2 sum_{|i|,|j|<=N, ij<0} E_ij (x) gamma_ji."""
-    return _apply_table(_dirac_words, HALF_SQRT2, n, v)
+    return _apply(v, partial(_images, _word_table(_dirac_words, n)), HALF_SQRT2)
 
 
 def rho_apply(p: int, q: int, v: Vec) -> Vec:
@@ -291,26 +281,8 @@ def constraint_window_robust(n: int, pairs: int, spin_length: int) -> bool:
     return spans_equal(a, b)
 
 
-def t_square_apply(v: Vec) -> Vec:
-    """Renormalized Casimir (x) 1 + 1 (x) fermion number (= 4 D^2 on
-    the invariant sector)."""
-    g = _cas.CasimirVariant(_cas.G_LIMIT)
-    return _factor_sum(v, partial(_cas.casimir_apply, g), fermion_number_apply)
-
-
 # ---------------------------------------------------------------------------
-# Square identities for the cut-off operator
-
-
-def _factor_sum(v: Vec, fock_fn, spin_fn) -> Vec:
-    """fock_fn (x) 1 + 1 (x) spin_fn, applied state by state."""
-    out: dict = {}
-    for ts, c in v.terms.items():
-        for f, x in fock_fn(_vec({ts.fock: c})).terms.items():
-            add_to(out, _tensor_state(f, ts.spin), x)
-        for s, x in spin_fn(_vec({ts.spin: c})).terms.items():
-            add_to(out, _tensor_state(ts.fock, s), x)
-    return _vec(out)
+# Square identities
 
 
 def _raw_words(n: int):
@@ -364,8 +336,29 @@ def _hk_words(n: int):
                 yield -w, fock_word, (b, a)
 
 
+def _final_words(n: int):
+    """The words of 2 (Cas_ren^(N) (x) 1 + 1 (x) F_(N)): the ``g_ren_N``
+    Casimir on the exclude-zero window, then the cut-off fermion number."""
+    for w, fock_word, spin_word in chain(_cas._casimir_words(_cas.G_REN_N, n, False), _fermion_number_words(n)):
+        yield 2 * w, fock_word, spin_word
+
+
 # the right-hand sides of 4 D_(N)^2, as word sums of scale 1/2
-_SQUARE_WORDS = {"raw": _raw_words, "hk": _hk_words}
+_SQUARE_WORDS = {"raw": _raw_words, "hk": _hk_words, "final": _final_words}
+
+
+def _refuse_include_zero(v: Vec) -> None:
+    """The renormalized Casimir lives on the exclude-zero lattice."""
+    if any(ts.fock.zero_ok for ts in v.terms):
+        raise ValueError("state lattice does not match the variant lattice")
+
+
+def t_square_apply(v: Vec) -> Vec:
+    """Renormalized Casimir (x) 1 + 1 (x) fermion number (= 4 D^2 on
+    the invariant sector): half the ``final`` words, at each state's own
+    bound, where the cut-off sums collapse to their limits."""
+    _refuse_include_zero(v)
+    return _apply(v, lambda key: _images(_word_table(_final_words, _bound(key)), key), HALF)
 
 
 def invariance_residual(v: Vec, cutoff: int) -> Scalar:
@@ -379,27 +372,26 @@ def invariance_residual(v: Vec, cutoff: int) -> Scalar:
     return best
 
 
-def _square_residual(n: int, words_of, v: Vec) -> Scalar:
-    """max coefficient of 4 D_(N)^2 v - 1/2 words_of(n) v, in integers.
+def _square_residual(d_images, rhs_images, v: Vec) -> Scalar:
+    """max coefficient of 4 D^2 v - 1/2 R v, in integers.
 
-    D_(N) is sqrt(2)/2 times the integer word sum W_D, so 4 D_(N)^2 -
-    1/2 W_R = 1/2 (4 W_D W_D - W_R).  The bracket is composed per input
-    state on mask keys as integer weights and collected as integer
-    numerators (``_collect``); the largest |a + b sqrt2| among them is
-    found by exact integer sign tests, and only it becomes a scalar,
-    halved and over the common denominator.
+    ``d_images`` and ``rhs_images`` give the integer images W of sqrt(2) D
+    (D_N's table, or the exact D) and of the right side R on mask keys,
+    so the residual is that of 1/2 (4 W W - R).  The bracket is composed
+    per input state and collected as integer numerators (``_collect``);
+    the largest |a + b sqrt2| among them is found by exact integer sign
+    tests, and only it becomes a scalar, halved and over the common
+    denominator.
     """
-    d_table = _word_table(_dirac_words, n)
-    rhs_table = _word_table(words_of, n)
 
-    def bracket(ts: TensorState) -> dict:
+    def bracket(key) -> dict:
         acc: dict = {}
-        for (pm1, mm1, zero_ok, spin1), w1 in _state_images(d_table, ts).items():
+        for key1, w1 in d_images(key).items():
             if w1:
-                for key, w2 in _images(d_table, pm1, mm1, zero_ok, spin1).items():
-                    acc[key] = acc.get(key, 0) + 4 * w1 * w2
-        for key, w in _state_images(rhs_table, ts).items():
-            acc[key] = acc.get(key, 0) - w
+                for key2, w2 in d_images(key1).items():
+                    acc[key2] = acc.get(key2, 0) + 4 * w1 * w2
+        for key2, w in rhs_images(key).items():
+            acc[key2] = acc.get(key2, 0) - w
         return acc
 
     den, acc_a, acc_b = _collect(v, bracket)
@@ -421,21 +413,20 @@ def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:
     ``final`` - Casimir_ren^(N) (x) 1 + 1 (x) F_(N), valid on the
                 invariant sector only (checked, error otherwise); the
                 exact square (no cut-off) is required to agree as well.
+
+    Each form is the table of its right side in ``_square_residual``
+    against D_N's table; ``final`` also against the exact D, and returns
+    the larger residual.
     """
-    if form in _SQUARE_WORDS:
-        return _square_residual(n, _SQUARE_WORDS[form], v)
-    if form != "final":
+    if form not in _SQUARE_WORDS:
         raise ValueError(f"unknown square form {form!r}")
-    bound = max((ts.bound() for ts in v.terms), default=0)
-    if invariance_residual(v, max(n, bound) + 1):
-        raise ValueError("final form needs an invariant vector")
-    g = _cas.CasimirVariant(_cas.G_REN_N, n)
-    rhs = _factor_sum(v, partial(_cas.casimir_apply, g), partial(fermion_number_cutoff_apply, n))
-    lhs = dirac_cutoff_apply(n, dirac_cutoff_apply(n, v)).scaled(4)
-    exact = dirac_apply(dirac_apply(v)).scaled(4)
-    r1 = (lhs - rhs).max_abs()
-    r2 = (exact - rhs).max_abs()
-    return r1 if r2 < r1 else r2
+    if form == "final":
+        if invariance_residual(v, max(n, *(ts.bound() for ts in v.terms)) + 1):
+            raise ValueError("final form needs an invariant vector")
+        _refuse_include_zero(v)
+    rhs = partial(_images, _word_table(_SQUARE_WORDS[form], n))
+    r = _square_residual(partial(_images, _word_table(_dirac_words, n)), rhs, v)
+    return max(r, _square_residual(_dirac_images, rhs, v)) if form == "final" else r
 
 
 def spectrum_report(n: int, degree_bound: int) -> dict:

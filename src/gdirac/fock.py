@@ -89,6 +89,14 @@ class FockState:
         return FockState((), (), zero_ok)
 
     @property
+    def mask_key(self) -> tuple:
+        return self.plus_mask, self.minus_mask, self.zero_ok, 0
+
+    @staticmethod
+    def from_mask_key(pm: int, mm: int, zero_ok: bool, spin: int) -> "FockState":
+        return _fock_state(pm, mm, zero_ok)
+
+    @property
     def plus(self) -> tuple[int, ...]:
         p = self._plus
         if p is None:

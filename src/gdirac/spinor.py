@@ -23,7 +23,7 @@ from math import isqrt
 from .fock import half_sign, window, window_pairs
 from .linalg import Vec, _vec, add_to, lift, lift_sum, set_bits
 from .scalar import HALF, ONE, SQRT2
-from .words import _collect, _finish, _images, _mode_bit, _mode_masks, _word_table
+from .words import _apply, _bound, _images, _mode_bit, _mode_masks, _word_table
 
 SpinMode = tuple[int, int]
 
@@ -77,6 +77,14 @@ class SpinState:
         return SpinState(())
 
     @property
+    def mask_key(self) -> tuple:
+        return 0, 0, False, self.mask
+
+    @staticmethod
+    def from_mask_key(pm: int, mm: int, zero_ok: bool, spin: int) -> "SpinState":
+        return _spin_state(spin)
+
+    @property
     def modes(self) -> tuple[SpinMode, ...]:
         modes = self._modes
         if modes is None:
@@ -89,8 +97,7 @@ class SpinState:
         return self.mask.bit_count()
 
     def bound(self) -> int:
-        width = self.mask.bit_length()
-        return isqrt(width - 1) + 1 if width else 0
+        return _bound(self.mask_key)
 
     def sort_key(self):
         return (self.length, self.modes)
@@ -293,20 +300,6 @@ def fermion_number_apply(v: Vec) -> Vec:
     return _vec(out)
 
 
-def _key_state(pm: int, mm: int, zero_ok: bool, spin: int) -> SpinState:
-    return _spin_state(spin)
-
-
-def _spin_images(table, s: SpinState) -> dict:
-    """``words._images`` of a spin basis state."""
-    return _images(table, 0, 0, False, s.mask)
-
-
-def _apply_words(table, v: Vec) -> Vec:
-    """The word sum of a spin-side table, extended linearly to ``v``."""
-    return _finish(_collect(v, partial(_spin_images, table)), ONE, _key_state)
-
-
 def _fermion_number_words(n: int):
     """The words sign(i) u_ik u_ki of sum_{0<|i|<=N} sign(i) K^(N)_ii,
     and N^2 times the identity: K~^(N)_ii = K^(N)_ii - N at each of the
@@ -320,7 +313,7 @@ def _fermion_number_words(n: int):
 
 def fermion_number_cutoff_apply(n: int, v: Vec) -> Vec:
     """sum_{0<|i|<=N} sign(i) K~^(N)_ii, the cut-off fermion number."""
-    return _apply_words(_word_table(_fermion_number_words, n), v)
+    return _apply(v, partial(_images, _word_table(_fermion_number_words, n)), ONE)
 
 
 def _spinor_casimir_words(n: int, renormalized: bool):
@@ -344,7 +337,7 @@ def spinor_casimir_apply(n: int, v: Vec, renormalized: bool = False) -> Vec:
     for s in v.terms:
         if s.bound() > n:
             raise ValueError("support exceeds the cut-off window")
-    return _apply_words(_word_table(_spinor_casimir_words, n, renormalized), v)
+    return _apply(v, partial(_images, _word_table(_spinor_casimir_words, n, renormalized)), ONE)
 
 
 def spin_basis(bound: int, length: int | None = None) -> list[SpinState]:

@@ -10,29 +10,29 @@ S (a product of unit mode operators u_ab = gamma_ab / sqrt(2)), times one
 scale common to the whole sum.  A Fock-side operator has only empty spin
 words and a spin-side one only empty Fock words, so the same tables and
 the same kernel serve Fock, spin and tensor vectors: a basis state of any
-of the three is given to the kernel as its masks ``(pm, mm, zero_ok,
-spin)``, with 0 for the factor it lacks.
+of the three reads as its ``mask_key`` ``(pm, mm, zero_ok, spin)``, with
+0 for the factor it lacks, and is rebuilt by ``from_mask_key``.
 
-The rightmost factor of a word acts first, so the word vanishes on every
-state that lacks the bit this factor needs (``_trigger``).  A table files
-each word once, under that trigger bit, or in one "always" group when it
-has none, and collects the words of a group by Fock word.  A group is
-compiled when the kernel first visits its bit: the Fock word becomes one
-affine step on the occupation masks (``fock._rhat_step``: required bits
-and values, parity masks, a constant parity and flip masks), and each
-spin word its required mode bits and values and its units (m, l, bit),
-whose parities stay symbolic because they depend on the width of the
-mask.  Words that can never act are dropped then.  The kernel
-(``_images``) visits the always group and the groups of the bits set on
-the input state; a Fock step costs two mask tests, two popcounts and two
-XORs, with no call, and its spin words are tested only where it acts.
+A word vanishes on every state that lacks a bit it needs set, so a table
+files each word once, under one such bit (``_trigger``), or in one
+"always" group when it needs none, and collects the words of a group by
+Fock word.  A group is compiled when the kernel first visits its bit:
+the Fock word becomes one affine step on the occupation masks
+(``fock._rhat_step``: required bits and values, parity masks, a constant
+parity and flip masks), and each spin word its required mode bits and
+values and its units (m, l, bit), whose parities stay symbolic because
+they depend on the width of the mask.  Words that can never act are
+dropped then.  The kernel (``_images``) visits the always group and the
+groups of the bits set on the input state; a Fock step costs two mask
+tests, two popcounts and two XORs, with no call, and its spin words are
+tested only where it acts.
 
-Images are integer weights on mask keys.  ``_collect`` writes the input
-coefficients over one common denominator, (a + b sqrt2) / den, and sums
-the image weights times a and b in plain ints per mask key, so terms
-that cancel never reach a scalar; ``_finish`` applies the operator's
-scale to those numerators in integers and builds one canonical scalar
-and one basis state per surviving key.
+Images are integer weights on mask keys.  ``_apply``, the one way from a
+vector to images and back, writes the input coefficients over one common
+denominator, (a + b sqrt2) / den, sums the image weights times a and b
+in plain ints per mask key (``_collect``), so terms that cancel never
+reach a scalar, multiplies those numerators by the scale in integers,
+and builds one canonical scalar and basis state per surviving key.
 
 Tables are cached by (words function, arguments), least recently used
 first, and dropped once the words they hold together pass
@@ -86,20 +86,28 @@ def _mode_masks(m: int, l: int, width: int) -> tuple[int, int]:
     return 1 << _mode_bit(m, l), lower
 
 
+def _bound(key) -> int:
+    """The ``bound()`` of the basis state whose mask key is ``key``."""
+    pm, mm, _, spin = key
+    width = spin.bit_length()
+    return max(pm.bit_length() - 1, mm.bit_length(), isqrt(width - 1) + 1 if width else 0)
+
+
 # ---------------------------------------------------------------------------
 # Tables
 
 
 def _trigger(fock_word, spin_word):
-    """The input bit the rightmost factor of a word needs set, as
-    ``(mask, position)`` on the plus (0), minus (1) or spin (2) mask, or
-    None when it needs none.
+    """An input bit a word needs set, as ``(mask, position)`` on the
+    plus (0), minus (1) or spin (2) mask, or None when it needs none.
 
-    E_pq needs plus bit q when q >= 0 (psi_q annihilates there), else
-    minus bit p when p < 0 (psi*_p fills a hole there; the diagonal
-    p = q < 0 too); u_ab needs the mode bit (b, a) when a < 0.  Index 0
-    is plus bit 0, as on the include-zero lattice; only include-zero
-    windows hold it, so the answer is the same on both lattices.
+    First the bit of the rightmost factor: E_pq needs plus bit q when
+    q >= 0 (psi_q annihilates there), else minus bit p when p < 0 (psi*_p
+    fills a hole there; the diagonal p = q < 0 too); u_ab needs the mode
+    bit (b, a) when a < 0.  Index 0 is plus bit 0, as on the include-zero
+    lattice; only include-zero windows hold it, so the answer is the same
+    on both lattices.  Else the lowest mode bit the spin word needs set
+    (``_spin_step``); no Fock word is compiled here.
     """
     if fock_word:
         p, q = fock_word[-1]
@@ -111,6 +119,10 @@ def _trigger(fock_word, spin_word):
         a, b = spin_word[-1]
         if a < 0:
             return 2, _mode_bit(b, a)
+        step = _spin_step(spin_word)
+        needed = step and step[0] & step[1]
+        if needed:
+            return 2, (needed & -needed).bit_length() - 1
     return None
 
 
@@ -229,12 +241,13 @@ def _word_table(words_of, *args) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The kernel, and the one accumulate-and-finish step
+# The kernel, and the one way from vectors to images and back
 
 
-def _images(table, pm: int, mm: int, zero_ok: bool, spin: int) -> dict:
-    """The images of one basis state under a table's word sum: integer
-    weights, some of them 0, on mask keys ``(pm, mm, zero_ok, spin)``."""
+def _images(table, key) -> dict:
+    """The images of the state with mask key ``key`` under a table's word
+    sum: integer weights, some of them 0, on mask keys."""
+    pm, mm, zero_ok, spin = key
     always, *buckets = table
     visit = [always]
     for bits, bucket in zip((pm, mm, spin), buckets):
@@ -264,9 +277,9 @@ def _images(table, pm: int, mm: int, zero_ok: bool, spin: int) -> dict:
 def _collect(v: Vec, images) -> tuple[int, dict, dict]:
     """The sum of c * images(s) over the terms c s of ``v``, in integers.
 
-    ``images`` maps one basis state to integer weights on the mask keys
-    ``(pm, mm, zero_ok, spin)`` of its images.  The coefficients of ``v``
-    are written over one common denominator ``den`` as (a + b sqrt2) / den
+    ``images`` maps the mask key of one basis state to integer weights on
+    the mask keys of its images.  The coefficients of ``v`` are written
+    over one common denominator ``den`` as (a + b sqrt2) / den
     (``scalar._numerators``), and w * a and w * b are summed per key into
     the dicts ``a`` and ``b``; a key of ``a`` missing from ``b`` has a
     sqrt2 part of 0.  Returns ``(den, a, b)``.
@@ -275,7 +288,7 @@ def _collect(v: Vec, images) -> tuple[int, dict, dict]:
     acc_a: dict = {}
     acc_b: dict = {}
     for s, (a, b) in zip(v.terms, nums):
-        for key, w in images(s).items():
+        for key, w in images(s.mask_key).items():
             if w:
                 acc_a[key] = acc_a.get(key, 0) + w * a
                 if b:
@@ -283,12 +296,15 @@ def _collect(v: Vec, images) -> tuple[int, dict, dict]:
     return den, acc_a, acc_b
 
 
-def _finish(acc: tuple, scale: Scalar, state) -> Vec:
-    """``scale`` times the numerators ``(den, a, b)`` of ``_collect``, as
-    a vector whose basis states are ``state(pm, mm, zero_ok, spin)``.
-    The scale multiplies the numerators in integers; a state and one
+def _apply(v: Vec, images, scale: Scalar) -> Vec:
+    """``scale`` times ``images`` (a table's ``_images``, or the exact D)
+    extended linearly to ``v``.  The scale multiplies the numerators of
+    ``_collect`` in integers; a state of the input's class and one
     canonical scalar are built only for each key that survives."""
-    den, acc_a, acc_b = acc
+    if not v.terms:
+        return v
+    state = type(next(iter(v.terms))).from_mask_key
+    den, acc_a, acc_b = _collect(v, images)
     m, ((p, q),) = _numerators((scale,))
     den *= m
     out = {}

@@ -9,8 +9,11 @@ side they are the five Casimir variants, as ``rhat_pair_state`` lifted
 over the window plus the diagonal summed over the occupied indices, and
 the Heisenberg shifts, as ``rhat_state`` lifted over the shifted pairs.
 On the spin side they are the spinor Casimir and the cut-off fermion
-number, as sums of ``k_family_apply``.  They must agree exactly on random
-vectors, also past the window where an operator allows it (D_N then
+number, as sums of ``k_family_apply``.  The ``final`` right side of
+4 D_N^2 and the window-free square ``t_square_apply`` are checked against
+the Casimir and fermion-number operators applied factor by factor
+(``factor_sum``), and the integer square residual against the vector
+subtraction it replaced.  They must agree exactly on random vectors, also past the window where an operator allows it (D_N then
 differs from D), on vectors that mix both Fock lattices where the naive
 Casimir allows it, and with coefficients whose fields have denominators
 up to 6.
@@ -25,34 +28,55 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_word_table import table_images
 
 from gdirac import casimir as cas
 from gdirac.casimir import casimir_apply, heisenberg_apply
-from gdirac.dirac import TensorState, _apply_table, _hk_words, _raw_words, dirac_cutoff_apply
-from gdirac.fock import _fock_state, _rhat, rhat_apply, rhat_state, window, window_pairs
-from gdirac.linalg import Vec, _vec, lift_sum, vec_sum
+from gdirac.dirac import (
+    _SQUARE_WORDS,
+    TensorState,
+    _dirac_images,
+    _final_words,
+    _hk_words,
+    _raw_words,
+    _square_residual,
+    dirac_apply,
+    dirac_cutoff_apply,
+    t_square_apply,
+)
+from gdirac.fock import FockState, _fock_state, _rhat, rhat_apply, rhat_state, window, window_pairs
+from gdirac.linalg import Vec, _vec, add_to, lift_sum, vec_sum
 from gdirac.sampling import random_vector
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
 from gdirac.spinor import (
     H_N,
     K_RAW,
     K_TILDE_N,
+    SpinState,
     _spin_state,
+    fermion_number_apply,
     fermion_number_cutoff_apply,
     gamma_pair_state,
     gamma_unit_state,
     k_family_apply,
     spinor_casimir_apply,
 )
+from gdirac.words import _apply
 
 EXAMPLES = settings(max_examples=100, deadline=None)
 # a nonzero a + b sqrt2 with rational a, b of denominators 1..6
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 q_sqrt2 = st.builds(Scalar, fractions, fractions).filter(bool)
 
-# the right-hand sides of 4 D_N^2 as vectors, functions of (n, v)
-square_rhs_raw = partial(_apply_table, _raw_words, HALF)
-square_rhs_hk = partial(_apply_table, _hk_words, HALF)
+
+
+def square_rhs(words_of, n, v):
+    """A right-hand side of 4 D_N^2, 1/2 ``words_of(n)``, as a vector."""
+    return _apply(v, table_images(words_of, n), HALF)
+
+
+square_rhs_raw = partial(square_rhs, _raw_words)
+square_rhs_hk = partial(square_rhs, _hk_words)
 
 
 def rhat_pair_state(p, q, state):
@@ -313,3 +337,83 @@ def test_cutoff_fermion_number_matches_the_k_family_sum(n, data):
     # also on states past the window, where F_N is not F
     v = data.draw(spin_vectors(n + 2))
     assert fermion_number_cutoff_apply(n, v) == oracle_fermion_number(n, v)
+
+
+# ---------------------------------------------------------------------------
+# The square forms: the final right side, the window-free square and the
+# integer residual
+
+
+def factor_sum(v, fock_fn, spin_fn):
+    """fock_fn (x) 1 + 1 (x) spin_fn, applied state by state."""
+    out = {}
+    for ts, c in v.terms.items():
+        for f, x in fock_fn(_vec({ts.fock: c})).terms.items():
+            add_to(out, TensorState(f, ts.spin), x)
+        for s, x in spin_fn(_vec({ts.spin: c})).terms.items():
+            add_to(out, TensorState(ts.fock, s), x)
+    return _vec(out)
+
+
+def oracle_final(n, v):
+    g = cas.CasimirVariant(cas.G_REN_N, n)
+    return factor_sum(v, partial(casimir_apply, g), partial(fermion_number_cutoff_apply, n))
+
+
+def oracle_t_square(v):
+    g = cas.CasimirVariant(cas.G_LIMIT)
+    return factor_sum(v, partial(casimir_apply, g), fermion_number_apply)
+
+
+def bound_of(v):
+    return max(ts.bound() for ts in v.terms)
+
+
+@EXAMPLES
+@given(st.integers(0, 2), tensor_vectors())
+def test_final_words_match_the_factor_sum(extra, v):
+    n = bound_of(v) + extra
+    assert square_rhs(_final_words, n, v) == oracle_final(n, v)
+
+
+def _tensor(plus, minus, modes):
+    return TensorState(FockState(plus, minus), SpinState(modes))
+
+
+# the vacuum, and states whose spin bound exceeds their Fock bound, so
+# that the window of each state is set by its spin factor
+VACUUM = Vec.basis(_tensor((), (), ()))
+SPIN_WIDER = _vec(
+    {
+        _tensor((), (), ((1, -3),)): Scalar(Fraction(1, 3), Fraction(-5, 6)),
+        _tensor((1,), (-1,), ((2, -3), (3, -1))): Scalar(-2, Fraction(1, 2)),
+        _tensor((2,), (-1,), ((1, -2), (1, -1), (4, -4))): Scalar(0, 1),
+    }
+)
+
+
+@EXAMPLES
+@given(tensor_vectors())
+@example(VACUUM)
+@example(SPIN_WIDER)
+def test_t_square_matches_the_limit_factor_sum(v):
+    assert t_square_apply(v) == oracle_t_square(v)
+
+
+def test_t_square_on_the_vacuum_and_on_spin_wider_states():
+    assert t_square_apply(VACUUM).is_zero() and oracle_t_square(VACUUM).is_zero()
+    assert all(ts.spin.bound() > ts.fock.bound() for ts in SPIN_WIDER.terms)
+    got = t_square_apply(SPIN_WIDER)
+    assert got == oracle_t_square(SPIN_WIDER) and got
+
+
+@EXAMPLES
+@given(st.sampled_from(sorted(_SQUARE_WORDS)), st.integers(0, 1), tensor_vectors())
+def test_exact_square_residual_matches_the_vector_subtraction(form, extra, v):
+    # off the invariant sector the final form is not 4 D^2, so the
+    # residual has content there
+    words_of = _SQUARE_WORDS[form]
+    n = bound_of(v) + extra
+    lhs = dirac_apply(dirac_apply(v)).scaled(4)
+    expected = (lhs - square_rhs(words_of, n, v)).max_abs()
+    assert _square_residual(_dirac_images, table_images(words_of, n), v) == expected

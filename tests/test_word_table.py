@@ -8,15 +8,18 @@ trigger bit is clear vanishes on the state, and then the indexed kernel
 must equal the flat sum over every word, also on states wider than the
 window.  A bucket is compiled on its first visit, each Fock word to one
 integer-mask step that must agree with ``fock._rhat_word``, the word
-evaluated factor by factor.  The ``raw`` and ``hk`` residuals
-compose the integer word sums directly; a perturbed table, and D_N's own
-word sum as a right side, show that they report a nonzero residual
-exactly as the vector subtraction would.  Coefficients are drawn from
+evaluated factor by factor.  A word whose rightmost factor needs no
+bit is filed under a mode bit its spin word needs, so no word left in
+the always group needs any bit set.  The square residuals compose the
+integer word sums directly; a perturbed table, and D_N's own word sum as
+a right side, show that they report a nonzero residual exactly as the
+vector subtraction would.  Coefficients are drawn from
 Q(sqrt2) with denominators up to 6, so the common denominator of the
 integer numerators the kernels carry is rarely 1.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -25,11 +28,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gdirac import casimir as cas
 from gdirac import words
 from gdirac.dirac import (
     TensorState,
-    _apply_table,
     _dirac_words,
+    _final_words,
     _hk_words,
     _raw_words,
     _square_residual,
@@ -40,11 +44,16 @@ from gdirac.dirac import (
 from gdirac.fock import _fock_state, _rhat, _rhat_step, _rhat_word, window
 from gdirac.linalg import _vec, add_to
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
-from gdirac.spinor import _spin_state, _unit, _unit_word
-from gdirac.words import _compiled, _new_table, _raw_table, _tables, _trigger, _word_table
+from gdirac.spinor import _fermion_number_words, _spin_state, _spinor_casimir_words, _unit, _unit_word
+from gdirac.words import _apply, _compiled, _images, _new_table, _raw_table, _tables, _trigger, _word_table
 
 EXAMPLES = settings(max_examples=60, deadline=None)
-TABLES = {"dirac": (_dirac_words, HALF_SQRT2), "raw": (_raw_words, HALF), "hk": (_hk_words, HALF)}
+TABLES = {
+    "dirac": (_dirac_words, HALF_SQRT2),
+    "raw": (_raw_words, HALF),
+    "hk": (_hk_words, HALF),
+    "final": (_final_words, HALF),
+}
 # a nonzero a + b sqrt2 with rational a, b of denominators 1..6
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 q_sqrt2 = st.builds(Scalar, fractions, fractions).filter(bool)
@@ -91,6 +100,21 @@ def tensor_vectors(draw, masks=any_tensor_masks):
     return _vec({s: draw(q_sqrt2) for s in states})
 
 
+def table_images(words_of, n):
+    """The kernel images of the table of ``words_of(n)``."""
+    return partial(_images, _word_table(words_of, n))
+
+
+def apply_table(words_of, scale, n, v):
+    return _apply(v, table_images(words_of, n), scale)
+
+
+def residual(n, words_of, v):
+    """The integer residual of 4 D_N^2 v against the right side
+    1/2 ``words_of(n)`` v."""
+    return _square_residual(table_images(_dirac_words, n), table_images(words_of, n), v)
+
+
 def canonical(cs) -> bool:
     """Every field of the scalars ``cs`` an int, or a non-integral
     Fraction (``Vec.__eq__`` cannot tell Fraction(2, 1) from 2)."""
@@ -129,7 +153,7 @@ def test_a_word_with_its_trigger_bit_clear_vanishes(form, n, masks):
 @given(st.sampled_from(sorted(TABLES)), st.integers(1, 4), tensor_vectors())
 def test_the_indexed_kernel_equals_the_flat_word_sum(form, n, v):
     words_of, scale = TABLES[form]
-    got = _apply_table(words_of, scale, n, v)
+    got = apply_table(words_of, scale, n, v)
     assert got == flat_apply(words_of, scale, n, v)
     assert canonical(got.terms.values())
 
@@ -190,6 +214,34 @@ def test_each_word_is_stored_once_and_every_d_word_is_indexed(n):
     # creation the mode bit it removes
     assert _raw_table(_dirac_words, n)[1] == ()
     assert _word_table(_dirac_words, n)[0] == ()
+
+
+def small_tables(n):
+    """(words function, arguments) of every word table of the package at
+    cut-off ``n``."""
+    tables = [(f, (n,)) for f in (_dirac_words, _raw_words, _hk_words, _final_words, _fermion_number_words)]
+    tables += [(cas._casimir_words, (tag, n, zero_ok)) for tag in cas._CUTOFF.values() for zero_ok in (False, True)]
+    tables += [(cas._casimir_words, (cas.NAIVE_N, n, zero_ok)) for zero_ok in (False, True)]
+    tables += [(cas._heisenberg_words, (n, k)) for k in window(n)]
+    return tables + [(_spinor_casimir_words, (n, renormalized)) for renormalized in (False, True)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_no_always_group_word_needs_a_set_bit(n):
+    for words_of, args in small_tables(n):
+        always = _new_table(words_of, *args)[1][0]
+        for _, vp, _, vm, *_, spins in always:
+            assert vp == vm == 0, (words_of, args)
+            assert all(val == 0 for _, _, val, _ in spins), (words_of, args)
+
+
+def test_the_spin_step_trigger_files_the_spinor_casimir_words():
+    # u_ik u_kj u_jk' u_k'i with i, j < 0 creates (k', i) first and then
+    # needs (k', j) set when i != j: only the i = j words stay always, N^2
+    # of them at each of the N indices i < 0
+    for n in (2, 3, 4):
+        always = _raw_table(_spinor_casimir_words, n, False)[1]
+        assert sum(len(ws) for _, ws in always) == n**3
 
 
 def _run_step(step, pm, mm):
@@ -295,12 +347,12 @@ def test_fused_residual_sees_a_perturbed_weight(n, masks, ab):
         return
     words_of = _perturbed(k)
     lhs = dirac_cutoff_apply(n, dirac_cutoff_apply(n, v)).scaled(4)
-    expected = (lhs - _apply_table(words_of, HALF, n, v)).max_abs()
-    residual = _square_residual(n, words_of, v)
-    assert residual == expected
+    expected = (lhs - apply_table(words_of, HALF, n, v)).max_abs()
+    got = residual(n, words_of, v)
+    assert got == expected
     # the unperturbed identity holds, so only the one extra term remains
-    assert residual == HALF * abs(c) != 0
-    assert _square_residual(n, _raw_words, v) == 0
+    assert got == HALF * abs(c) != 0
+    assert residual(n, _raw_words, v) == 0
 
 
 @EXAMPLES
@@ -319,9 +371,9 @@ def test_fused_residual_against_a_right_side_that_is_not_the_square(n, v):
     # 4 D_N^2 - 1/2 W_D: D_N's own word sum, deliberately not the square
     d = dirac_cutoff_apply(n, v)
     lhs = dirac_cutoff_apply(n, d).scaled(4)
-    expected = (lhs - _apply_table(_dirac_words, HALF, n, v)).max_abs()
-    residual = _square_residual(n, _dirac_words, v)
-    assert residual == expected and canonical([residual])
+    expected = (lhs - apply_table(_dirac_words, HALF, n, v)).max_abs()
+    got = residual(n, _dirac_words, v)
+    assert got == expected and canonical([got])
     # W_D changes the spin length by one and D_N^2 by an even number, so
     # nothing cancels the W_D v = sqrt(2) D_N v side
-    assert bool(residual) == bool(d)
+    assert bool(got) == bool(d)
