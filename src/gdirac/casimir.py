@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .fock import FockState, LatticeError, LieElement, diagonal_weight, half_sign, window
+from .fock import FockState, LatticeError, LieElement, _bound, diagonal_weight, half_sign, window
 from .linalg import Vec
 from .scalar import ONE, ZERO, Scalar
-from .words import _apply, _bound, _images, _word_table
+from .words import _apply, _images, _word_table
 
 NAIVE_N = "naive_N"
 NORMAL_N = "normal_N"

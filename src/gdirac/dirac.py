@@ -19,6 +19,12 @@ exact D (``dirac_apply``) uses no table: it walks the occupied pairs and
 modes of each state's masks, and is the oracle the tables are compared
 against.
 
+A ``TensorState`` is one mask key ``(pm, mm, zero_ok, spin)`` of
+``fock.MaskState``, the masks of its Fock and spin factors, which are
+rebuilt from it on demand.  The state maps on it (``_dirac_images``,
+``rho_apply``) read the key through the mask-level cores ``_rhat``,
+``_unit`` and ``_ktilde`` and build one state per image.
+
 D, D_N and ``t_square_apply`` (the ``final`` words at each state's own
 bound) run through the one entry point of ``words``, ``_apply``, with
 scale sqrt(2)/2 for D and D_N and 1/2 for the square forms.  Every square
@@ -36,63 +42,47 @@ from functools import partial
 from itertools import chain
 
 from . import casimir as _cas
-from .fock import FockState, _fock_state, _rhat, fock_basis, half_sign, rhat_state, window_pairs
+from .fock import FockState, MaskState, _bound, _rhat, _store, fock_basis, half_sign, window_pairs
 from .linalg import ExactMatrix, Vec, _vec, add_to, set_bits, spans_equal, vec_sum
 from .scalar import HALF, HALF_SQRT2, ZERO, Scalar, _from_numerators, _sign
 from .spinor import (
     SpinState,
     _fermion_number_words,
+    _ktilde,
     _mode_at,
-    _spin_state,
     _unit,
     k_pairs,
-    ktilde_state_terms,
     spin_basis,
 )
-from .words import _apply, _bound, _collect, _images, _word_table
+from .words import _apply, _collect, _images, _word_table
 
 
-class TensorState:
+class TensorState(MaskState):
     """A Fock basis state tensored with a spin basis state.
 
-    The hash is taken at construction; instances are immutable.
+    The state is its mask key ``(pm, mm, zero_ok, spin)``: the Fock
+    factor's masks and lattice and the spin factor's grid mask.  The
+    factors ``fock`` and ``spin`` are rebuilt from the key on each use,
+    so a state holds no factor objects.  Instances are immutable.
     """
 
-    __slots__ = ("fock", "spin", "_hash")
+    __slots__ = ()
 
     def __init__(self, fock: FockState, spin: SpinState):
-        _set_fock(self, fock)
-        _set_spin(self, spin)
-        _set_hash(self, hash((fock._hash, spin._hash)))
-
-    def bound(self) -> int:
-        return _bound(self.mask_key)
+        pm, mm, zero_ok, _ = fock.mask_key
+        _store(self, (pm, mm, zero_ok, spin.mask_key[3]))
 
     @property
-    def mask_key(self) -> tuple:
-        f = self.fock
-        return f.plus_mask, f.minus_mask, f.zero_ok, self.spin.mask
+    def fock(self) -> FockState:
+        pm, mm, zero_ok, _ = self.mask_key
+        return FockState.from_mask_key(pm, mm, zero_ok, 0)
 
-    @staticmethod
-    def from_mask_key(pm: int, mm: int, zero_ok: bool, spin: int) -> "TensorState":
-        return _tensor_state(_fock_state(pm, mm, zero_ok), _spin_state(spin))
+    @property
+    def spin(self) -> SpinState:
+        return SpinState.from_mask_key(0, 0, False, self.mask_key[3])
 
     def sort_key(self):
         return (self.fock.sort_key(), self.spin.sort_key())
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TensorState:
-            return NotImplemented
-        return self.fock == other.fock and self.spin == other.spin
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: TensorState is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: TensorState is immutable")
 
     def __reduce__(self):
         return (TensorState, (self.fock, self.spin))
@@ -102,21 +92,6 @@ class TensorState:
 
     def __str__(self) -> str:
         return f"{self.fock}(x){self.spin}"
-
-
-_new = object.__new__
-_set_fock = TensorState.fock.__set__
-_set_spin = TensorState.spin.__set__
-_set_hash = TensorState._hash.__set__
-
-
-def _tensor_state(fock: FockState, spin: SpinState) -> TensorState:
-    """Trusted constructor: ``TensorState`` without the call overhead."""
-    s = _new(TensorState)
-    _set_fock(s, fock)
-    _set_spin(s, spin)
-    _set_hash(s, hash((fock._hash, spin._hash)))
-    return s
 
 
 def _dirac_images(key) -> dict:
@@ -164,11 +139,12 @@ def rho_apply(p: int, q: int, v: Vec) -> Vec:
         raise ValueError("rho needs indices of a common sign")
     out: dict = {}
     for ts, c in v.terms.items():
-        t = rhat_state(p, q, ts.fock)
+        pm, mm, zero_ok, mask = ts.mask_key
+        t = _rhat(p, q, pm, mm, zero_ok)
         if t is not None:
-            add_to(out, _tensor_state(t[1], ts.spin), c if t[0] > 0 else -c)
-        for sign, sp2 in ktilde_state_terms(p, q, ts.spin):
-            add_to(out, _tensor_state(ts.fock, sp2), c if sign > 0 else -c)
+            add_to(out, TensorState.from_mask_key(t[1], t[2], zero_ok, mask), -c if t[0] & 1 else c)
+        for crossings, mask2 in _ktilde(p, q, mask):
+            add_to(out, TensorState.from_mask_key(pm, mm, zero_ok, mask2), -c if crossings & 1 else c)
     return _vec(out)
 
 
@@ -349,7 +325,7 @@ _SQUARE_WORDS = {"raw": _raw_words, "hk": _hk_words, "final": _final_words}
 
 def _refuse_include_zero(v: Vec) -> None:
     """The renormalized Casimir lives on the exclude-zero lattice."""
-    if any(ts.fock.zero_ok for ts in v.terms):
+    if any(ts.mask_key[2] for ts in v.terms):
         raise ValueError("state lattice does not match the variant lattice")
 
 

@@ -18,6 +18,10 @@ A state stores each block as an occupation mask (bit k for an occupied
 k >= 0, bit |l| - 1 for an occupied l < 0), so every crossing count is
 the popcount of a masked int.
 
+Every basis state of the package, Fock, spin or tensor, is its mask key
+``(pm, mm, zero_ok, spin)`` behind the one base class ``MaskState``
+defined here, the lowest module that the spin and tensor states import.
+
 Two lattices coexist: the default one excludes the index 0, the
 "include zero" one admits 0 into the plus half (used by the
 highest-weight / Casimir machinery, where the vacuum sea sits strictly
@@ -32,6 +36,7 @@ windowed operator and suite of the package sums over these.
 from __future__ import annotations
 
 from itertools import combinations
+from math import isqrt
 
 from .linalg import Vec, _vec, add_to, lift, set_bits, vec_sum
 from .scalar import HALF, ONE, ZERO, Scalar, _coerce
@@ -44,29 +49,93 @@ class LatticeError(ValueError):
     pass
 
 
-class FockState:
+class MaskState:
+    """A basis state stored as its mask key ``(pm, mm, zero_ok, spin)``.
+
+    The key is the one encoding of Fock, spin and tensor basis states:
+    the plus and minus occupation masks of the Fock factor and its
+    lattice, and the grid mask of the spin factor, 0 for a factor the
+    state lacks.  A state holds its key and the hash taken at
+    construction, nothing else; the word kernel reads it through the key.
+    The base owns equality by class and key, immutability, ``bound`` and
+    the trusted constructor ``from_mask_key``; a subclass adds its
+    validating constructor and decodes its views from the key.
+    """
+
+    __slots__ = ("mask_key", "_hash")
+
+    @classmethod
+    def from_mask_key(cls, pm: int, mm: int, zero_ok: bool, spin: int):
+        """Trusted constructor from a mask key.
+
+        Skips ``__post_init__``; only the state maps and the word kernel
+        use it, on keys they made from valid states.
+        """
+        s = _new(cls)
+        key = pm, mm, zero_ok, spin
+        _set_key(s, key)
+        _set_hash(s, hash(key))
+        return s
+
+    def bound(self) -> int:
+        """Largest occupied |index| (0 for the vacuum)."""
+        return _bound(self.mask_key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask_key == other.mask_key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+
+_new = object.__new__
+_set_key = MaskState.mask_key.__set__
+_set_hash = MaskState._hash.__set__
+
+
+def _store(state: MaskState, key: tuple) -> None:
+    """Set the key and its hash on a state under construction."""
+    _set_key(state, key)
+    _set_hash(state, hash(key))
+
+
+def _bound(key) -> int:
+    """The ``bound()`` of the basis state whose mask key is ``key``: the
+    spin masks of bound <= B fill the first B^2 bits of the grid."""
+    pm, mm, _, spin = key
+    width = spin.bit_length()
+    return max(pm.bit_length() - 1, mm.bit_length(), isqrt(width - 1) + 1 if width else 0)
+
+
+class FockState(MaskState):
     """Occupation sets of a canonical basis word.
 
     ``plus``/``minus`` are strictly ascending tuples; ``zero_ok`` marks
     the include-zero lattice (0 admitted into ``plus``).  The state is
-    stored as ``plus_mask`` (bit k for an occupied k >= 0) and
-    ``minus_mask`` (bit |l| - 1 for an occupied l < 0); the hash is
-    taken at construction and the tuples are decoded on first use.
-    Instances are immutable.
+    its mask key ``(plus_mask, minus_mask, zero_ok, 0)``, with bit k of
+    ``plus_mask`` for an occupied k >= 0 and bit |l| - 1 of
+    ``minus_mask`` for an occupied l < 0; the tuples are decoded from
+    the masks.  Instances are immutable.
     """
 
-    __slots__ = ("plus_mask", "minus_mask", "zero_ok", "_hash", "_plus", "_minus")
+    __slots__ = ()
 
     def __init__(self, plus: tuple[int, ...] = (), minus: tuple[int, ...] = (), zero_ok: bool = False):
-        # __post_init__ validates the blocks and encodes them as masks
-        _set_plus(self, tuple(plus))
-        _set_minus(self, tuple(minus))
-        _set_zero_ok(self, zero_ok)
-        self.__post_init__()
+        # the validating step is a method of its own, which the
+        # benchmark's tracer (perfbench/tracing.py) counts
+        self.__post_init__(tuple(plus), tuple(minus), zero_ok)
 
-    def __post_init__(self):
-        plus, minus = self._plus, self._minus
-        lo = 0 if self.zero_ok else 1
+    def __post_init__(self, plus: tuple[int, ...], minus: tuple[int, ...], zero_ok: bool):
+        """Validate the blocks and store them as the mask key."""
+        lo = 0 if zero_ok else 1
         if any(k < lo for k in plus) or list(plus) != sorted(set(plus)):
             raise LatticeError(f"bad plus block {plus}")
         if any(k >= 0 for k in minus) or list(minus) != sorted(set(minus)):
@@ -76,74 +145,44 @@ class FockState:
             pm |= 1 << k
         for l in minus:
             mm |= 1 << (-1 - l)
-        _set_pm(self, pm)
-        _set_mm(self, mm)
-        _set_hash(self, hash((pm, mm, self.zero_ok)))
-        # only the masks are kept, as for the states the maps build: the
-        # tuples are decoded again on first use
-        _set_plus(self, None)
-        _set_minus(self, None)
+        _store(self, (pm, mm, zero_ok, 0))
 
     @staticmethod
     def vacuum(zero_ok: bool = False) -> "FockState":
         return FockState((), (), zero_ok)
 
     @property
-    def mask_key(self) -> tuple:
-        return self.plus_mask, self.minus_mask, self.zero_ok, 0
+    def plus_mask(self) -> int:
+        return self.mask_key[0]
 
-    @staticmethod
-    def from_mask_key(pm: int, mm: int, zero_ok: bool, spin: int) -> "FockState":
-        return _fock_state(pm, mm, zero_ok)
+    @property
+    def minus_mask(self) -> int:
+        return self.mask_key[1]
+
+    @property
+    def zero_ok(self) -> bool:
+        return self.mask_key[2]
 
     @property
     def plus(self) -> tuple[int, ...]:
-        p = self._plus
-        if p is None:
-            p = tuple(set_bits(self.plus_mask))
-            _set_plus(self, p)
-        return p
+        return tuple(set_bits(self.mask_key[0]))
 
     @property
     def minus(self) -> tuple[int, ...]:
-        m = self._minus
-        if m is None:
-            m = tuple(-1 - i for i in reversed(set_bits(self.minus_mask)))
-            _set_minus(self, m)
-        return m
+        return tuple(-1 - i for i in reversed(set_bits(self.mask_key[1])))
 
     @property
     def charge(self) -> int:
-        return self.plus_mask.bit_count() - self.minus_mask.bit_count()
+        pm, mm, _, _ = self.mask_key
+        return pm.bit_count() - mm.bit_count()
 
     @property
     def degree(self) -> int:
-        return self.plus_mask.bit_count() + self.minus_mask.bit_count()
-
-    def bound(self) -> int:
-        """Largest occupied |index| (0 for the vacuum)."""
-        return max(self.plus_mask.bit_length() - 1, self.minus_mask.bit_length(), 0)
+        pm, mm, _, _ = self.mask_key
+        return pm.bit_count() + mm.bit_count()
 
     def sort_key(self):
         return (self.degree, self.plus, self.minus)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FockState:
-            return NotImplemented
-        return (
-            self.plus_mask == other.plus_mask
-            and self.minus_mask == other.minus_mask
-            and self.zero_ok == other.zero_ok
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: FockState is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: FockState is immutable")
 
     def __reduce__(self):
         return (FockState, (self.plus, self.minus, self.zero_ok))
@@ -153,31 +192,6 @@ class FockState:
 
     def __str__(self) -> str:
         return f"F{{plus:{list(self.plus)},minus:{list(self.minus)}}}"
-
-
-_new = object.__new__
-_set_pm = FockState.plus_mask.__set__
-_set_mm = FockState.minus_mask.__set__
-_set_zero_ok = FockState.zero_ok.__set__
-_set_hash = FockState._hash.__set__
-_set_plus = FockState._plus.__set__
-_set_minus = FockState._minus.__set__
-
-
-def _fock_state(pm: int, mm: int, zero_ok: bool) -> FockState:
-    """Trusted constructor from occupation masks.
-
-    Skips ``__post_init__``; only the state maps use it, on masks
-    whose plus bits lie on the lattice of ``zero_ok``.
-    """
-    s = _new(FockState)
-    _set_pm(s, pm)
-    _set_mm(s, mm)
-    _set_zero_ok(s, zero_ok)
-    _set_hash(s, hash((pm, mm, zero_ok)))
-    _set_plus(s, None)
-    _set_minus(s, None)
-    return s
 
 
 def half_sign(k: int, zero_ok: bool = False) -> int:
@@ -232,11 +246,11 @@ def field_state(kind: str, k: int, state: FockState):
     """
     if kind not in (PSI, PSI_STAR):
         raise ValueError(f"unknown field kind {kind!r}")
-    zero_ok = state.zero_ok
-    t = _field(kind == PSI_STAR, k, state.plus_mask, state.minus_mask, zero_ok)
+    pm, mm, zero_ok, _ = state.mask_key
+    t = _field(kind == PSI_STAR, k, pm, mm, zero_ok)
     if t is None:
         return None
-    return -1 if t[0] & 1 else 1, _fock_state(t[1], t[2], zero_ok)
+    return -1 if t[0] & 1 else 1, FockState.from_mask_key(t[1], t[2], zero_ok, 0)
 
 
 def apply_field(kind: str, k: int, v: Vec) -> Vec:
@@ -264,32 +278,16 @@ def rhat_state(p: int, q: int, state: FockState):
     Returns ``(sign, state)`` or ``None``; the result is always a single
     signed basis state.
     """
-    zero_ok = state.zero_ok
-    t = _rhat(p, q, state.plus_mask, state.minus_mask, zero_ok)
+    pm, mm, zero_ok, _ = state.mask_key
+    t = _rhat(p, q, pm, mm, zero_ok)
     if t is None:
         return None
-    return -1 if t[0] & 1 else 1, _fock_state(t[1], t[2], zero_ok)
+    return -1 if t[0] & 1 else 1, FockState.from_mask_key(t[1], t[2], zero_ok, 0)
 
 
 def rhat_apply(p: int, q: int, v: Vec) -> Vec:
     """Level-1 action of the matrix unit E_{p,q} on finite vectors."""
     return lift(v, rhat_state, p, q)
-
-
-def _rhat_word(word, pm: int, mm: int, zero_ok: bool):
-    """A product of E_pq on occupation masks, its rightmost factor acting
-    first.
-
-    Returns ``(crossings, pm, mm)`` or ``None`` once a factor vanishes.
-    """
-    odd = 0
-    for p, q in reversed(word):
-        t = _rhat(p, q, pm, mm, zero_ok)
-        if t is None:
-            return None
-        crossings, pm, mm = t
-        odd += crossings
-    return odd, pm, mm
 
 
 # An affine step on occupation masks is the tuple
@@ -330,8 +328,9 @@ def _then(first: tuple, second: tuple):
 
 
 def _rhat_step(word):
-    """``_rhat_word`` compiled to one affine step, or None when the word
-    vanishes on every state.  A word without the index 0 gives the same
+    """A product of E_pq, its rightmost factor acting first, compiled to
+    one affine step: the composition of the ``_rhat`` of its factors, or
+    None when the word vanishes on every state.  A word without the index 0 gives the same
     step on both lattices; one with it is compiled for the include-zero
     lattice, the only one whose windows hold 0."""
     step = _IDENTITY_STEP
@@ -351,9 +350,10 @@ def _rhat_step(word):
 
 def diagonal_weight(i: int, state: FockState) -> int:
     """Eigenvalue of the normal-ordered E_{i,i} on a basis state."""
-    if half_sign(i, state.zero_ok) > 0:
-        return state.plus_mask >> i & 1
-    return -(state.minus_mask >> (-1 - i) & 1)
+    pm, mm, zero_ok, _ = state.mask_key
+    if half_sign(i, zero_ok) > 0:
+        return pm >> i & 1
+    return -(mm >> (-1 - i) & 1)
 
 
 def charge_number_apply(which: str, v: Vec) -> Vec:

@@ -12,6 +12,11 @@ All quadratic operators are assembled from the *unit* mode operators;
 each gamma pair contributes the exact integer factor 2 = sqrt(2)^2,
 which is folded into the stated prefactors (e.g. the 1/2 in front of
 the K sums cancels it).
+
+A ``SpinState`` is the mask key ``(0, 0, False, mask)`` of
+``fock.MaskState``, its modes the set bits of ``mask`` on the mode grid
+of ``words._mode_bit``; the state maps (``mode_state``, ``_unit``,
+``_ktilde``) act on that mask.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from functools import lru_cache, partial
 from itertools import combinations
 from math import isqrt
 
-from .fock import half_sign, window, window_pairs
+from .fock import MaskState, _store, half_sign, window, window_pairs
 from .linalg import Vec, _vec, add_to, lift, lift_sum, set_bits
 from .scalar import HALF, ONE, SQRT2
-from .words import _apply, _bound, _images, _mode_bit, _mode_masks, _word_table
+from .words import _apply, _images, _mode_bit, _mode_masks, _word_table
 
 SpinMode = tuple[int, int]
 
@@ -42,23 +47,29 @@ def _mode_at(t: int) -> SpinMode:
     return r, t - r * r
 
 
-class SpinState:
+@lru_cache(maxsize=1 << 16)
+def _modes(mask: int) -> tuple[SpinMode, ...]:
+    """The modes of a grid mask, ascending."""
+    return tuple(sorted(_mode_at(t) for t in set_bits(mask)))
+
+
+class SpinState(MaskState):
     """Strictly ascending tuple of occupied modes (m, l), m > 0 > l.
 
-    Stored as one ``mask`` over the mode grid (``_mode_bit``); the hash
-    is taken at construction and ``modes`` is decoded on first use.
+    The state is its mask key ``(0, 0, False, mask)``, with ``mask`` over
+    the mode grid (``_mode_bit``); ``modes`` is decoded from the mask.
     Instances are immutable.
     """
 
-    __slots__ = ("mask", "_hash", "_modes")
+    __slots__ = ()
 
     def __init__(self, modes: tuple[SpinMode, ...] = ()):
-        # __post_init__ validates the modes and encodes them as a mask
-        _set_modes(self, tuple(modes))
-        self.__post_init__()
+        # the validating step is a method of its own, which the
+        # benchmark's tracer (perfbench/tracing.py) counts
+        self.__post_init__(tuple(modes))
 
-    def __post_init__(self):
-        modes = self._modes
+    def __post_init__(self, modes: tuple[SpinMode, ...]):
+        """Validate the modes and store them as the mask key."""
         for m, l in modes:
             if not (m > 0 > l):
                 raise ValueError(f"bad mode {(m, l)}")
@@ -67,54 +78,26 @@ class SpinState:
         mask = 0
         for m, l in modes:
             mask |= 1 << _mode_bit(m, l)
-        _set_mask(self, mask)
-        _set_hash(self, hash(mask))
-        # only the mask is kept; ``modes`` is decoded again on first use
-        _set_modes(self, None)
+        _store(self, (0, 0, False, mask))
 
     @staticmethod
     def vacuum() -> "SpinState":
         return SpinState(())
 
     @property
-    def mask_key(self) -> tuple:
-        return 0, 0, False, self.mask
-
-    @staticmethod
-    def from_mask_key(pm: int, mm: int, zero_ok: bool, spin: int) -> "SpinState":
-        return _spin_state(spin)
+    def mask(self) -> int:
+        return self.mask_key[3]
 
     @property
     def modes(self) -> tuple[SpinMode, ...]:
-        modes = self._modes
-        if modes is None:
-            modes = tuple(sorted(_mode_at(t) for t in set_bits(self.mask)))
-            _set_modes(self, modes)
-        return modes
+        return _modes(self.mask_key[3])
 
     @property
     def length(self) -> int:
-        return self.mask.bit_count()
-
-    def bound(self) -> int:
-        return _bound(self.mask_key)
+        return self.mask_key[3].bit_count()
 
     def sort_key(self):
         return (self.length, self.modes)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SpinState:
-            return NotImplemented
-        return self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: SpinState is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: SpinState is immutable")
 
     def __reduce__(self):
         return (SpinState, (self.modes,))
@@ -126,35 +109,16 @@ class SpinState:
         return f"S{{{list(self.modes)}}}"
 
 
-_new = object.__new__
-_set_mask = SpinState.mask.__set__
-_set_hash = SpinState._hash.__set__
-_set_modes = SpinState._modes.__set__
-
-
-def _spin_state(mask: int) -> SpinState:
-    """Trusted constructor from a grid mask.
-
-    Skips ``__post_init__``; only the state maps use it, on masks made
-    by flipping the bits of valid modes.
-    """
-    s = _new(SpinState)
-    _set_mask(s, mask)
-    _set_hash(s, hash(mask))
-    _set_modes(s, None)
-    return s
-
-
 def mode_state(create: bool, mode: SpinMode, state: SpinState):
     """Unit creator/annihilator of one mode; returns (sign, state) or None."""
     m, l = mode
     if not (m > 0 > l):
         raise ValueError(f"bad mode {mode}")
-    mask = state.mask
+    mask = state.mask_key[3]
     bit, lower = _mode_masks(m, l, mask.bit_length())
     if bool(mask & bit) == create:
         return None
-    return -1 if (mask & lower).bit_count() & 1 else 1, _spin_state(mask ^ bit)
+    return -1 if (mask & lower).bit_count() & 1 else 1, SpinState.from_mask_key(0, 0, False, mask ^ bit)
 
 
 def _unit(i: int, j: int, mask: int):
@@ -178,10 +142,10 @@ def _unit(i: int, j: int, mask: int):
 
 def gamma_unit_state(i: int, j: int, state: SpinState):
     """gamma(E_ij)/sqrt(2) on a basis state: create (i,j) or remove (j,i)."""
-    t = _unit(i, j, state.mask)
+    t = _unit(i, j, state.mask_key[3])
     if t is None:
         return None
-    return -1 if t[0] & 1 else 1, _spin_state(t[1])
+    return -1 if t[0] & 1 else 1, SpinState.from_mask_key(0, 0, False, t[1])
 
 
 def gamma_apply(i: int, j: int, v: Vec) -> Vec:
@@ -211,10 +175,10 @@ def gamma_pair_state(a: tuple[int, int], b: tuple[int, int], state: SpinState):
     ``u_ij`` is the unit-normalized generator gamma_ij / sqrt(2), so the
     product equals 1/2 gamma_a gamma_b.
     """
-    t = _unit_word((a, b), state.mask)
+    t = _unit_word((a, b), state.mask_key[3])
     if t is None:
         return None
-    return -1 if t[0] & 1 else 1, _spin_state(t[1])
+    return -1 if t[0] & 1 else 1, SpinState.from_mask_key(0, 0, False, t[1])
 
 
 def k_pairs(n: int, i: int, j: int) -> list:
@@ -253,18 +217,13 @@ def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
     raise ValueError(f"unknown K family {family!r}")
 
 
-def ktilde_state_terms(i: int, j: int, state: SpinState) -> list[tuple[int, SpinState]]:
-    """Derivation action of E_ij (i*j > 0) on one basis state.
-
-    Each occupied mode (m, l) is replaced via
-    [ad E_ij](E_{ml}) = delta_jm E_il - delta_li E_mj, with the usual
-    crossing sign for re-sorting the creator word; the vacuum goes to 0.
-    """
+def _ktilde(i: int, j: int, mask: int) -> list[tuple[int, int]]:
+    """``ktilde_state_terms`` on a grid mask: ``(crossings, mask)`` per
+    image, the sign being ``(-1)^crossings``."""
     if i * j <= 0:
         raise ValueError("isotropy indices must share a sign")
-    mask = state.mask
     out = []
-    for h, (m, l) in enumerate(state.modes):
+    for h, (m, l) in enumerate(_modes(mask)):
         if i > 0:
             if j != m:
                 continue
@@ -278,8 +237,21 @@ def ktilde_state_terms(i: int, j: int, state: SpinState) -> list[tuple[int, Spin
         if others & bit:
             continue
         pos = (others & lower).bit_count()
-        out.append((-1 if (base + h + pos) & 1 else 1, _spin_state(others | bit)))
+        out.append((base + h + pos, others | bit))
     return out
+
+
+def ktilde_state_terms(i: int, j: int, state: SpinState) -> list[tuple[int, SpinState]]:
+    """Derivation action of E_ij (i*j > 0) on one basis state.
+
+    Each occupied mode (m, l) is replaced via
+    [ad E_ij](E_{ml}) = delta_jm E_il - delta_li E_mj, with the usual
+    crossing sign for re-sorting the creator word; the vacuum goes to 0.
+    """
+    return [
+        (-1 if crossings & 1 else 1, SpinState.from_mask_key(0, 0, False, mask))
+        for crossings, mask in _ktilde(i, j, state.mask_key[3])
+    ]
 
 
 def ktilde_exact_apply(i: int, j: int, v: Vec) -> Vec:
@@ -309,11 +281,6 @@ def _fermion_number_words(n: int):
             yield half_sign(i), (), (a, b)
     if n:
         yield n * n, (), ()
-
-
-def fermion_number_cutoff_apply(n: int, v: Vec) -> Vec:
-    """sum_{0<|i|<=N} sign(i) K~^(N)_ii, the cut-off fermion number."""
-    return _apply(v, partial(_images, _word_table(_fermion_number_words, n)), ONE)
 
 
 def _spinor_casimir_words(n: int, renormalized: bool):

@@ -10,8 +10,9 @@ S (a product of unit mode operators u_ab = gamma_ab / sqrt(2)), times one
 scale common to the whole sum.  A Fock-side operator has only empty spin
 words and a spin-side one only empty Fock words, so the same tables and
 the same kernel serve Fock, spin and tensor vectors: a basis state of any
-of the three reads as its ``mask_key`` ``(pm, mm, zero_ok, spin)``, with
-0 for the factor it lacks, and is rebuilt by ``from_mask_key``.
+of the three is stored as its ``mask_key`` ``(pm, mm, zero_ok, spin)``
+(``fock.MaskState``), with 0 for the factor it lacks, and is rebuilt by
+the trusted ``from_mask_key`` of its class.
 
 A word vanishes on every state that lacks a bit it needs set, so a table
 files each word once, under one such bit (``_trigger``), or in one
@@ -84,13 +85,6 @@ def _mode_masks(m: int, l: int, width: int) -> tuple[int, int]:
         count = m - 1 + (s > r) + (max(0, m + l) if s == m else 0)
         lower |= ((1 << count) - 1) << (s - 1) * (s - 1)
     return 1 << _mode_bit(m, l), lower
-
-
-def _bound(key) -> int:
-    """The ``bound()`` of the basis state whose mask key is ``key``."""
-    pm, mm, _, spin = key
-    width = spin.bit_length()
-    return max(pm.bit_length() - 1, mm.bit_length(), isqrt(width - 1) + 1 if width else 0)
 
 
 # ---------------------------------------------------------------------------

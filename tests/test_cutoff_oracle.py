@@ -44,21 +44,21 @@ from gdirac.dirac import (
     dirac_cutoff_apply,
     t_square_apply,
 )
-from gdirac.fock import FockState, _fock_state, _rhat, rhat_apply, rhat_state, window, window_pairs
+from gdirac.fock import FockState, _rhat, rhat_apply, rhat_state, window, window_pairs
 from gdirac.linalg import Vec, _vec, add_to, lift_sum, vec_sum
 from gdirac.sampling import random_vector
-from gdirac.scalar import HALF, HALF_SQRT2, Scalar
+from gdirac.scalar import HALF, HALF_SQRT2, ONE, Scalar
 from gdirac.spinor import (
     H_N,
     K_RAW,
     K_TILDE_N,
     SpinState,
-    _spin_state,
+    _fermion_number_words,
     fermion_number_apply,
-    fermion_number_cutoff_apply,
     gamma_pair_state,
     gamma_unit_state,
     k_family_apply,
+    spin_basis,
     spinor_casimir_apply,
 )
 from gdirac.words import _apply
@@ -89,7 +89,7 @@ def rhat_pair_state(p, q, state):
     u = _rhat(p, q, t[1], t[2], zero_ok)
     if u is None:
         return None
-    return -1 if (t[0] + u[0]) & 1 else 1, _fock_state(u[1], u[2], zero_ok)
+    return -1 if (t[0] + u[0]) & 1 else 1, FockState.from_mask_key(u[1], u[2], zero_ok, 0)
 
 
 def _e_gamma_state(p, q, ts):
@@ -240,7 +240,7 @@ def fock_vectors(bound, zero_ok):
     state is ``zero_ok``, or drawn per state when it is None."""
     lattice = st.booleans() if zero_ok is None else st.just(zero_ok)
     states = st.builds(
-        lambda z, pm, mm: _fock_state(pm if z else pm & ~1, mm, z),
+        lambda z, pm, mm: FockState.from_mask_key(pm if z else pm & ~1, mm, z, 0),
         lattice,
         st.integers(0, (2 << bound) - 1),
         st.integers(0, (1 << bound) - 1),
@@ -267,9 +267,9 @@ def casimir_inputs(draw):
         3,
         _vec(
             {
-                _fock_state(0b101, 0b10, True): Scalar(Fraction(1, 3), Fraction(-5, 6)),
-                _fock_state(0b110, 0b01, False): Scalar(-2, Fraction(1, 2)),
-                _fock_state(0b011, 0b11, True): Scalar(0, 1),
+                FockState.from_mask_key(0b101, 0b10, True, 0): Scalar(Fraction(1, 3), Fraction(-5, 6)),
+                FockState.from_mask_key(0b110, 0b01, False, 0): Scalar(-2, Fraction(1, 2)),
+                FockState.from_mask_key(0b011, 0b11, True, 0): Scalar(0, 1),
             }
         ),
     )
@@ -303,7 +303,7 @@ def test_each_heisenberg_shift_matches_the_pair_sum(args):
 def spin_vectors(bound):
     """Up to 4 distinct spin basis states of bound <= ``bound`` with
     nonzero Q(sqrt2) coefficients."""
-    states = st.integers(0, (1 << bound * bound) - 1).map(_spin_state)
+    states = st.integers(0, (1 << bound * bound) - 1).map(lambda mask: SpinState.from_mask_key(0, 0, False, mask))
     return st.lists(st.tuples(states, q_sqrt2), min_size=1, max_size=4, unique_by=lambda t: t[0]).map(
         lambda terms: _vec(dict(terms))
     )
@@ -323,6 +323,13 @@ def test_spinor_casimir_matches_the_k_family_sum(n, renormalized, data):
     assert spinor_casimir_apply(n, v, renormalized) == oracle_spinor_casimir(n, v, renormalized)
 
 
+def fermion_number_cutoff_apply(n, v):
+    """sum_{0<|i|<=N} sign(i) K~^(N)_ii, the cut-off fermion number, as
+    the table of its words; the ``final`` right side of 4 D_N^2 holds
+    these words."""
+    return _apply(v, table_images(_fermion_number_words, n), ONE)
+
+
 def oracle_fermion_number(n, v):
     parts = []
     for i in window(n):
@@ -337,6 +344,13 @@ def test_cutoff_fermion_number_matches_the_k_family_sum(n, data):
     # also on states past the window, where F_N is not F
     v = data.draw(spin_vectors(n + 2))
     assert fermion_number_cutoff_apply(n, v) == oracle_fermion_number(n, v)
+
+
+def test_cutoff_fermion_number_is_the_fermion_number_inside_the_window():
+    for s in spin_basis(3):
+        v = Vec.basis(s)
+        for n in range(max(s.bound(), 1), max(s.bound(), 1) + 2):
+            assert fermion_number_cutoff_apply(n, v) == fermion_number_apply(v)
 
 
 # ---------------------------------------------------------------------------

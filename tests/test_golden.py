@@ -12,6 +12,11 @@ here.
 the ``spectrum`` and ``invariants`` reports at trunc 3 (and ``invariants``
 at trunc 2), recorded before the constraint matrix was restricted to the
 weight-zero states.
+
+``DUMP_OPS`` gates ``dump-op``, which prints every basis state's label
+beside the exact matrix: one operator of each descriptor kind at
+``--max-index 2``, in both formats, recorded before the three state
+classes were rebased on one mask-key record.
 """
 
 import hashlib
@@ -51,6 +56,23 @@ REPORTS = {
     ),
 }
 
+DUMP_OPS = {
+    ("rhat:1,-1", "json"): "88486e12551817b80ed55a78de7347959b6b2240896b397c864afb14cb6e5e9b",
+    ("rhat:1,-1", "csv"): "35a491339b1bd4acbd82182e6c1eb9e2c3f8130598db9f0ccd43737ca8b8740c",
+    ("gamma:1,-1", "json"): "7a7cc52caa2d65b0740466a6ff2f16a7d206b315829b3fe553f99b00cacab0ed",
+    ("gamma:1,-1", "csv"): "e51cfb4cfd46dcb79a45e75dc09a6d226f919815e5edc05bca206aedbfa21928",
+    ("ktilde:1,2", "json"): "8c16a90005267c033fa602b58617c777b836988aff05ccb7d4492599019b54e2",
+    ("ktilde:1,2", "csv"): "b5e68c331ee18e79c9098af57858e155c271fbc479ec449e7cc29f8643d3e454",
+    ("fermion-number", "json"): "71adf7ad2e233607ce6629da21dc2be1828a4a7f42861bf6c922c78f6a24d605",
+    ("fermion-number", "csv"): "5bd1e56ba4811b630c400f7e8a92c29138d3b2dca5e1db0973a853876881947f",
+    ("charge", "json"): "79e3ffefc8bf67d884f88aad8d3a9b64fa065d1e59a1f40a53e8a7ac9fc8e0f3",
+    ("charge", "csv"): "37869c5eb049c661c20e876d4f3d4522c87486135686b6a47a3aa0c6d8112ae0",
+    ("number", "json"): "e7c893daa5aeb37d327d1a615fb1949a715e792cb974e97957feb8b575f1dc0f",
+    ("number", "csv"): "514fa5ec658e6016c7d4d7e5c57913dd78aa2c1a77cf43aa56f259b9675ec4a3",
+    ("dirac:N=2", "json"): "06313b6a6cd1f55ba8e17ae52a0bf9fa41043cc03b583b9db2bf2c990fe2f93a",
+    ("dirac:N=2", "csv"): "e58a46acce4649676765814bfbaa34edb7c569f956f80703cc0145dc02a4681d",
+}
+
 
 def test_golden_covers_every_suite():
     assert set(GOLDEN) == set(SUITES)
@@ -70,3 +92,10 @@ def test_report_bytes(capsys, name):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("descriptor,fmt", sorted(DUMP_OPS))
+def test_dump_op_bytes(capsys, descriptor, fmt):
+    assert main(["dump-op", descriptor, "--max-index", "2", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_OPS[descriptor, fmt]

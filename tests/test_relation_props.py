@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from gdirac.fock import PSI, PSI_STAR, FockState, apply_field, window
 from gdirac.linalg import Vec, _vec
-from gdirac.spinor import _spin_state, gamma_apply
+from gdirac.spinor import SpinState, gamma_apply
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 coefficients = st.integers(-3, 3).filter(bool)
@@ -45,7 +45,7 @@ def spin_vectors(draw):
     """Up to 3 spin states of a bound drawn from 1..3 with nonzero integer
     coefficients, and the Clifford generators two past that bound."""
     bound = draw(st.integers(1, 3))
-    states = st.integers(0, (1 << bound * bound) - 1).map(_spin_state)
+    states = st.integers(0, (1 << bound * bound) - 1).map(lambda mask: SpinState.from_mask_key(0, 0, False, mask))
     terms = draw(st.dictionaries(states, coefficients, min_size=1, max_size=3))
     idx = window(bound + 2)
     return _vec(terms), [(i, j) for i in idx for j in idx if i * j < 0]

@@ -11,7 +11,6 @@ from gdirac.spinor import (
     K_TILDE_N,
     SpinState,
     fermion_number_apply,
-    fermion_number_cutoff_apply,
     gamma_apply,
     gamma_unit_state,
     k_family_apply,
@@ -191,8 +190,6 @@ def test_fermion_number_is_signed_trace_of_ktilde():
         for i in range(1, 4):
             acc = acc + ktilde_exact_apply(i, i, v) - ktilde_exact_apply(-i, -i, v)
         assert acc == fermion_number_apply(v)
-        for n in range(max(s.bound(), 1), max(s.bound(), 1) + 2):
-            assert fermion_number_cutoff_apply(n, v) == fermion_number_apply(v)
 
 
 def test_fermion_number_kernel_is_vacuum_line():

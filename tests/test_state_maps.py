@@ -347,16 +347,30 @@ def test_states_are_immutable():
     f = FockState((1, 3), (-2,))
     s = SpinState(((1, -2), (2, -1)))
     t = TensorState(f, s)
-    for state, names in ((f, ("plus", "minus", "zero_ok", "plus_mask", "other")),
-                         (s, ("modes", "mask", "other")), (t, ("fock", "spin", "other"))):
+    for state, names in ((f, ("plus", "minus", "zero_ok", "plus_mask", "mask_key", "other")),
+                         (s, ("modes", "mask", "mask_key", "other")), (t, ("fock", "spin", "mask_key", "other"))):
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(state, name, 1)
     assert (f.plus, f.minus, s.modes, t.fock, t.spin) == ((1, 3), (-2,), ((1, -2), (2, -1)), f, s)
-    # immutable, yet copied and pickled like the frozen dataclasses they replace
-    for state in (f, s, t, FockState((0, 2), (), True)):
+    # immutable, yet copied and pickled like the frozen dataclasses they
+    # replace, also when built by the trusted constructor, views undecoded
+    trusted = (
+        FockState.from_mask_key(0b101, 0b10, True, 0),
+        SpinState.from_mask_key(0, 0, False, 0b1011),
+        TensorState.from_mask_key(0b110, 0b11, False, 0b101),
+    )
+    for state in (f, s, t, FockState((0, 2), (), True), *trusted):
         for again in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
             assert again == state and hash(again) == hash(state) and repr(again) == repr(state)
+
+
+def test_the_three_vacua_are_distinct():
+    # one key, (0, 0, False, 0), three states: equality is by class and key
+    f, s, t = FockState(), SpinState(), TensorState(FockState(), SpinState())
+    assert f.mask_key == s.mask_key == t.mask_key == (0, 0, False, 0)
+    assert f != s and s != f and f != t and t != f and s != t and t != s
+    assert len({f, s, t}) == 3
 
 
 def test_str_and_sort_key_are_unchanged():

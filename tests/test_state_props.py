@@ -1,7 +1,9 @@
 """Random states at bounds up to 40: the bitmask state maps against the
-tuple-based oracles of ``test_state_maps``, and the weight lemma; random
-tensor states: the weight ``rho_weight`` against the diagonal of
-``rho_apply``."""
+tuple-based oracles of ``test_state_maps``, the trusted constructor
+``from_mask_key`` against the validating ones, and the weight lemma;
+random tensor states: the weight ``rho_weight`` against the diagonal of
+``rho_apply``, and ``rho_apply`` against the state maps of its two
+factors."""
 
 import pytest
 
@@ -19,8 +21,8 @@ from test_state_maps import (
 )
 
 from gdirac.dirac import TensorState, rho_apply, rho_weight
-from gdirac.fock import FockState, window
-from gdirac.linalg import Vec
+from gdirac.fock import FockState, rhat_state, window
+from gdirac.linalg import Vec, add_to
 from gdirac.spinor import SpinState, gamma_pair_state, ktilde_state_terms, mode_state
 
 MAX_BOUND = 40
@@ -113,3 +115,25 @@ def test_only_the_vacua_have_weight_zero(drawn_fock, drawn_spin):
     (f, _), (s, _) = drawn_fock, drawn_spin
     vacua = f == FockState.vacuum(f.zero_ok) and s == SpinState.vacuum()
     assert (not rho_weight(TensorState(f, s))) == vacua, (f, s)
+
+
+@EXAMPLES
+@given(st.one_of(fock_states().map(lambda d: d[0]), spin_states().map(lambda d: d[0]), tensor_states()))
+def test_from_mask_key_rebuilds_each_state(s):
+    again = type(s).from_mask_key(*s.mask_key)
+    assert again == s and hash(again) == hash(s) and repr(again) == repr(s)
+
+
+@EXAMPLES
+@given(tensor_states(), st.data())
+def test_rho_matches_its_factor_maps_on_random_states(ts, data):
+    # rhat(E_pq) (x) 1 + 1 (x) ad(E_pq) through the Fock and spin state maps
+    p = data.draw(st.integers(-4, 4).filter(bool))
+    q = data.draw(st.integers(1, 4)) * (1 if p > 0 else -1)
+    want: dict = {}
+    t = rhat_state(p, q, ts.fock)
+    if t is not None:
+        add_to(want, TensorState(t[1], ts.spin), t[0])
+    for sign, s2 in ktilde_state_terms(p, q, ts.spin):
+        add_to(want, TensorState(ts.fock, s2), sign)
+    assert rho_apply(p, q, Vec.basis(ts)) == Vec(want), (ts, p, q)

@@ -42,3 +42,27 @@ def test_install_and_remove_restore_every_binding():
     finally:
         tracer.remove()
     assert {name: dict(vars(getattr(g, name))) for name in MODULES} == before
+
+
+def test_the_counted_constructors_own_their_post_init():
+    # the tracer counts ``fock.FockState.new`` and ``spinor.SpinState.new``
+    # by setting ``__post_init__`` on each class: it must be the class's
+    # own, so that ``Tracer.remove`` puts back exactly what was there, and
+    # it runs once per validating construction, never in ``from_mask_key``
+    g = _library()
+    fock, spin = g.fock.FockState, g.spinor.SpinState
+    before = {cls: vars(cls).get("__post_init__") for cls in (fock, spin)}
+    assert all(before.values())
+    tracer = _tracing().Tracer(g)
+    try:
+        tracer.install()
+        fock((1, 3), (-2,))
+        spin(((1, -2),))
+        assert tracer.counts == {"fock.FockState.new": 1, "spinor.SpinState.new": 1}
+        fock.from_mask_key(0b1010, 0b10, False, 0)
+        spin.from_mask_key(0, 0, False, 0b101)
+        g.dirac.TensorState.from_mask_key(0b10, 0b1, False, 0b1)
+        assert tracer.counts == {"fock.FockState.new": 1, "spinor.SpinState.new": 1}
+    finally:
+        tracer.remove()
+    assert {cls: vars(cls).get("__post_init__") for cls in (fock, spin)} == before

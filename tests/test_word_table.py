@@ -7,8 +7,8 @@ the bits set on the input state.  That is sound when every word whose
 trigger bit is clear vanishes on the state, and then the indexed kernel
 must equal the flat sum over every word, also on states wider than the
 window.  A bucket is compiled on its first visit, each Fock word to one
-integer-mask step that must agree with ``fock._rhat_word``, the word
-evaluated factor by factor.  A word whose rightmost factor needs no
+integer-mask step that must agree with ``_rhat_word``, the word
+evaluated factor by factor through ``fock._rhat``.  A word whose rightmost factor needs no
 bit is filed under a mode bit its spin word needs, so no word left in
 the always group needs any bit set.  The square residuals compose the
 integer word sums directly; a perturbed table, and D_N's own word sum as
@@ -41,10 +41,10 @@ from gdirac.dirac import (
     dirac_cutoff_apply,
     tensor_states,
 )
-from gdirac.fock import _fock_state, _rhat, _rhat_step, _rhat_word, window
+from gdirac.fock import _rhat, _rhat_step, window
 from gdirac.linalg import _vec, add_to
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
-from gdirac.spinor import _fermion_number_words, _spin_state, _spinor_casimir_words, _unit, _unit_word
+from gdirac.spinor import _fermion_number_words, _spinor_casimir_words, _unit, _unit_word
 from gdirac.words import _apply, _compiled, _images, _new_table, _raw_table, _tables, _trigger, _word_table
 
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -88,8 +88,7 @@ any_tensor_masks = st.one_of(tensor_masks(), wide_tensor_masks())
 
 
 def _state(masks) -> TensorState:
-    pm, mm, zero_ok, spin = masks
-    return TensorState(_fock_state(pm, mm, zero_ok), _spin_state(spin))
+    return TensorState.from_mask_key(*masks)
 
 
 @st.composite
@@ -121,6 +120,19 @@ def canonical(cs) -> bool:
     return all(type(x) is int or x.denominator > 1 for c in cs for x in (c.a, c.b))
 
 
+def _rhat_word(word, pm, mm, zero_ok):
+    """A product of E_pq on occupation masks, its rightmost factor acting
+    first: ``(crossings, pm, mm)``, or None once a factor vanishes."""
+    odd = 0
+    for p, q in reversed(word):
+        t = _rhat(p, q, pm, mm, zero_ok)
+        if t is None:
+            return None
+        crossings, pm, mm = t
+        odd += crossings
+    return odd, pm, mm
+
+
 def flat_apply(words_of, scale, n, v):
     """The word sum evaluated word by word, with no index."""
     out = {}
@@ -130,7 +142,7 @@ def flat_apply(words_of, scale, n, v):
             t = _rhat_word(fock_word, f.plus_mask, f.minus_mask, f.zero_ok)
             u = _unit_word(spin_word, ts.spin.mask)
             if t is not None and u is not None:
-                image = TensorState(_fock_state(t[1], t[2], f.zero_ok), _spin_state(u[1]))
+                image = TensorState.from_mask_key(t[1], t[2], f.zero_ok, u[1])
                 add_to(out, image, c * scale * (-w if (t[0] + u[0]) & 1 else w))
     return _vec(out)
 
@@ -168,7 +180,7 @@ def scalar_dirac(v):
             t = _unit(q, p, spin.mask)
             u = t and _rhat(p, q, f.plus_mask, f.minus_mask, f.zero_ok)
             if u:
-                image = TensorState(_fock_state(u[1], u[2], f.zero_ok), _spin_state(t[1]))
+                image = TensorState.from_mask_key(u[1], u[2], f.zero_ok, t[1])
                 add_to(out, image, -c if (t[0] + u[0]) & 1 else c)
     return _vec(out).scaled(HALF_SQRT2)
 
