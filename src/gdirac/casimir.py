@@ -101,12 +101,18 @@ def casimir_apply(variant: CasimirVariant, v: Vec) -> Vec:
             raise ValueError("state lattice does not match the variant lattice")
         if variant.n is not None and s.bound() > variant.n:
             raise ValueError("support exceeds the cut-off window")
+    return _apply(v, _casimir_images(variant), ONE)
+
+
+def _casimir_images(variant: CasimirVariant):
+    """The images function of a Casimir variant: the word table of the
+    window of each key's lattice, at the key's own bound for a limit."""
     tag, n = _CUTOFF.get(variant.tag, variant.tag), variant.n
 
     def images(key) -> dict:
         return _images(_word_table(_casimir_words, tag, _bound(key) if n is None else n, key[2]), key)
 
-    return _apply(v, images, ONE)
+    return images
 
 
 def casimir_commutator(variant: CasimirVariant, m: int, n: int) -> LieElement:
@@ -180,7 +186,12 @@ def heisenberg_apply(n: int, k: int, v: Vec) -> Vec:
             raise LatticeError("the Heisenberg shifts act on the include-zero lattice")
         if s.bound() > n - abs(k):
             raise ValueError("support too close to the window edge")
-    return _apply(v, partial(_images, _word_table(_heisenberg_words, n, k)), ONE)
+    return _apply(v, _shift_images(n, k), ONE)
+
+
+def _shift_images(n: int, k: int):
+    """The images function of the windowed shift s_k (its word table)."""
+    return partial(_images, _word_table(_heisenberg_words, n, k))
 
 
 def window_identity_residual(n: int, states: list[FockState]) -> Scalar:

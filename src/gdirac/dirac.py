@@ -21,17 +21,18 @@ against.
 
 A ``TensorState`` is one mask key ``(pm, mm, zero_ok, spin)`` of
 ``fock.MaskState``, the masks of its Fock and spin factors, which are
-rebuilt from it on demand.  The state maps on it (``_dirac_images``,
-``rho_apply``) read the key through the mask-level cores ``_rhat``,
-``_unit`` and ``_ktilde`` and build one state per image.
+rebuilt from it on demand.  The maps on it (``_dirac_images``,
+``rho_apply``, ``_rho_images``) read the key through the mask-level cores
+``_rhat``, ``_unit`` and ``_ktilde``; ``rho_apply`` builds one state per
+image, the images functions none.
 
 D, D_N and ``t_square_apply`` (the ``final`` words at each state's own
 bound) run through the one entry point of ``words``, ``_apply``, with
 scale sqrt(2)/2 for D and D_N and 1/2 for the square forms.  Every square
-form is one integer residual (``_square_residual``): it composes
-4 W W - W_R per input state, W the integer images of D_N's table or, for
-the exact half of ``final``, of the exact D, takes the largest
-coefficient by an exact integer sign test and builds only that scalar.
+form is one integer residual (``_square_residual``, a ``words._residual``
+of the ``words._compose`` of 4 W W - W_R), W the integer images of D_N's
+table or, for the exact half of ``final``, of the exact D; only the
+largest coefficient becomes a scalar.
 """
 
 from __future__ import annotations
@@ -42,19 +43,20 @@ from functools import partial
 from itertools import chain
 
 from . import casimir as _cas
-from .fock import FockState, MaskState, _bound, _rhat, _store, fock_basis, half_sign, window_pairs
+from .fock import FockState, MaskState, _bound, _rhat, _rhat_images, _store, fock_basis, half_sign, window_pairs
 from .linalg import ExactMatrix, Vec, _vec, add_to, set_bits, spans_equal, vec_sum
-from .scalar import HALF, HALF_SQRT2, ZERO, Scalar, _from_numerators, _sign
+from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
 from .spinor import (
     SpinState,
     _fermion_number_words,
     _ktilde,
+    _ktilde_images,
     _mode_at,
     _unit,
     k_pairs,
     spin_basis,
 )
-from .words import _apply, _collect, _images, _word_table
+from .words import _apply, _compose, _images, _residual, _word_table
 
 
 class TensorState(MaskState):
@@ -146,6 +148,15 @@ def rho_apply(p: int, q: int, v: Vec) -> Vec:
         for crossings, mask2 in _ktilde(p, q, mask):
             add_to(out, TensorState.from_mask_key(pm, mm, zero_ok, mask2), -c if crossings & 1 else c)
     return _vec(out)
+
+
+def _rho_images(p: int, q: int):
+    """rho(E_pq) as an images function, the images of ``fock._rhat`` and
+    ``spinor._ktilde`` summed on mask keys, for the equivariance
+    residual; ``rho_apply`` keeps its own loop for the invariant sector."""
+    if p * q <= 0:
+        raise ValueError("rho needs indices of a common sign")
+    return _compose([(1, (partial(_rhat_images, p, q),)), (1, (partial(_ktilde_images, p, q),))])
 
 
 def diagonal_casimir_apply(n: int, v: Vec) -> Vec:
@@ -353,32 +364,10 @@ def _square_residual(d_images, rhs_images, v: Vec) -> Scalar:
 
     ``d_images`` and ``rhs_images`` give the integer images W of sqrt(2) D
     (D_N's table, or the exact D) and of the right side R on mask keys,
-    so the residual is that of 1/2 (4 W W - R).  The bracket is composed
-    per input state and collected as integer numerators (``_collect``);
-    the largest |a + b sqrt2| among them is found by exact integer sign
-    tests, and only it becomes a scalar, halved and over the common
-    denominator.
+    so the residual is that of 1/2 (4 W W - R), composed per input state
+    with no vector in between (``words._residual``).
     """
-
-    def bracket(key) -> dict:
-        acc: dict = {}
-        for key1, w1 in d_images(key).items():
-            if w1:
-                for key2, w2 in d_images(key1).items():
-                    acc[key2] = acc.get(key2, 0) + 4 * w1 * w2
-        for key2, w in rhs_images(key).items():
-            acc[key2] = acc.get(key2, 0) - w
-        return acc
-
-    den, acc_a, acc_b = _collect(v, bracket)
-    best_a = best_b = 0
-    for key, a in acc_a.items():
-        b = acc_b.get(key, 0)
-        if _sign(a, b) < 0:
-            a, b = -a, -b
-        if _sign(a - best_a, b - best_b) > 0:
-            best_a, best_b = a, b
-    return _from_numerators(best_a, best_b, 2 * den)
+    return _residual(v, _compose([(4, (d_images, d_images)), (-1, (rhs_images,))]), HALF)
 
 
 def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:

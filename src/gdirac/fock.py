@@ -35,11 +35,13 @@ windowed operator and suite of the package sums over these.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import isqrt
 
-from .linalg import Vec, _vec, add_to, lift, set_bits, vec_sum
+from .linalg import Vec, _vec, add_to, set_bits, vec_sum
 from .scalar import HALF, ONE, ZERO, Scalar, _coerce
+from .words import _apply, _compose
 
 PSI = "psi"
 PSI_STAR = "psi_star"
@@ -238,24 +240,40 @@ def _field(star: bool, k: int, pm: int, mm: int, zero_ok: bool):
     return pm.bit_count() + (mm >> -k).bit_count(), pm, mm ^ bit
 
 
+def _star(kind: str) -> bool:
+    """True for psi*, False for psi; ``ValueError`` for any other kind."""
+    if kind not in (PSI, PSI_STAR):
+        raise ValueError(f"unknown field kind {kind!r}")
+    return kind == PSI_STAR
+
+
 def field_state(kind: str, k: int, state: FockState):
     """Apply one field operator to a basis state.
 
     Returns ``(sign, state)`` with ``sign`` in {+1, -1}, or ``None``
     when the result vanishes.
     """
-    if kind not in (PSI, PSI_STAR):
-        raise ValueError(f"unknown field kind {kind!r}")
+    star = _star(kind)
     pm, mm, zero_ok, _ = state.mask_key
-    t = _field(kind == PSI_STAR, k, pm, mm, zero_ok)
+    t = _field(star, k, pm, mm, zero_ok)
     if t is None:
         return None
     return -1 if t[0] & 1 else 1, FockState.from_mask_key(t[1], t[2], zero_ok, 0)
 
 
+def _field_images(star: bool, k: int, key) -> dict:
+    """psi*_k (``star``) or psi_k on a mask key, as integer weights on
+    mask keys; the spin part of the key rides along."""
+    pm, mm, zero_ok, spin = key
+    t = _field(star, k, pm, mm, zero_ok)
+    if t is None:
+        return {}
+    return {(t[1], t[2], zero_ok, spin): -1 if t[0] & 1 else 1}
+
+
 def apply_field(kind: str, k: int, v: Vec) -> Vec:
     """psi_k / psi*_k extended linearly to finite vectors."""
-    return lift(v, field_state, kind, k)
+    return _apply(v, partial(_field_images, _star(kind), k), ONE)
 
 
 def _rhat(p: int, q: int, pm: int, mm: int, zero_ok: bool):
@@ -285,67 +303,19 @@ def rhat_state(p: int, q: int, state: FockState):
     return -1 if t[0] & 1 else 1, FockState.from_mask_key(t[1], t[2], zero_ok, 0)
 
 
+def _rhat_images(p: int, q: int, key) -> dict:
+    """``rhat_state`` on a mask key, as integer weights on mask keys; the
+    spin part of the key rides along."""
+    pm, mm, zero_ok, spin = key
+    t = _rhat(p, q, pm, mm, zero_ok)
+    if t is None:
+        return {}
+    return {(t[1], t[2], zero_ok, spin): -1 if t[0] & 1 else 1}
+
+
 def rhat_apply(p: int, q: int, v: Vec) -> Vec:
     """Level-1 action of the matrix unit E_{p,q} on finite vectors."""
-    return lift(v, rhat_state, p, q)
-
-
-# An affine step on occupation masks is the tuple
-#
-#     (rp, vp, rm, vm, xp, xm, odd, fp, fm)
-#
-# of a word that acts on (pm, mm) when pm & rp == vp and mm & rm == vm,
-# with crossings odd + #(pm & xp) + #(mm & xm), and sends the masks to
-# (pm ^ fp, mm ^ fm).  The parity masks xp, xm may be negative: -1 counts
-# every bit, so a step stays exact on masks of any width.
-_IDENTITY_STEP = (0, 0, 0, 0, 0, 0, 0, 0, 0)
-
-
-def _field_step(star: bool, k: int) -> tuple:
-    """psi*_k (``star``) or psi_k as an affine step, as ``_field``.
-
-    Index 0 is plus bit 0, as on the include-zero lattice; only
-    include-zero windows hold it."""
-    if half_sign(k, True) > 0:
-        bit = 1 << k
-        return bit, 0 if star else bit, 0, 0, bit - 1, 0, 0, bit, 0
-    bit = 1 << (-1 - k)
-    return 0, 0, bit, bit if star else 0, -1, -(1 << -k), 0, 0, bit
-
-
-def _then(first: tuple, second: tuple):
-    """The step ``second`` after ``first``, or None when their
-    requirements conflict and the product vanishes on every state."""
-    rp1, vp1, rm1, vm1, xp1, xm1, odd1, fp1, fm1 = first
-    rp2, vp2, rm2, vm2, xp2, xm2, odd2, fp2, fm2 = second
-    # the later requirement is read on the masks the earlier flips made
-    vp2 ^= fp1 & rp2
-    vm2 ^= fm1 & rm2
-    if (vp1 ^ vp2) & rp1 & rp2 or (vm1 ^ vm2) & rm1 & rm2:
-        return None
-    odd = odd1 + odd2 + (fp1 & xp2).bit_count() + (fm1 & xm2).bit_count()
-    return rp1 | rp2, vp1 | vp2, rm1 | rm2, vm1 | vm2, xp1 ^ xp2, xm1 ^ xm2, odd & 1, fp1 ^ fp2, fm1 ^ fm2
-
-
-def _rhat_step(word):
-    """A product of E_pq, its rightmost factor acting first, compiled to
-    one affine step: the composition of the ``_rhat`` of its factors, or
-    None when the word vanishes on every state.  A word without the index 0 gives the same
-    step on both lattices; one with it is compiled for the include-zero
-    lattice, the only one whose windows hold 0."""
-    step = _IDENTITY_STEP
-    for p, q in reversed(word):
-        if p == q and p < 0:
-            # psi*_p psi_p - 1: -1 on states occupied at p, else 0
-            bit = 1 << (-1 - p)
-            factors = ((0, 0, bit, bit, 0, 0, 1, 0, 0),)
-        else:
-            factors = (_field_step(False, q), _field_step(True, p))
-        for factor in factors:
-            step = _then(step, factor)
-            if step is None:
-                return None
-    return step
+    return _apply(v, partial(_rhat_images, p, q), ONE)
 
 
 def diagonal_weight(i: int, state: FockState) -> int:
@@ -472,6 +442,19 @@ def _check_antisymmetric(t: TermTable, name: str) -> None:
             raise ValueError(f"{name} is not antisymmetric at {(i, j)}")
 
 
+def _t_ores_words(d: TermTable, b: TermTable, c: TermTable):
+    """The words of ``t_ores_apply`` as ``(coefficient, factors)``: the
+    coefficient of each term (d_ij, or half of b_ij or c_ij) and its two
+    field operators as images functions, the right one acting first."""
+    field = lambda star, k: partial(_field_images, star, k)
+    for (i, j), x in d.items():
+        yield _coerce(x), (field(True, i), field(False, j))
+    for (i, j), x in b.items():
+        yield HALF * _coerce(x), (field(False, j), field(False, i))
+    for (i, j), x in c.items():
+        yield HALF * _coerce(x), (field(True, i), field(True, j))
+
+
 def t_ores_apply(d: TermTable, b: TermTable, c: TermTable, v: Vec) -> Vec:
     """sum d_ij a*_i a_j + 1/2 b_ij a_i a_j + 1/2 c_ij a*_i a*_j.
 
@@ -488,12 +471,7 @@ def t_ores_apply(d: TermTable, b: TermTable, c: TermTable, v: Vec) -> Vec:
             raise ValueError("t_ores_apply needs particle-only states")
     if any(i <= 0 or j <= 0 for i, j in d):
         raise ValueError("d must be supported on positive mode pairs")
-    parts = [apply_field(PSI_STAR, i, apply_field(PSI, j, v)).scaled(x) for (i, j), x in d.items()]
-    parts += [apply_field(PSI, j, apply_field(PSI, i, v)).scaled(HALF * _coerce(x)) for (i, j), x in b.items()]
-    parts += [
-        apply_field(PSI_STAR, i, apply_field(PSI_STAR, j, v)).scaled(HALF * _coerce(x)) for (i, j), x in c.items()
-    ]
-    return vec_sum(parts)
+    return vec_sum(_apply(v, _compose([(1, factors)]), x) for x, factors in _t_ores_words(d, b, c) if x)
 
 
 def _table_matmul(x: TermTable, y: TermTable) -> TermTable:

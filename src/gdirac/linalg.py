@@ -5,14 +5,15 @@ scalars; the matrices keep sparse rows and are reduced by exact Gaussian
 elimination (Q(sqrt2) is a field, so no rounding ever occurs and the
 returned basis is deterministic).
 
-Every operator of the package is a signed basis-state map, or a sum of
-them, extended linearly: ``lift`` and ``lift_sum`` do that extension,
-and ``add_to`` is the one accumulate-and-drop step behind it.
+``add_to`` is the one accumulate-and-drop step of the vector sums.  The
+operators of the package are not extended to vectors here: each is an
+images function on basis-state mask keys, which ``words._apply``
+extends linearly in integers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .scalar import ONE, ZERO, RatLike, Scalar, _coerce
 
@@ -151,27 +152,6 @@ def vec_sum(vs: Iterable[Vec]) -> Vec:
         for k, c in v.terms.items():
             add_to(out, k, c)
     return _vec(out)
-
-
-def lift_sum(v: Vec, state_map: Callable, arg_list: Sequence[tuple]) -> Vec:
-    """sum over ``args`` in ``arg_list`` of ``state_map(*args, .)`` extended
-    linearly to ``v``, in one pass.
-
-    ``state_map(*args, state)`` returns ``(sign, state)`` with ``sign`` in
-    {+1, -1}, or ``None`` when the image vanishes.
-    """
-    out: dict = {}
-    for s, c in v.terms.items():
-        for args in arg_list:
-            t = state_map(*args, s)
-            if t is not None:
-                add_to(out, t[1], c if t[0] > 0 else -c)
-    return _vec(out)
-
-
-def lift(v: Vec, state_map: Callable, *args) -> Vec:
-    """``state_map(*args, .)`` extended linearly to ``v``."""
-    return lift_sum(v, state_map, (args,))
 
 
 def adjoint_residual(a: Callable[[Vec], Vec], b: Callable[[Vec], Vec], vs: Iterable[Vec]) -> Scalar:

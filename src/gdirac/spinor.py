@@ -26,7 +26,7 @@ from itertools import combinations
 from math import isqrt
 
 from .fock import MaskState, _store, half_sign, window, window_pairs
-from .linalg import Vec, _vec, add_to, lift, lift_sum, set_bits
+from .linalg import Vec, _vec, set_bits
 from .scalar import HALF, ONE, SQRT2
 from .words import _apply, _images, _mode_bit, _mode_masks, _word_table
 
@@ -148,9 +148,23 @@ def gamma_unit_state(i: int, j: int, state: SpinState):
     return -1 if t[0] & 1 else 1, SpinState.from_mask_key(0, 0, False, t[1])
 
 
+def _unit_images(words, key) -> dict:
+    """sum w * (word) over the unit words ``(w, word)`` of ``words`` on a
+    mask key, as integer weights on mask keys (``_unit_word``; the empty
+    word is the identity).  The Fock part of the key rides along."""
+    pm, mm, zero_ok, mask = key
+    images: dict = {}
+    for w, word in words:
+        t = _unit_word(word, mask)
+        if t is not None:
+            image = (pm, mm, zero_ok, t[1])
+            images[image] = images.get(image, 0) + (-w if t[0] & 1 else w)
+    return images
+
+
 def gamma_apply(i: int, j: int, v: Vec) -> Vec:
     """Clifford generator of E_ij: sqrt(2) times the unit mode operator."""
-    return lift(v, gamma_unit_state, i, j).scaled(SQRT2)
+    return _apply(v, partial(_unit_images, ((1, ((i, j),)),)), SQRT2)
 
 
 def _unit_word(word, mask: int):
@@ -186,6 +200,30 @@ def k_pairs(n: int, i: int, j: int) -> list:
     return [((i, k), (k, j)) for k in window(n) if i * k < 0]
 
 
+def _k_images(family: str, n: int, i: int, j: int):
+    """The images function of K^(N)_ij, K~^(N)_ij or 2 H^(N)_ij
+    (``k_family_apply``): its unit words over ``k_pairs``, the diagonal
+    constant of K~ as the empty word.
+
+    The family and the indices are checked here, before any work.
+    """
+    if family not in (K_RAW, K_TILDE_N, H_N):
+        raise ValueError(f"unknown K family {family!r}")
+    if i * j <= 0:
+        raise ValueError("K-family indices must share a sign")
+    if max(abs(i), abs(j)) > n:
+        raise ValueError("index out of the cut-off window")
+    pairs = k_pairs(n, i, j)
+    words = [(1, pair) for pair in pairs]
+    if family == H_N:
+        # 1/4 sum [gamma_ik, gamma_kj] = 1/2 sum (u_ik u_kj - u_kj u_ik);
+        # the reversed products already carry the -N/2 diagonal constant.
+        words += [(-1, (b, a)) for a, b in pairs]
+    elif family == K_TILDE_N and i == j < 0:
+        words.append((-n, ()))
+    return partial(_unit_images, tuple(words))
+
+
 def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
     """Cut-off quadratic sums: K, the vacuum-normal-ordered K~, or H.
 
@@ -194,27 +232,10 @@ def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
         K~^(N)_ij = K^(N)_ij - N        when i = j < 0,
         H^(N)_ij  = K^(N)_ij - N/2      when i = j,
 
-    identical to K off the diagonal.
+    identical to K off the diagonal.  Each is its unit words
+    (``_k_images``), H at scale 1/2.
     """
-    if i * j <= 0:
-        raise ValueError("K-family indices must share a sign")
-    if max(abs(i), abs(j)) > n:
-        raise ValueError("index out of the cut-off window")
-    pairs = k_pairs(n, i, j)
-    if family == H_N:
-        # 1/4 sum [gamma_ik, gamma_kj] = 1/2 sum (u_ik u_kj - u_kj u_ik);
-        # the reversed products already carry the -N/2 diagonal constant.
-        reversed_pairs = [(b, a) for a, b in pairs]
-        out = lift_sum(v, gamma_pair_state, pairs) - lift_sum(v, gamma_pair_state, reversed_pairs)
-        return out.scaled(HALF)
-    out = lift_sum(v, gamma_pair_state, pairs)
-    if family == K_RAW:
-        return out
-    if family == K_TILDE_N:
-        if i == j and i < 0:
-            out = out - v.scaled(n)
-        return out
-    raise ValueError(f"unknown K family {family!r}")
+    return _apply(v, _k_images(family, n, i, j), HALF if family == H_N else ONE)
 
 
 def _ktilde(i: int, j: int, mask: int) -> list[tuple[int, int]]:
@@ -254,13 +275,20 @@ def ktilde_state_terms(i: int, j: int, state: SpinState) -> list[tuple[int, Spin
     ]
 
 
+def _ktilde_images(i: int, j: int, key) -> dict:
+    """``ktilde_state_terms`` on a mask key, as integer weights on mask
+    keys; the Fock part of the key rides along."""
+    pm, mm, zero_ok, mask = key
+    images: dict = {}
+    for crossings, mask2 in _ktilde(i, j, mask):
+        image = (pm, mm, zero_ok, mask2)
+        images[image] = images.get(image, 0) + (-1 if crossings & 1 else 1)
+    return images
+
+
 def ktilde_exact_apply(i: int, j: int, v: Vec) -> Vec:
     """Window-free isotropy action; agrees with K~^(N) once N bounds v."""
-    out: dict = {}
-    for s, c in v.terms.items():
-        for sign, s2 in ktilde_state_terms(i, j, s):
-            add_to(out, s2, c if sign > 0 else -c)
-    return _vec(out)
+    return _apply(v, partial(_ktilde_images, i, j), ONE)
 
 
 def fermion_number_apply(v: Vec) -> Vec:

@@ -20,10 +20,11 @@ from . import casimir as cas
 from . import dirac as dr
 from . import fock as fk
 from . import spinor as sp
-from .linalg import Vec, adjoint_residual, lift, vec_sum
+from .linalg import Vec, adjoint_residual, vec_sum
 from .rng import SplitMix64
 from .sampling import random_vector
-from .scalar import ONE, SQRT2, ZERO, Scalar, _coerce
+from .scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar, _coerce, _from_numerators, _numerators
+from .words import _collect, _compose, _residual
 
 
 class _Report:
@@ -56,15 +57,42 @@ class _Report:
         return {"suite": self.suite, "failures": failures, "checks": self.checks}
 
 
-def _bracket(a, b, v: Vec, sign: int = -1) -> Vec:
-    """a(b(v)) - b(a(v)); with ``sign=1`` the anticommutator."""
-    ab, ba = a(b(v)), b(a(v))
-    return ab + ba if sign > 0 else ab - ba
+# A bracket check is a list of ``terms`` ``(w, (f_1, f_2, ...))``, int
+# weights on products of images functions, f_k acting first, and one
+# scale common to them all (``words._compose``); its residual on a vector
+# is the largest coefficient of the scaled sum, taken in integers with no
+# vector in between (``words._residual``).
 
 
-def _delta_rhs(op, i, j, m, l, v: Vec) -> Vec:
-    """delta_jm op(i, l) v - delta_il op(m, j) v: the right side of [X_ij, X_ml]."""
-    return vec_sum(([op(i, l, v)] if j == m else []) + ([-op(m, j, v)] if i == l else []))
+def _bracket_terms(a, b, sign: int) -> list:
+    """The terms of a b + sign b a: the commutator for ``sign`` -1, the
+    anticommutator for 1."""
+    return [(1, (a, b)), (sign, (b, a))]
+
+
+def _delta_terms(op, i: int, j: int, m: int, l: int) -> list:
+    """The terms of -(delta_jm X_il - delta_il X_mj), minus the right side
+    of [X_ij, X_ml], ``op(i, l)`` the images function of X_il."""
+    return ([(-1, (op(i, l),))] if j == m else []) + ([(1, (op(m, j),))] if i == l else [])
+
+
+def _u(i: int, j: int):
+    """The images function of the unit mode operator u_ij = gamma_ij / sqrt2."""
+    return partial(sp._unit_images, ((1, ((i, j),)),))
+
+
+def _int(c) -> int:
+    """An integral scalar as an int weight."""
+    c = _coerce(c)
+    if c.b or type(c.a) is not int:
+        raise ValueError(f"{c} is not an integer weight")
+    return c.a
+
+
+def _minus_lie(a: fk.LieElement) -> list:
+    """The terms of -sum c_pq E_pq, minus the level-1 representation of a
+    finite combination without its central part."""
+    return [(-_int(c), (partial(fk._rhat_images, p, q),)) for (p, q), c in a.terms.items()]
 
 
 def _windows(bound: int, count: int) -> range:
@@ -80,21 +108,26 @@ def suite_car(max_index: int = 3, **_) -> dict:
     rep = _Report("car")
     basis = fk.fock_basis(max_index)
     idx = fk.window(max_index)
-    field = lambda kind, k: partial(fk.apply_field, kind, k)
+    vs = [Vec.basis(s) for s in basis]
+    psi = lambda k: partial(fk._field_images, False, k)
+    star = lambda k: partial(fk._field_images, True, k)
     rep.check(
         "car.relations",
         f"indices<= {max_index}, {3 * len(idx) ** 2 * len(basis)} checks",
         (
-            r
+            _residual(v, images, ONE)
             for i in idx
             for j in idx
-            for v in map(Vec.basis, basis)
-            for r in (
-                # {psi_i, psi*_j} = delta_ij, {psi_i, psi_j} = 0, {psi*_i, psi*_j} = 0
-                _bracket(field(fk.PSI, i), field(fk.PSI_STAR, j), v, 1) - v.scaled(i == j),
-                _bracket(field(fk.PSI, i), field(fk.PSI, j), v, 1),
-                _bracket(field(fk.PSI_STAR, i), field(fk.PSI_STAR, j), v, 1),
+            for images in map(
+                _compose,
+                (
+                    # {psi_i, psi*_j} = delta_ij, {psi_i, psi_j} = 0, {psi*_i, psi*_j} = 0
+                    _bracket_terms(psi(i), star(j), 1) + [(-(i == j), ())],
+                    _bracket_terms(psi(i), psi(j), 1),
+                    _bracket_terms(star(i), star(j), 1),
+                ),
             )
+            for v in vs
         ),
     )
     vac = Vec.basis(fk.FockState.vacuum())
@@ -117,25 +150,24 @@ def suite_car(max_index: int = 3, **_) -> dict:
     return rep.done()
 
 
-def _clifford_defect(a, b, s) -> int:
-    """Largest coefficient of ({gamma_a, gamma_b} - 2 delta) on the state s."""
-    acc = {s: -2 if a == b[::-1] else 0}
-    for x, y in ((a, b), (b, a)):
-        t = sp.gamma_pair_state(x, y, s)
-        if t is not None:
-            acc[t[1]] = acc.get(t[1], 0) + 2 * t[0]  # sqrt2^2 = 2
-    return max(map(abs, acc.values()))
-
-
 def suite_clifford(max_index: int = 3, **_) -> dict:
     """{gamma_ij, gamma_mn} = 2 delta_in delta_jm on every bounded state."""
     rep = _Report("clifford")
     basis = sp.spin_basis(max_index)
     gens = fk.window_pairs(max_index, -1)
+    vs = [Vec.basis(s) for s in basis]
+    # {gamma_a, gamma_b} - 2 delta = 2 ({u_a, u_b} - delta), sqrt2^2 = 2,
+    # as the unit words u_a u_b + u_b u_a - delta
     rep.check(
         "clifford.relations",
         f"indices<= {max_index}, {len(gens) ** 2 * len(basis)} checks",
-        (_clifford_defect(a, b, s) for a in gens for b in gens for s in basis),
+        (
+            _residual(v, images, SQRT2 * SQRT2)
+            for a in gens
+            for b in gens
+            for images in [partial(sp._unit_images, ((1, (a, b)), (1, (b, a))) + ((-1, ()),) * (a == b[::-1]))]
+            for v in vs
+        ),
     )
     vac = Vec.basis(sp.SpinState.vacuum())
     ks = range(1, max_index + 1)
@@ -145,9 +177,10 @@ def suite_clifford(max_index: int = 3, **_) -> dict:
         "clifford.normalization",
         "bound 2",
         (
-            sp.gamma_apply(i, j, v) - lift(v, sp.gamma_unit_state, i, j).scaled(SQRT2)
+            sp.gamma_apply(i, j, Vec.basis(s)) - (Vec.basis(t[1], SQRT2 * t[0]) if t else Vec())
             for i, j in gens
-            for v in map(Vec.basis, sp.spin_basis(2))
+            for s in sp.spin_basis(2)
+            for t in [sp.gamma_unit_state(i, j, s)]
         ),
     )
     return rep.done()
@@ -159,15 +192,18 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
     basis = fk.fock_basis(max_index)
     idx = fk.window(max_index)
     units = list(product(idx, repeat=2))
+    vs = [Vec.basis(s) for s in basis]
+    rhat = lambda a: partial(fk._rhat_images, *a)
     rep.check(
         "cocycle.central-extension",
         f"unit pairs <= {max_index}",
         (
-            _bracket(partial(fk.rhat_apply, *a), partial(fk.rhat_apply, *b), v) - fk.rhat_lie_apply(br, v)
+            _residual(v, images, ONE)
             for a in units
             for b in units
             for br in [fk.bracket_central(fk.LieElement.unit(*a), fk.LieElement.unit(*b))]
-            for v in map(Vec.basis, basis)
+            for images in [_compose(_bracket_terms(rhat(a), rhat(b), -1) + _minus_lie(br) + [(-_int(br.central), ())])]
+            for v in vs
         ),
     )
     worked = fk.schwinger(fk.LieElement.unit(-1, 1), fk.LieElement.unit(1, -1)) - ONE
@@ -184,9 +220,11 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
         "50 random pairs",
         (fk.schwinger(a, b) + fk.schwinger(b, a) for a, b in ((draw(), draw()) for _ in range(50))),
     )
-    # quadratic representation of the orthogonal algebra
+    # quadratic representation of the orthogonal algebra, each T(x) as
+    # twice its words at scale 1/2, so the bracket check has scale 1/4
     E = lambda i, j: {(i, j): ONE}
     A = lambda i, j: {(i, j): ONE, (j, i): -ONE}
+    T = lambda x: _compose([(_int(2 * c), fs) for c, fs in fk._t_ores_words(*x)])
     test_set = [
         (E(1, 1), {}, {}),
         ({}, {}, A(1, 2)),
@@ -199,12 +237,11 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
         "cocycle.orthogonal-quadratic",
         f"{len(test_set)}^2 pairs, bound {max_index}",
         (
-            _bracket(partial(fk.t_ores_apply, *x), partial(fk.t_ores_apply, *y), v)
-            - fk.t_ores_apply(*bracket, v)
-            - v.scaled(cocycle)
+            _residual(v, images, HALF * HALF)
             for x in test_set
             for y in test_set
             for bracket, cocycle in [(fk.ores_bracket(x, y), fk.ores_cocycle(x, y))]
+            for images in [_compose(_bracket_terms(T(x), T(y), -1) + [(-2, (T(bracket),)), (-_int(4 * cocycle), ())])]
             for v in particles
         ),
     )
@@ -219,15 +256,19 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
     small = [Vec.basis(s) for s in states]
     rand = [random_vector("spin", 100 + t, max_index) for t in range(10)]
     sign_pairs = fk.window_pairs(max_index, 1)
-    kraw = partial(sp.k_family_apply, sp.K_RAW, n)
-    kt = partial(sp.k_family_apply, sp.K_TILDE_N, n)
+    kraw = partial(sp._k_images, sp.K_RAW, n)
+    kt = partial(sp._k_images, sp.K_TILDE_N, n)
+    ktilde = lambda i, j: partial(sp._ktilde_images, i, j)
+    # [K_ij, gamma_ml] = delta_jm gamma_il - delta_il gamma_mj (scale sqrt2
+    # on the units), and the same with K~ in place of both
     rep.check(
         "k-family.adjoint-commutator",
         f"quadruples <= {max_index}, N={n}",
         (
-            _bracket(partial(kraw, i, j), partial(sp.gamma_apply, m, l), v) - _delta_rhs(sp.gamma_apply, i, j, m, l, v)
+            _residual(v, images, SQRT2)
             for i, j in sign_pairs
             for m, l in fk.window_pairs(max_index, -1)
+            for images in [_compose(_bracket_terms(kraw(i, j), _u(m, l), -1) + _delta_terms(_u, i, j, m, l))]
             for v in small + rand
         ),
     )
@@ -235,9 +276,10 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
         "k-family.commutation",
         f"pairs <= {max_index}, N={n}, no central term",
         (
-            _bracket(partial(kt, i, j), partial(kt, m, n2), v) - _delta_rhs(kt, i, j, m, n2, v)
+            _residual(v, images, ONE)
             for i, j in sign_pairs
             for m, n2 in sign_pairs
+            for images in [_compose(_bracket_terms(kt(i, j), kt(m, n2), -1) + _delta_terms(kt, i, j, m, n2))]
             for v in small + rand[:4]
         ),
     )
@@ -251,26 +293,28 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
         "k-family.stabilization",
         "bound-2 states, N >= bound",
         (
-            sp.k_family_apply(sp.K_TILDE_N, nn, i, j, v) - sp.ktilde_exact_apply(i, j, v)
+            _residual(v, _compose([(1, (sp._k_images(sp.K_TILDE_N, nn, i, j),)), (-1, (ktilde(i, j),))]), ONE)
             for s, v in zip(states, small)
             for nn in _windows(s.bound(), 3)
             for i, j in sign_pairs
             if max(abs(i), abs(j)) <= nn
         ),
     )
-    # H / K / K~ linkage on random vectors
+    # H / K / K~ linkage on random vectors; H is 2 H at scale 1/2
     rep.check(
         "k-family.linkage",
         f"N={n}",
         (
             r
             for i, j in sign_pairs
+            for hk, kk in [
+                (
+                    _compose([(1, (sp._k_images(sp.H_N, n, i, j),)), (-2, (kraw(i, j),)), (n * (i == j), ())]),
+                    _compose([(1, (kt(i, j),)), (-1, (kraw(i, j),)), (n * (i == j < 0), ())]),
+                )
+            ]
             for v in rand[:5]
-            for k in [kraw(i, j, v)]
-            for r in (
-                sp.k_family_apply(sp.H_N, n, i, j, v) - k + v.scaled(Fraction(n, 2) * (i == j)),
-                kt(i, j, v) - k + v.scaled(n * (i == j < 0)),
-            )
+            for r in (_residual(v, hk, HALF), _residual(v, kk, ONE))
         ),
     )
     # the windowed trace sum over the whole window acts as zero
@@ -278,7 +322,7 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
         "k-family.trace-zero",
         "bound-2 states",
         (
-            vec_sum(sp.k_family_apply(sp.K_TILDE_N, nn, i, i, v) for i in fk.window(nn))
+            _residual(v, _compose([(1, (sp._k_images(sp.K_TILDE_N, nn, i, i),)) for i in fk.window(nn)]), ONE)
             for s, v in zip(states, small)
             for nn in _windows(s.bound(), 2)
         ),
@@ -344,16 +388,16 @@ def suite_casimir(max_index: int = 3, **_) -> dict:
     states2 = fk.fock_basis(2, zero_ok=True)
     bound2 = [Vec.basis(s) for s in states2]
     span = fk.window(max_index, zero_ok=True)
+    casimir = cas._casimir_images(var)
     rep.check(
         "casimir.commutator-table",
         f"indices <= {max_index}, N={nn}",
         (
-            _bracket(partial(cas.casimir_apply, var), partial(fk.rhat_apply, m, n2), v)
-            - fk.rhat_lie_apply(closed, v)
-            + v.scaled(closed.central)
+            _residual(v, images, ONE)
             for m in span
             for n2 in span
-            for closed in [cas.casimir_commutator(var, m, n2)]
+            for rhat in [partial(fk._rhat_images, m, n2)]
+            for images in [_compose(_bracket_terms(casimir, rhat, -1) + _minus_lie(cas.casimir_commutator(var, m, n2)))]
             for v in bound2
         ),
     )
@@ -425,7 +469,7 @@ def suite_heisenberg(max_index: int = 3, **_) -> dict:
     """Shift-operator commutation relations on interior states."""
     rep = _Report("heisenberg")
     window = 4 * max_index
-    shift = lambda k: partial(cas.heisenberg_apply, window, k)
+    shift = partial(cas._shift_images, window)
     states = [Vec.basis(fk.FockState.vacuum(True))] + [
         Vec.basis(s) for s in fk.fock_basis(1, zero_ok=True) if s.degree
     ]
@@ -433,24 +477,53 @@ def suite_heisenberg(max_index: int = 3, **_) -> dict:
         "heisenberg.relations",
         f"|n|,|k| <= {max_index}, window {window}",
         (
-            _bracket(shift(n2), shift(k), v) - v.scaled(n2 * (n2 == -k))
+            _residual(v, images, ONE)
             for n2 in fk.window(max_index)
             for k in fk.window(max_index)
+            for images in [_compose(_bracket_terms(shift(n2), shift(k), -1) + [(-n2 * (n2 == -k), ())])]
             for v in states
         ),
     )
     # the Casimir moves a lowering shift by twice the boundary-crossing block
-    casimir = partial(cas.casimir_apply, cas.CasimirVariant(cas.NORMAL_N, window))
+    casimir = cas._casimir_images(cas.CasimirVariant(cas.NORMAL_N, window))
     rep.check(
         "heisenberg.casimir-shift",
         f"k in -{max_index}..-1",
         (
-            _bracket(casimir, shift(k), v) - vec_sum(fk.rhat_apply(i, i + k, v).scaled(2) for i in range(0, -k))
+            _residual(v, images, ONE)
             for k in range(-max_index, 0)
+            for images in [_compose(_bracket_terms(casimir, shift(k), -1) + [(-2, (partial(fk._rhat_images, i, i + k),)) for i in range(-k)])]
             for v in states
         ),
     )
     return rep.done()
+
+
+def _symmetry_defect(v: Vec, w: Vec) -> Scalar:
+    """<D v, w> - <v, D w>, in integers.
+
+    Each pairing is read off the ``_collect`` numerators of the exact
+    D's integer images (sqrt(2) D) against the numerators of the other
+    vector; both are then over the one denominator den_v den_w, and only
+    their difference becomes a scalar, scaled once by sqrt(2)/2.
+    """
+
+    def pairing(x: Vec, y: Vec) -> tuple[int, int, int]:
+        den_x, acc_a, acc_b = _collect(x, dr._dirac_images)
+        den_y, nums = _numerators(y.terms.values())
+        a = b = 0
+        for s, (c, d) in zip(y.terms, nums):
+            p = acc_a.get(s.mask_key)
+            if p is not None:
+                q = acc_b.get(s.mask_key, 0)
+                # (p + q sqrt2)(c + d sqrt2)
+                a += p * c + 2 * q * d
+                b += p * d + q * c
+        return a, b, den_x * den_y
+
+    a1, b1, den = pairing(v, w)
+    a2, b2, _ = pairing(w, v)
+    return HALF_SQRT2 * _from_numerators(a1 - a2, b1 - b2, den)
 
 
 def suite_dirac_symmetry(max_index: int = 3, seed: int = 1, **_) -> dict:
@@ -458,11 +531,7 @@ def suite_dirac_symmetry(max_index: int = 3, seed: int = 1, **_) -> dict:
     vac = Vec.basis(dr.TensorState(fk.FockState.vacuum(), sp.SpinState.vacuum()))
     rep.check("dirac.vacuum", "D|0> = 0", dr.dirac_apply(vac))
     pairs = ((random_vector("tensor", seed + 2 * t, max_index), random_vector("tensor", seed + 2 * t + 1, max_index)) for t in range(100))
-    rep.check(
-        "dirac.symmetry",
-        "100 seeded pairs",
-        (dr.dirac_apply(v).inner(w) - v.inner(dr.dirac_apply(w)) for v, w in pairs),
-    )
+    rep.check("dirac.symmetry", "100 seeded pairs", (_symmetry_defect(v, w) for v, w in pairs))
     vs = [random_vector("tensor", 1000 + t, 2) for t in range(10)]
     rep.check(
         "dirac.stabilization",
@@ -482,8 +551,9 @@ def suite_dirac_equivariance(max_index: int = 3, **_) -> dict:
         ("equivariance.exhaustive", "all tensor states bound 2", map(Vec.basis, dr.tensor_states(2)), 2),
         ("equivariance.random", f"5 seeds, bound {max_index}", (random_vector("tensor", 300 + t, max_index) for t in range(5)), max_index),
     ):
-        pairs = fk.window_pairs(bound, 1)
-        rep.check(check, inputs, (_bracket(partial(dr.rho_apply, p, q), dr.dirac_apply, v) for v in vs for p, q in pairs))
+        # [rho(E_pq), D], D at scale sqrt(2)/2 on its integer images
+        brackets = [_compose(_bracket_terms(dr._rho_images(p, q), dr._dirac_images, -1)) for p, q in fk.window_pairs(bound, 1)]
+        rep.check(check, inputs, (_residual(v, images, HALF_SQRT2) for v in vs for images in brackets))
     # vacuum structure of the two factors
     vacf = Vec.basis(fk.FockState.vacuum())
     vacs = Vec.basis(sp.SpinState.vacuum())

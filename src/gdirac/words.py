@@ -19,7 +19,7 @@ files each word once, under one such bit (``_trigger``), or in one
 "always" group when it needs none, and collects the words of a group by
 Fock word.  A group is compiled when the kernel first visits its bit:
 the Fock word becomes one affine step on the occupation masks
-(``fock._rhat_step``: required bits and values, parity masks, a constant
+(``_rhat_step``: required bits and values, parity masks, a constant
 parity and flip masks), and each spin word its required mode bits and
 values and its units (m, l, bit), whose parities stay symbolic because
 they depend on the width of the mask.  Words that can never act are
@@ -35,6 +35,14 @@ in plain ints per mask key (``_collect``), so terms that cancel never
 reach a scalar, multiplies those numerators by the scale in integers,
 and builds one canonical scalar and basis state per surviving key.
 
+Products and sums of images functions compose in the same integers:
+``_compose(terms)`` is the images function of sum w f_1 f_2 ... (each f
+an images function, the rightmost acting first), and ``_residual`` takes
+the largest coefficient of a scaled images function applied to a vector
+by exact integer sign tests, building one scalar.  Every bracket and
+square identity of the package is checked that way, with no vector in
+between.
+
 Tables are cached by (words function, arguments), least recently used
 first, and dropped once the words they hold together pass
 ``TABLE_WORDS``.
@@ -45,9 +53,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .fock import _rhat_step, half_sign
 from .linalg import Vec, _vec
-from .scalar import Scalar, _from_numerators, _numerators
+from .scalar import ZERO, Scalar, _from_numerators, _numerators, _sign
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +95,67 @@ def _mode_masks(m: int, l: int, width: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Fock words as affine steps on the occupation masks
+
+# An affine step on occupation masks is the tuple
+#
+#     (rp, vp, rm, vm, xp, xm, odd, fp, fm)
+#
+# of a word that acts on (pm, mm) when pm & rp == vp and mm & rm == vm,
+# with crossings odd + #(pm & xp) + #(mm & xm), and sends the masks to
+# (pm ^ fp, mm ^ fm).  The parity masks xp, xm may be negative: -1 counts
+# every bit, so a step stays exact on masks of any width.
+_IDENTITY_STEP = (0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def _field_step(star: bool, k: int) -> tuple:
+    """psi*_k (``star``) or psi_k as an affine step, as ``fock._field``.
+
+    Index 0 is plus bit 0, as on the include-zero lattice; only
+    include-zero windows hold it."""
+    if k >= 0:
+        bit = 1 << k
+        return bit, 0 if star else bit, 0, 0, bit - 1, 0, 0, bit, 0
+    bit = 1 << (-1 - k)
+    return 0, 0, bit, bit if star else 0, -1, -(1 << -k), 0, 0, bit
+
+
+def _then(first: tuple, second: tuple):
+    """The step ``second`` after ``first``, or None when their
+    requirements conflict and the product vanishes on every state."""
+    rp1, vp1, rm1, vm1, xp1, xm1, odd1, fp1, fm1 = first
+    rp2, vp2, rm2, vm2, xp2, xm2, odd2, fp2, fm2 = second
+    # the later requirement is read on the masks the earlier flips made
+    vp2 ^= fp1 & rp2
+    vm2 ^= fm1 & rm2
+    if (vp1 ^ vp2) & rp1 & rp2 or (vm1 ^ vm2) & rm1 & rm2:
+        return None
+    odd = odd1 + odd2 + (fp1 & xp2).bit_count() + (fm1 & xm2).bit_count()
+    return rp1 | rp2, vp1 | vp2, rm1 | rm2, vm1 | vm2, xp1 ^ xp2, xm1 ^ xm2, odd & 1, fp1 ^ fp2, fm1 ^ fm2
+
+
+def _rhat_step(word):
+    """A product of E_pq, its rightmost factor acting first, compiled to
+    one affine step: the composition of the ``fock._rhat`` of its
+    factors, or None when the word vanishes on every state.  A word
+    without the index 0 gives the same step on both lattices; one with it is compiled for the include-zero
+    lattice, the only one whose windows hold 0."""
+    step = _IDENTITY_STEP
+    for p, q in reversed(word):
+        if p == q and p < 0:
+            # psi*_p psi_p - 1: -1 on states occupied at p, else 0
+            bit = 1 << (-1 - p)
+            factors = ((0, 0, bit, bit, 0, 0, 1, 0, 0),)
+        else:
+            factors = (_field_step(False, q), _field_step(True, p))
+        for factor in factors:
+            step = _then(step, factor)
+            if step is None:
+                return None
+    return step
+
+
+# ---------------------------------------------------------------------------
 # Tables
 
 
@@ -105,7 +173,7 @@ def _trigger(fock_word, spin_word):
     """
     if fock_word:
         p, q = fock_word[-1]
-        if half_sign(q, True) > 0:
+        if q >= 0:
             return 0, q
         if p < 0:
             return 1, -1 - p
@@ -308,3 +376,70 @@ def _apply(v: Vec, images, scale: Scalar) -> Vec:
             # (p + q sqrt2)(a + b sqrt2) = (pa + 2qb) + (qa + pb) sqrt2
             out[state(*key)] = _from_numerators(p * a + 2 * q * b, q * a + p * b, den)
     return _vec(out)
+
+
+def _compose(terms):
+    """The images function of sum w * f_1 f_2 ... f_k over ``terms``,
+    pairs ``(w, (f_1, ..., f_k))`` of an int weight and images functions,
+    f_k acting first; an empty product is the identity.
+
+    Each product is walked one factor at a time from the input key, its
+    middle factors through one merged layer of integer weights; the
+    weight multiplies the layer feeding the last factor, which adds
+    straight into the sum.
+    """
+    # (w, first, middle, last) in acting order; first is None for a
+    # single factor, last None for the identity
+    steps = []
+    for w, fs in terms:
+        if w:
+            fs = fs[::-1]
+            steps.append((w, fs[0] if len(fs) > 1 else None, fs[1:-1], fs[-1] if fs else None))
+
+    def images(key) -> dict:
+        acc: dict = {}
+        for w, first, middle, last in steps:
+            if last is None:
+                acc[key] = acc.get(key, 0) + w
+                continue
+            layer = ((key, 1),) if first is None else first(key).items()
+            for f in middle:
+                merged: dict = {}
+                for k, c in layer:
+                    if c:
+                        for k2, c2 in f(k).items():
+                            merged[k2] = merged.get(k2, 0) + c * c2
+                layer = merged.items()
+            for k, c in layer:
+                if c:
+                    c *= w
+                    for k2, c2 in last(k).items():
+                        acc[k2] = acc.get(k2, 0) + c * c2
+        return acc
+
+    return images
+
+
+def _residual(v: Vec, images, scale: Scalar) -> Scalar:
+    """The largest |coefficient| of ``scale`` times ``images`` applied to
+    ``v``, in integers.
+
+    The images are collected as integer numerators over one denominator
+    (``_collect``); the largest |a + b sqrt2| among them is found by exact
+    sign tests, or as the largest |a| when no sqrt2 part arose, and only
+    a nonzero one becomes a scalar, scaled once.
+    """
+    den, acc_a, acc_b = _collect(v, images)
+    best_a = best_b = 0
+    if not acc_b:
+        best_a = max(map(abs, acc_a.values()), default=0)
+    else:
+        for key, a in acc_a.items():
+            b = acc_b.get(key, 0)
+            if _sign(a, b) < 0:
+                a, b = -a, -b
+            if _sign(a - best_a, b - best_b) > 0:
+                best_a, best_b = a, b
+    if not best_a and not best_b:
+        return ZERO
+    return abs(scale * _from_numerators(best_a, best_b, den))

@@ -28,6 +28,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_linalg import lift_sum
 from test_word_table import table_images
 
 from gdirac import casimir as cas
@@ -45,7 +46,7 @@ from gdirac.dirac import (
     t_square_apply,
 )
 from gdirac.fock import FockState, _rhat, rhat_apply, rhat_state, window, window_pairs
-from gdirac.linalg import Vec, _vec, add_to, lift_sum, vec_sum
+from gdirac.linalg import Vec, _vec, add_to, vec_sum
 from gdirac.sampling import random_vector
 from gdirac.scalar import HALF, HALF_SQRT2, ONE, Scalar
 from gdirac.spinor import (

@@ -8,6 +8,11 @@ fastest with it, ``--seed 1`` for the seeded ones, defaults otherwise.
 A change that alters any report byte, even in a field's rendering, fails
 here.
 
+``SMALL`` gates every report at flags the benchmark does not use:
+``--max-index 1``, with ``--seed 2`` for the seeded suites and
+``--trunc 2`` for the square suites, recorded before the bracket checks
+were composed in integers on mask keys.
+
 ``REPORTS`` gates the invariant path beyond the trunc-2 ``kernel`` suite:
 the ``spectrum`` and ``invariants`` reports at trunc 3 (and ``invariants``
 at trunc 2), recorded before the constraint matrix was restricted to the
@@ -39,6 +44,21 @@ GOLDEN = {
     "square-final": ([], "2c8aed175e9f3d7be5451369436bf32b0802f8db62419f64030a2ed64790705e"),
     "square-hk": (["--seed", "1"], "ef74171c9de1b51c20ab81789e35808b2e20aa86c7063c8931c615421364b092"),
     "square-raw": (["--seed", "1"], "dedf4ba5b56bd9da868b0860ff86e601abb933227fe9dff375d84a9fc38089d1"),
+}
+
+SMALL = {
+    "car": ([], "c779d89a0db1eaf8fa6b3885e07e9bc917a9d76a014d5b9e233801475e90fc16"),
+    "casimir": ([], "33f9fc6a38af4887f1b89d0292272699507421ade2d6d9a65d7c92ae77aaf324"),
+    "clifford": ([], "10412208b820d9bd5007e8caf616a0eb37018cf02572a72338d4156067f0be22"),
+    "cocycle": ([], "b091da0b4f735650707e77d7e7eee0566477864738fb8876baf937ae9111a1ee"),
+    "dirac-equivariance": ([], "65241a4c900ed553a877ec756740630c9da4e30d18f2c341b03ce70f5b2be6a5"),
+    "dirac-symmetry": (["--seed", "2"], "3bb901defaffc20bfdaf8679c6bab383d802182c9893d1e057bd5880c1667029"),
+    "heisenberg": ([], "1f71a17952a8347f2fc7dd3b1aa28049574541e1931adbd174095a7c9340fb5c"),
+    "k-family": ([], "440ffa689aa979ec37def72a2a50094cff42762dbdec8da16f1f4fcc54b0ae9e"),
+    "kernel": ([], "1bd9412024e28745e2af6e4f357fd63bf84c63dc216bc09b37d9cfac599ee6e3"),
+    "square-final": (["--trunc", "2"], "b7a94fd7d541f2d9e50ebe76578aaeebcc1ee6feb7e2d0d7a490545132ef7cb1"),
+    "square-hk": (["--seed", "2", "--trunc", "2"], "9923e5dda2eeef47f5aec7642f59f6b8c4605ea182ae8945469b50dfe172ae61"),
+    "square-raw": (["--seed", "2", "--trunc", "2"], "158cdae0ffa2c08fdc5851adfe6dad232a70567c97624d079e94c8d76d28b310"),
 }
 
 REPORTS = {
@@ -75,13 +95,21 @@ DUMP_OPS = {
 
 
 def test_golden_covers_every_suite():
-    assert set(GOLDEN) == set(SUITES)
+    assert set(GOLDEN) == set(SMALL) == set(SUITES)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_verify_report_bytes(capsys, name):
     flags, digest = GOLDEN[name]
     assert main(["verify", name, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_verify_report_bytes_at_max_index_1(capsys, name):
+    flags, digest = SMALL[name]
+    assert main(["verify", name, "--max-index", "1", *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

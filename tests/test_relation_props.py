@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdirac.fock import PSI, PSI_STAR, FockState, apply_field, window
-from gdirac.linalg import Vec, _vec
+from gdirac.linalg import Vec
 from gdirac.spinor import SpinState, gamma_apply
 
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -37,7 +37,7 @@ def fock_vectors(draw):
     minus = st.sets(st.integers(-bound, -1)).map(sorted)
     states = st.builds(FockState, plus, minus, st.just(zero_ok))
     terms = draw(st.dictionaries(states, coefficients, min_size=1, max_size=3))
-    return _vec(terms), window(bound + 2, zero_ok)
+    return Vec(terms), window(bound + 2, zero_ok)
 
 
 @st.composite
@@ -48,7 +48,7 @@ def spin_vectors(draw):
     states = st.integers(0, (1 << bound * bound) - 1).map(lambda mask: SpinState.from_mask_key(0, 0, False, mask))
     terms = draw(st.dictionaries(states, coefficients, min_size=1, max_size=3))
     idx = window(bound + 2)
-    return _vec(terms), [(i, j) for i in idx for j in idx if i * j < 0]
+    return Vec(terms), [(i, j) for i in idx for j in idx if i * j < 0]
 
 
 def _anti(a, b, v):

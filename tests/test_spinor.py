@@ -2,6 +2,7 @@
 
 import pytest
 
+from gdirac import spinor
 from gdirac.linalg import Vec
 from gdirac.sampling import random_vector
 from gdirac.scalar import SQRT2, Scalar
@@ -117,6 +118,17 @@ def test_k_family_window_validation():
         k_family_apply(K_RAW, 2, 3, 3, SVAC)
     with pytest.raises(ValueError):
         k_family_apply(K_RAW, 3, 1, -1, SVAC)
+
+
+def test_k_family_refuses_an_unknown_family_before_any_work(monkeypatch):
+    def window_terms(*args):
+        raise AssertionError("the window was summed before the family was checked")
+
+    monkeypatch.setattr(spinor, "k_pairs", window_terms)
+    v = Vec.basis(ss((1, -1), (2, -1)))
+    for family in ("K", "", None):
+        with pytest.raises(ValueError, match="unknown K family"):
+            k_family_apply(family, 2, 1, 1, v)
 
 
 def test_adjoint_commutator_lemma_bound2():

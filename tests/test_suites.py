@@ -31,8 +31,10 @@ def test_report_check_records_the_largest_absolute_residual():
 
 
 def test_nonzero_residual_fails_verify(capsys, monkeypatch):
-    apply_field = fock.apply_field
-    monkeypatch.setattr(fock, "apply_field", lambda kind, k, v: apply_field(kind, k, v).scaled(2))
+    # the CAR brackets compose the fields' integer images; doubling them
+    # must surface as a failing relation
+    field_images = fock._field_images
+    monkeypatch.setattr(fock, "_field_images", lambda star, k, key: {s: 2 * w for s, w in field_images(star, k, key).items()})
     assert main(["verify", "car", "--max-index", "2"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["failures"] >= 1

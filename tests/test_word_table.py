@@ -41,11 +41,11 @@ from gdirac.dirac import (
     dirac_cutoff_apply,
     tensor_states,
 )
-from gdirac.fock import _rhat, _rhat_step, window
+from gdirac.fock import _rhat, window
 from gdirac.linalg import _vec, add_to
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
 from gdirac.spinor import _fermion_number_words, _spinor_casimir_words, _unit, _unit_word
-from gdirac.words import _apply, _compiled, _images, _new_table, _raw_table, _tables, _trigger, _word_table
+from gdirac.words import _apply, _compiled, _images, _new_table, _raw_table, _rhat_step, _tables, _trigger, _word_table
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 TABLES = {
