@@ -238,14 +238,20 @@ def cmd_invariants(args) -> int:
     return 0
 
 
-def _parse_indices(text: str, arity: int) -> list[int]:
+def _parse_indices(text: str, arity: int, bound: int) -> list[int]:
+    """The indices of a descriptor, each within the basis bound: past it
+    an operator has only a zero matrix on the basis."""
     parts = text.split(",")
     if len(parts) != arity:
         raise UsageError(f"expected {arity} comma-separated indices, got {text!r}")
     try:
-        return [int(p) for p in parts]
+        indices = [int(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad index in {text!r}") from exc
+    for i in indices:
+        if abs(i) > bound:
+            raise UsageError(f"index {i} in {text!r} exceeds --max-index {bound}")
+    return indices
 
 
 def dump_basis_size(space: str, max_index: int) -> int:
@@ -257,21 +263,21 @@ def dump_basis_size(space: str, max_index: int) -> int:
     return spin if space == "spin" else math.comb(2 * max_index, max_index) * spin
 
 
-def _dump_operator(descriptor: str):
+def _dump_operator(descriptor: str, bound: int):
     """Resolve a descriptor to (basis space, vector operator, window terms
-    per basis state)."""
+    per basis state), its indices checked against the basis bound."""
     if ":" in descriptor:
         head, rest = descriptor.split(":", 1)
     else:
         head, rest = descriptor, ""
     if head == "rhat":
-        p, q = _parse_indices(rest, 2)
+        p, q = _parse_indices(rest, 2, bound)
         return "fock", lambda v: fk.rhat_apply(p, q, v), 1
     if head == "gamma":
-        i, j = _parse_indices(rest, 2)
+        i, j = _parse_indices(rest, 2, bound)
         return "spin", lambda v: sp.gamma_apply(i, j, v), 1
     if head == "ktilde":
-        i, j = _parse_indices(rest, 2)
+        i, j = _parse_indices(rest, 2, bound)
         return "spin", lambda v: sp.ktilde_exact_apply(i, j, v), 1
     if head == "fermion-number":
         return "spin", sp.fermion_number_apply, 1
@@ -289,8 +295,8 @@ def _dump_operator(descriptor: str):
 
 def cmd_dump_op(args) -> int:
     cfg = _config_of(args, max_index=2)
-    space, op, terms = _dump_operator(args.descriptor)
     k = cfg.max_index
+    space, op, terms = _dump_operator(args.descriptor, k)
     # every basis has at least 2^K states, so a K past the limit's bit
     # length is refused before the closed form meets a huge exponent
     size = dump_basis_size(space, k) if k <= MAX_DUMP_STATES.bit_length() else None

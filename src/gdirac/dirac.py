@@ -22,9 +22,11 @@ against.
 A ``TensorState`` is one mask key ``(pm, mm, zero_ok, spin)`` of
 ``fock.MaskState``, the masks of its Fock and spin factors, which are
 rebuilt from it on demand.  The maps on it (``_dirac_images``,
-``rho_apply``, ``_rho_images``) read the key through the mask-level cores
-``_rhat``, ``_unit`` and ``_ktilde``; ``rho_apply`` builds one state per
-image, the images functions none.
+``rho_apply``, ``_rho_images``) read the key through the key cores
+``fock._rhat``, ``spinor._unit`` and ``spinor._ktilde``, whose results are
+keys again; ``rho_apply`` builds one state per image, the images
+functions none.  D, D_N and ``t_square_apply`` refuse the include-zero
+lattice: index 0 has no spinor mode.
 
 D, D_N and ``t_square_apply`` (the ``final`` words at each state's own
 bound) run through the one entry point of ``words``, ``_apply``, with
@@ -43,14 +45,13 @@ from functools import partial
 from itertools import chain
 
 from . import casimir as _cas
-from .fock import FockState, MaskState, _bound, _rhat, _rhat_images, _store, fock_basis, half_sign, window_pairs
+from .fock import FockState, MaskState, _bound, _key_images, _rhat, _store, fock_basis, half_sign, window_pairs
 from .linalg import ExactMatrix, Vec, _vec, add_to, set_bits, spans_equal, vec_sum
 from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
 from .spinor import (
     SpinState,
     _fermion_number_words,
     _ktilde,
-    _ktilde_images,
     _mode_at,
     _unit,
     k_pairs,
@@ -96,27 +97,35 @@ class TensorState(MaskState):
         return f"{self.fock}(x){self.spin}"
 
 
+def _refuse_include_zero(v: Vec) -> None:
+    """D, D_N and the renormalized Casimir live on the exclude-zero
+    lattice: index 0 has no spinor mode."""
+    if any(ts.mask_key[2] for ts in v.terms):
+        raise ValueError("state lattice does not match the variant lattice")
+
+
 def _dirac_images(key) -> dict:
     """The images of the basis state with mask key ``key`` under
     sqrt(2) D, as integer weights on mask keys; the annihilating factors
     bound every sum, and the masks are decoded with no state built."""
-    pm, mm, zero_ok, mask = key
+    pm, mm, _, mask = key
     minus = [-1 - i for i in set_bits(mm)]
     images: dict = {}
     # pair annihilation in Fock, mode creation in spin: E_{p,q} over
     # occupied q > 0 > p; pair creation in Fock, mode annihilation in
     # spin: E_{m,l} over occupied modes (m, l)
     for p, q in [(p, q) for q in set_bits(pm) for p in minus] + [_mode_at(t) for t in set_bits(mask)]:
-        t = _unit(q, p, mask)
-        u = t and _rhat(p, q, pm, mm, zero_ok)
+        t = _unit(q, p, key)
+        u = t and _rhat(p, q, t[1])
         if u:
-            key = (u[1], u[2], zero_ok, t[1])
-            images[key] = images.get(key, 0) + (-1 if (t[0] + u[0]) & 1 else 1)
+            images[u[1]] = images.get(u[1], 0) + (-1 if (t[0] + u[0]) & 1 else 1)
     return images
 
 
 def dirac_apply(v: Vec) -> Vec:
-    """Exact Dirac action, with no cut-off and no word table."""
+    """Exact Dirac action, with no cut-off and no word table, on the
+    exclude-zero lattice."""
+    _refuse_include_zero(v)
     return _apply(v, _dirac_images, HALF_SQRT2)
 
 
@@ -131,7 +140,9 @@ def _dirac_words(n: int):
 
 
 def dirac_cutoff_apply(n: int, v: Vec) -> Vec:
-    """Literal windowed sum 1/2 sum_{|i|,|j|<=N, ij<0} E_ij (x) gamma_ji."""
+    """Literal windowed sum 1/2 sum_{|i|,|j|<=N, ij<0} E_ij (x) gamma_ji,
+    on the exclude-zero lattice."""
+    _refuse_include_zero(v)
     return _apply(v, partial(_images, _word_table(_dirac_words, n)), HALF_SQRT2)
 
 
@@ -141,12 +152,12 @@ def rho_apply(p: int, q: int, v: Vec) -> Vec:
         raise ValueError("rho needs indices of a common sign")
     out: dict = {}
     for ts, c in v.terms.items():
-        pm, mm, zero_ok, mask = ts.mask_key
-        t = _rhat(p, q, pm, mm, zero_ok)
+        key = ts.mask_key
+        t = _rhat(p, q, key)
         if t is not None:
-            add_to(out, TensorState.from_mask_key(t[1], t[2], zero_ok, mask), -c if t[0] & 1 else c)
-        for crossings, mask2 in _ktilde(p, q, mask):
-            add_to(out, TensorState.from_mask_key(pm, mm, zero_ok, mask2), -c if crossings & 1 else c)
+            add_to(out, TensorState.from_mask_key(*t[1]), -c if t[0] & 1 else c)
+        for crossings, image in _ktilde(p, q, key):
+            add_to(out, TensorState.from_mask_key(*image), -c if crossings & 1 else c)
     return _vec(out)
 
 
@@ -156,30 +167,12 @@ def _rho_images(p: int, q: int):
     residual; ``rho_apply`` keeps its own loop for the invariant sector."""
     if p * q <= 0:
         raise ValueError("rho needs indices of a common sign")
-    return _compose([(1, (partial(_rhat_images, p, q),)), (1, (partial(_ktilde_images, p, q),))])
+    return _compose([(1, (_key_images(_rhat, p, q),)), (1, (_key_images(_ktilde, p, q),))])
 
 
 def diagonal_casimir_apply(n: int, v: Vec) -> Vec:
     """sum_{ij>0, window} rho(E_ij) rho(E_ji); kills the invariant sector."""
     return vec_sum(rho_apply(i, j, rho_apply(j, i, v)) for i, j in window_pairs(n, 1))
-
-
-def rho_weight(ts: TensorState) -> dict[int, int]:
-    """Weight of a tensor basis state: index i -> eigenvalue of rho(E_ii).
-
-    rho(E_ii) is diagonal on the basis.  The Fock factor gives +1 for an
-    occupied positive index and -1 for an occupied negative one (the
-    normal-ordered E_ii, as ``fock.diagonal_weight``); the spin factor
-    gives +1 at m and -1 at l for each mode (m, l).  Only indices of
-    nonzero weight are stored, so an absent index has weight 0 and a
-    state is of weight zero exactly when the result is empty.
-    """
-    w = dict.fromkeys(ts.fock.plus, 1)
-    w.update(dict.fromkeys(ts.fock.minus, -1))
-    for m, l in ts.spin.modes:
-        w[m] = w.get(m, 0) + 1
-        w[l] = w.get(l, 0) - 1
-    return {i: c for i, c in w.items() if c}
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,9 +196,10 @@ def _block_states(n: int, pairs: int, spin_length: int) -> list[TensorState]:
     """The weight-zero states of the (pairs, spin_length) block at
     truncation n: the vacuum for (0, 0), and none for any other block.
 
-    This is the weight lemma.  Every Fock and spin contribution to
-    ``rho_weight`` at an index i has the sign of i: an occupied i > 0 and
-    a mode (i, .) count +1, an occupied i < 0 and a mode (., i) count -1.
+    This is the weight lemma.  rho(E_ii) is diagonal on the basis, and
+    every Fock and spin contribution to its eigenvalue, the weight at i,
+    has the sign of i: an occupied i > 0 and a mode (i, .) count +1, an
+    occupied i < 0 and a mode (., i) count -1.
     The weights therefore cancel only where nothing is occupied, at every
     truncation.  The polarization behind it is that of Pressley and
     Segal, *Loop Groups* (1986).
@@ -332,12 +326,6 @@ def _final_words(n: int):
 
 # the right-hand sides of 4 D_(N)^2, as word sums of scale 1/2
 _SQUARE_WORDS = {"raw": _raw_words, "hk": _hk_words, "final": _final_words}
-
-
-def _refuse_include_zero(v: Vec) -> None:
-    """The renormalized Casimir lives on the exclude-zero lattice."""
-    if any(ts.mask_key[2] for ts in v.terms):
-        raise ValueError("state lattice does not match the variant lattice")
 
 
 def t_square_apply(v: Vec) -> Vec:

@@ -22,6 +22,14 @@ Every basis state of the package, Fock, spin or tensor, is its mask key
 ``(pm, mm, zero_ok, spin)`` behind the one base class ``MaskState``
 defined here, the lowest module that the spin and tensor states import.
 
+The basic operators act on mask keys.  A key core (``_field`` and
+``_rhat`` here, ``spinor._unit`` and ``spinor._ktilde``) takes a key and
+returns ``(crossings, key)``, the sign being ``(-1)^crossings``, or None
+when the result vanishes (``_ktilde`` a list of them); the half of the
+key it does not touch rides along.  Two adapters derive the rest from a
+core: ``_key_images``, its images function for the word kernel, and
+``_signed``, the ``(sign, state)`` of the public state maps.
+
 Two lattices coexist: the default one excludes the index 0, the
 "include zero" one admits 0 into the plus half (used by the
 highest-weight / Casimir machinery, where the vacuum sea sits strictly
@@ -223,21 +231,61 @@ def window_pairs(n: int, sign: int) -> list[tuple[int, int]]:
     return [(i, j) for i in idx for j in idx if i * j * sign > 0]
 
 
-def _field(star: bool, k: int, pm: int, mm: int, zero_ok: bool):
-    """psi*_k (``star``) or psi_k on occupation masks.
+def _field(star: bool, k: int, key):
+    """psi*_k (``star``) or psi_k on a mask key.
 
-    Returns ``(crossings, pm, mm)``, the sign being ``(-1)^crossings``,
-    or ``None`` when the result vanishes.
+    Returns ``(crossings, key)``, the sign being ``(-1)^crossings``, or
+    ``None`` when the result vanishes; the spin half of the key rides
+    along.
     """
-    if half_sign(k, zero_ok) > 0:
+    pm, mm, zero_ok, spin = key
+    # half_sign places 0, or refuses it off the include-zero lattice
+    if k > 0 or not k and half_sign(k, zero_ok) > 0:
         bit = 1 << k
         if bool(pm & bit) == star:
             return None
-        return (pm & (bit - 1)).bit_count(), pm ^ bit, mm
+        return (pm & (bit - 1)).bit_count(), (pm ^ bit, mm, zero_ok, spin)
     bit = 1 << (-1 - k)
     if bool(mm & bit) != star:
         return None
-    return pm.bit_count() + (mm >> -k).bit_count(), pm, mm ^ bit
+    return pm.bit_count() + (mm >> -k).bit_count(), (pm, mm ^ bit, zero_ok, spin)
+
+
+def _rhat(p: int, q: int, key):
+    """``rhat_state`` on a mask key: ``(crossings, key)`` or None."""
+    if p == q and p < 0:
+        # psi*_p psi_p - 1 acts as -1 on states occupied at p, else 0.
+        return (1, key) if key[1] >> (-1 - p) & 1 else None
+    t = _field(False, q, key)
+    u = t and _field(True, p, t[1])
+    return u and (t[0] + u[0], u[1])
+
+
+def _key_images(core, a, b):
+    """The images function of a key core: ``core(a, b, key)`` as integer
+    weights on mask keys.  A core returns one ``(crossings, key)``, None,
+    or (``spinor._ktilde``) a list of them, whose signs add per key."""
+
+    def images(key) -> dict:
+        t = core(a, b, key)
+        if t is None:
+            return {}
+        if t.__class__ is tuple:
+            return {t[1]: -1 if t[0] & 1 else 1}
+        out: dict = {}
+        for crossings, image in t:
+            out[image] = out.get(image, 0) + (-1 if crossings & 1 else 1)
+        return out
+
+    return images
+
+
+def _signed(state: MaskState, t):
+    """A core's ``(crossings, key)`` as ``(sign, state)``, the state of
+    the input ``state``'s class, or None when the core gave None."""
+    if t is None:
+        return None
+    return -1 if t[0] & 1 else 1, state.__class__.from_mask_key(*t[1])
 
 
 def _star(kind: str) -> bool:
@@ -253,41 +301,12 @@ def field_state(kind: str, k: int, state: FockState):
     Returns ``(sign, state)`` with ``sign`` in {+1, -1}, or ``None``
     when the result vanishes.
     """
-    star = _star(kind)
-    pm, mm, zero_ok, _ = state.mask_key
-    t = _field(star, k, pm, mm, zero_ok)
-    if t is None:
-        return None
-    return -1 if t[0] & 1 else 1, FockState.from_mask_key(t[1], t[2], zero_ok, 0)
-
-
-def _field_images(star: bool, k: int, key) -> dict:
-    """psi*_k (``star``) or psi_k on a mask key, as integer weights on
-    mask keys; the spin part of the key rides along."""
-    pm, mm, zero_ok, spin = key
-    t = _field(star, k, pm, mm, zero_ok)
-    if t is None:
-        return {}
-    return {(t[1], t[2], zero_ok, spin): -1 if t[0] & 1 else 1}
+    return _signed(state, _field(_star(kind), k, state.mask_key))
 
 
 def apply_field(kind: str, k: int, v: Vec) -> Vec:
     """psi_k / psi*_k extended linearly to finite vectors."""
-    return _apply(v, partial(_field_images, _star(kind), k), ONE)
-
-
-def _rhat(p: int, q: int, pm: int, mm: int, zero_ok: bool):
-    """``rhat_state`` on occupation masks: ``(crossings, pm, mm)`` or None."""
-    if p == q and p < 0:
-        # psi*_p psi_p - 1 acts as -1 on states occupied at p, else 0.
-        return (1, pm, mm) if mm >> (-1 - p) & 1 else None
-    t = _field(False, q, pm, mm, zero_ok)
-    if t is None:
-        return None
-    u = _field(True, p, t[1], t[2], zero_ok)
-    if u is None:
-        return None
-    return t[0] + u[0], u[1], u[2]
+    return _apply(v, _key_images(_field, _star(kind), k), ONE)
 
 
 def rhat_state(p: int, q: int, state: FockState):
@@ -296,26 +315,12 @@ def rhat_state(p: int, q: int, state: FockState):
     Returns ``(sign, state)`` or ``None``; the result is always a single
     signed basis state.
     """
-    pm, mm, zero_ok, _ = state.mask_key
-    t = _rhat(p, q, pm, mm, zero_ok)
-    if t is None:
-        return None
-    return -1 if t[0] & 1 else 1, FockState.from_mask_key(t[1], t[2], zero_ok, 0)
-
-
-def _rhat_images(p: int, q: int, key) -> dict:
-    """``rhat_state`` on a mask key, as integer weights on mask keys; the
-    spin part of the key rides along."""
-    pm, mm, zero_ok, spin = key
-    t = _rhat(p, q, pm, mm, zero_ok)
-    if t is None:
-        return {}
-    return {(t[1], t[2], zero_ok, spin): -1 if t[0] & 1 else 1}
+    return _signed(state, _rhat(p, q, state.mask_key))
 
 
 def rhat_apply(p: int, q: int, v: Vec) -> Vec:
     """Level-1 action of the matrix unit E_{p,q} on finite vectors."""
-    return _apply(v, partial(_rhat_images, p, q), ONE)
+    return _apply(v, _key_images(_rhat, p, q), ONE)
 
 
 def diagonal_weight(i: int, state: FockState) -> int:
@@ -419,14 +424,6 @@ def bracket_central(a: LieElement, b: LieElement) -> LieElement:
     return LieElement(terms, schwinger(a, b), a.zero_ok or b.zero_ok)
 
 
-def rhat_lie_apply(a: LieElement, v: Vec) -> Vec:
-    """Level-1 representation of a finite combination; central acts as +1."""
-    parts = [rhat_apply(p, q, v).scaled(c) for (p, q), c in a.terms.items()]
-    if a.central:
-        parts.append(v.scaled(a.central))
-    return vec_sum(parts)
-
-
 # ---------------------------------------------------------------------------
 # Quadratic representation of the restricted orthogonal Lie algebra on the
 # particle-only sector.
@@ -446,7 +443,7 @@ def _t_ores_words(d: TermTable, b: TermTable, c: TermTable):
     """The words of ``t_ores_apply`` as ``(coefficient, factors)``: the
     coefficient of each term (d_ij, or half of b_ij or c_ij) and its two
     field operators as images functions, the right one acting first."""
-    field = lambda star, k: partial(_field_images, star, k)
+    field = partial(_key_images, _field)
     for (i, j), x in d.items():
         yield _coerce(x), (field(True, i), field(False, j))
     for (i, j), x in b.items():

@@ -15,8 +15,11 @@ the K sums cancels it).
 
 A ``SpinState`` is the mask key ``(0, 0, False, mask)`` of
 ``fock.MaskState``, its modes the set bits of ``mask`` on the mode grid
-of ``words._mode_bit``; the state maps (``mode_state``, ``_unit``,
-``_ktilde``) act on that mask.
+of ``words._mode_bit``.  The key cores ``_unit`` and ``_ktilde`` act on
+the spin half of any mask key, the Fock half riding along; the state
+maps and vector operators are derived from them through the adapters of
+``fock``.  The K-family members and the spinor Casimir are literal sums
+of unit words and run through the word tables of ``words``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache, partial
 from itertools import combinations
 from math import isqrt
 
-from .fock import MaskState, _store, half_sign, window, window_pairs
+from .fock import MaskState, _key_images, _signed, _store, half_sign, window, window_pairs
 from .linalg import Vec, _vec, set_bits
 from .scalar import HALF, ONE, SQRT2
 from .words import _apply, _images, _mode_bit, _mode_masks, _word_table
@@ -109,26 +112,17 @@ class SpinState(MaskState):
         return f"S{{{list(self.modes)}}}"
 
 
-def mode_state(create: bool, mode: SpinMode, state: SpinState):
-    """Unit creator/annihilator of one mode; returns (sign, state) or None."""
-    m, l = mode
-    if not (m > 0 > l):
-        raise ValueError(f"bad mode {mode}")
-    mask = state.mask_key[3]
-    bit, lower = _mode_masks(m, l, mask.bit_length())
-    if bool(mask & bit) == create:
-        return None
-    return -1 if (mask & lower).bit_count() & 1 else 1, SpinState.from_mask_key(0, 0, False, mask ^ bit)
+def _unit(i: int, j: int, key):
+    """gamma(E_ij)/sqrt(2) on a mask key: create the mode (i, j) or
+    remove (j, i) on its grid mask.
 
-
-def _unit(i: int, j: int, mask: int):
-    """gamma(E_ij)/sqrt(2) on a grid mask.
-
-    Returns ``(crossings, mask)``, the sign being ``(-1)^crossings``, or
-    ``None`` when the result vanishes.
+    Returns ``(crossings, key)``, the sign being ``(-1)^crossings``, or
+    ``None`` when the result vanishes; the Fock half of the key rides
+    along.
     """
     if i * j >= 0:
         raise ValueError("gamma needs indices of opposite sign")
+    pm, mm, zero_ok, mask = key
     if i > 0:
         bit, lower = _mode_masks(i, j, mask.bit_length())
         if mask & bit:
@@ -137,62 +131,25 @@ def _unit(i: int, j: int, mask: int):
         bit, lower = _mode_masks(j, i, mask.bit_length())
         if not mask & bit:
             return None
-    return (mask & lower).bit_count(), mask ^ bit
+    return (mask & lower).bit_count(), (pm, mm, zero_ok, mask ^ bit)
+
+
+def mode_state(create: bool, mode: SpinMode, state: SpinState):
+    """Unit creator/annihilator of one mode; returns (sign, state) or None."""
+    m, l = mode
+    if not (m > 0 > l):
+        raise ValueError(f"bad mode {mode}")
+    return _signed(state, _unit(m, l, state.mask_key) if create else _unit(l, m, state.mask_key))
 
 
 def gamma_unit_state(i: int, j: int, state: SpinState):
     """gamma(E_ij)/sqrt(2) on a basis state: create (i,j) or remove (j,i)."""
-    t = _unit(i, j, state.mask_key[3])
-    if t is None:
-        return None
-    return -1 if t[0] & 1 else 1, SpinState.from_mask_key(0, 0, False, t[1])
-
-
-def _unit_images(words, key) -> dict:
-    """sum w * (word) over the unit words ``(w, word)`` of ``words`` on a
-    mask key, as integer weights on mask keys (``_unit_word``; the empty
-    word is the identity).  The Fock part of the key rides along."""
-    pm, mm, zero_ok, mask = key
-    images: dict = {}
-    for w, word in words:
-        t = _unit_word(word, mask)
-        if t is not None:
-            image = (pm, mm, zero_ok, t[1])
-            images[image] = images.get(image, 0) + (-w if t[0] & 1 else w)
-    return images
+    return _signed(state, _unit(i, j, state.mask_key))
 
 
 def gamma_apply(i: int, j: int, v: Vec) -> Vec:
     """Clifford generator of E_ij: sqrt(2) times the unit mode operator."""
-    return _apply(v, partial(_unit_images, ((1, ((i, j),)),)), SQRT2)
-
-
-def _unit_word(word, mask: int):
-    """A product of units u_ab on a grid mask, its rightmost factor
-    acting first.
-
-    Returns ``(crossings, mask)`` or ``None`` once a factor vanishes.
-    """
-    odd = 0
-    for a, b in reversed(word):
-        t = _unit(a, b, mask)
-        if t is None:
-            return None
-        crossings, mask = t
-        odd += crossings
-    return odd, mask
-
-
-def gamma_pair_state(a: tuple[int, int], b: tuple[int, int], state: SpinState):
-    """u_a u_b on a basis state, u_b acting first; (sign, state) or None.
-
-    ``u_ij`` is the unit-normalized generator gamma_ij / sqrt(2), so the
-    product equals 1/2 gamma_a gamma_b.
-    """
-    t = _unit_word((a, b), state.mask_key[3])
-    if t is None:
-        return None
-    return -1 if t[0] & 1 else 1, SpinState.from_mask_key(0, 0, False, t[1])
+    return _apply(v, _key_images(_unit, i, j), SQRT2)
 
 
 def k_pairs(n: int, i: int, j: int) -> list:
@@ -200,10 +157,22 @@ def k_pairs(n: int, i: int, j: int) -> list:
     return [((i, k), (k, j)) for k in window(n) if i * k < 0]
 
 
+def _k_words(family: str, n: int, i: int, j: int):
+    """The unit words of K^(N)_ij, K~^(N)_ij or 2 H^(N)_ij over
+    ``k_pairs``, the diagonal constant of K~ as the empty word."""
+    for a, b in k_pairs(n, i, j):
+        yield 1, (), (a, b)
+        if family == H_N:
+            # 1/4 sum [gamma_ik, gamma_kj] = 1/2 sum (u_ik u_kj - u_kj u_ik);
+            # the reversed products already carry the -N/2 diagonal constant.
+            yield -1, (), (b, a)
+    if family == K_TILDE_N and i == j < 0:
+        yield -n, (), ()
+
+
 def _k_images(family: str, n: int, i: int, j: int):
     """The images function of K^(N)_ij, K~^(N)_ij or 2 H^(N)_ij
-    (``k_family_apply``): its unit words over ``k_pairs``, the diagonal
-    constant of K~ as the empty word.
+    (``k_family_apply``): the word table of ``_k_words``.
 
     The family and the indices are checked here, before any work.
     """
@@ -213,15 +182,7 @@ def _k_images(family: str, n: int, i: int, j: int):
         raise ValueError("K-family indices must share a sign")
     if max(abs(i), abs(j)) > n:
         raise ValueError("index out of the cut-off window")
-    pairs = k_pairs(n, i, j)
-    words = [(1, pair) for pair in pairs]
-    if family == H_N:
-        # 1/4 sum [gamma_ik, gamma_kj] = 1/2 sum (u_ik u_kj - u_kj u_ik);
-        # the reversed products already carry the -N/2 diagonal constant.
-        words += [(-1, (b, a)) for a, b in pairs]
-    elif family == K_TILDE_N and i == j < 0:
-        words.append((-n, ()))
-    return partial(_unit_images, tuple(words))
+    return partial(_images, _word_table(_k_words, family, n, i, j))
 
 
 def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
@@ -238,11 +199,13 @@ def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
     return _apply(v, _k_images(family, n, i, j), HALF if family == H_N else ONE)
 
 
-def _ktilde(i: int, j: int, mask: int) -> list[tuple[int, int]]:
-    """``ktilde_state_terms`` on a grid mask: ``(crossings, mask)`` per
-    image, the sign being ``(-1)^crossings``."""
+def _ktilde(i: int, j: int, key) -> list:
+    """``ktilde_state_terms`` on a mask key: ``(crossings, key)`` per
+    image, the sign being ``(-1)^crossings``; the Fock half of the key
+    rides along."""
     if i * j <= 0:
         raise ValueError("isotropy indices must share a sign")
+    pm, mm, zero_ok, mask = key
     out = []
     for h, (m, l) in enumerate(_modes(mask)):
         if i > 0:
@@ -258,7 +221,7 @@ def _ktilde(i: int, j: int, mask: int) -> list[tuple[int, int]]:
         if others & bit:
             continue
         pos = (others & lower).bit_count()
-        out.append((base + h + pos, others | bit))
+        out.append((base + h + pos, (pm, mm, zero_ok, others | bit)))
     return out
 
 
@@ -269,26 +232,12 @@ def ktilde_state_terms(i: int, j: int, state: SpinState) -> list[tuple[int, Spin
     [ad E_ij](E_{ml}) = delta_jm E_il - delta_li E_mj, with the usual
     crossing sign for re-sorting the creator word; the vacuum goes to 0.
     """
-    return [
-        (-1 if crossings & 1 else 1, SpinState.from_mask_key(0, 0, False, mask))
-        for crossings, mask in _ktilde(i, j, state.mask_key[3])
-    ]
-
-
-def _ktilde_images(i: int, j: int, key) -> dict:
-    """``ktilde_state_terms`` on a mask key, as integer weights on mask
-    keys; the Fock part of the key rides along."""
-    pm, mm, zero_ok, mask = key
-    images: dict = {}
-    for crossings, mask2 in _ktilde(i, j, mask):
-        image = (pm, mm, zero_ok, mask2)
-        images[image] = images.get(image, 0) + (-1 if crossings & 1 else 1)
-    return images
+    return [_signed(state, t) for t in _ktilde(i, j, state.mask_key)]
 
 
 def ktilde_exact_apply(i: int, j: int, v: Vec) -> Vec:
     """Window-free isotropy action; agrees with K~^(N) once N bounds v."""
-    return _apply(v, partial(_ktilde_images, i, j), ONE)
+    return _apply(v, _key_images(_ktilde, i, j), ONE)
 
 
 def fermion_number_apply(v: Vec) -> Vec:

@@ -24,7 +24,7 @@ from .linalg import Vec, adjoint_residual, vec_sum
 from .rng import SplitMix64
 from .sampling import random_vector
 from .scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar, _coerce, _from_numerators, _numerators
-from .words import _collect, _compose, _residual
+from .words import _collect, _compose, _images, _residual, _word_table
 
 
 class _Report:
@@ -78,7 +78,21 @@ def _delta_terms(op, i: int, j: int, m: int, l: int) -> list:
 
 def _u(i: int, j: int):
     """The images function of the unit mode operator u_ij = gamma_ij / sqrt2."""
-    return partial(sp._unit_images, ((1, ((i, j),)),))
+    return fk._key_images(sp._unit, i, j)
+
+
+def _e(p: int, q: int):
+    """The images function of the matrix unit E_pq."""
+    return fk._key_images(fk._rhat, p, q)
+
+
+def _anticommutator_words(a, b):
+    """The unit words u_a u_b + u_b u_a - delta of {u_a, u_b} - delta,
+    delta = 1 exactly when b is a reversed."""
+    yield 1, (), (a, b)
+    yield 1, (), (b, a)
+    if a == b[::-1]:
+        yield -1, (), ()
 
 
 def _int(c) -> int:
@@ -92,7 +106,7 @@ def _int(c) -> int:
 def _minus_lie(a: fk.LieElement) -> list:
     """The terms of -sum c_pq E_pq, minus the level-1 representation of a
     finite combination without its central part."""
-    return [(-_int(c), (partial(fk._rhat_images, p, q),)) for (p, q), c in a.terms.items()]
+    return [(-_int(c), (_e(p, q),)) for (p, q), c in a.terms.items()]
 
 
 def _windows(bound: int, count: int) -> range:
@@ -109,8 +123,8 @@ def suite_car(max_index: int = 3, **_) -> dict:
     basis = fk.fock_basis(max_index)
     idx = fk.window(max_index)
     vs = [Vec.basis(s) for s in basis]
-    psi = lambda k: partial(fk._field_images, False, k)
-    star = lambda k: partial(fk._field_images, True, k)
+    psi = partial(fk._key_images, fk._field, False)
+    star = partial(fk._key_images, fk._field, True)
     rep.check(
         "car.relations",
         f"indices<= {max_index}, {3 * len(idx) ** 2 * len(basis)} checks",
@@ -157,15 +171,16 @@ def suite_clifford(max_index: int = 3, **_) -> dict:
     gens = fk.window_pairs(max_index, -1)
     vs = [Vec.basis(s) for s in basis]
     # {gamma_a, gamma_b} - 2 delta = 2 ({u_a, u_b} - delta), sqrt2^2 = 2,
-    # as the unit words u_a u_b + u_b u_a - delta
+    # as the word table of u_a u_b + u_b u_a - delta
+    two = SQRT2 * SQRT2
     rep.check(
         "clifford.relations",
         f"indices<= {max_index}, {len(gens) ** 2 * len(basis)} checks",
         (
-            _residual(v, images, SQRT2 * SQRT2)
+            _residual(v, images, two)
             for a in gens
             for b in gens
-            for images in [partial(sp._unit_images, ((1, (a, b)), (1, (b, a))) + ((-1, ()),) * (a == b[::-1]))]
+            for images in [partial(_images, _word_table(_anticommutator_words, a, b))]
             for v in vs
         ),
     )
@@ -193,7 +208,6 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
     idx = fk.window(max_index)
     units = list(product(idx, repeat=2))
     vs = [Vec.basis(s) for s in basis]
-    rhat = lambda a: partial(fk._rhat_images, *a)
     rep.check(
         "cocycle.central-extension",
         f"unit pairs <= {max_index}",
@@ -202,7 +216,7 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
             for a in units
             for b in units
             for br in [fk.bracket_central(fk.LieElement.unit(*a), fk.LieElement.unit(*b))]
-            for images in [_compose(_bracket_terms(rhat(a), rhat(b), -1) + _minus_lie(br) + [(-_int(br.central), ())])]
+            for images in [_compose(_bracket_terms(_e(*a), _e(*b), -1) + _minus_lie(br) + [(-_int(br.central), ())])]
             for v in vs
         ),
     )
@@ -258,7 +272,7 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
     sign_pairs = fk.window_pairs(max_index, 1)
     kraw = partial(sp._k_images, sp.K_RAW, n)
     kt = partial(sp._k_images, sp.K_TILDE_N, n)
-    ktilde = lambda i, j: partial(sp._ktilde_images, i, j)
+    ktilde = partial(fk._key_images, sp._ktilde)
     # [K_ij, gamma_ml] = delta_jm gamma_il - delta_il gamma_mj (scale sqrt2
     # on the units), and the same with K~ in place of both
     rep.check(
@@ -396,8 +410,7 @@ def suite_casimir(max_index: int = 3, **_) -> dict:
             _residual(v, images, ONE)
             for m in span
             for n2 in span
-            for rhat in [partial(fk._rhat_images, m, n2)]
-            for images in [_compose(_bracket_terms(casimir, rhat, -1) + _minus_lie(cas.casimir_commutator(var, m, n2)))]
+            for images in [_compose(_bracket_terms(casimir, _e(m, n2), -1) + _minus_lie(cas.casimir_commutator(var, m, n2)))]
             for v in bound2
         ),
     )
@@ -492,7 +505,7 @@ def suite_heisenberg(max_index: int = 3, **_) -> dict:
         (
             _residual(v, images, ONE)
             for k in range(-max_index, 0)
-            for images in [_compose(_bracket_terms(casimir, shift(k), -1) + [(-2, (partial(fk._rhat_images, i, i + k),)) for i in range(-k)])]
+            for images in [_compose(_bracket_terms(casimir, shift(k), -1) + [(-2, (_e(i, i + k),)) for i in range(-k)])]
             for v in states
         ),
     )

@@ -1,6 +1,8 @@
 """Word tables: the one kernel of the windowed operators.
 
-Every windowed operator of the package is a literal sum of words
+Every windowed operator of the package (D_N and the right sides of
+4 D_N^2, the Casimir variants, the Heisenberg shifts, the K family, the
+spinor Casimir and the cut-off fermion number) is a literal sum of words
 
     w * F (x) S
 
@@ -273,9 +275,10 @@ def _new_table(words_of, *args) -> tuple:
 
 # The most words the cached tables hold together, about 42 MiB of D_N
 # tables.  The D_N table at N = 300 alone holds 180,000 words in about
-# 58 MiB; the 38 tables that one pass of the 12 verify suites builds (at
+# 58 MiB; the 147 tables that one pass of the 12 verify suites builds (at
 # the defaults, with ``--max-index 2`` for clifford, cocycle, k-family
-# and casimir) hold 3,733.
+# and casimir) hold 4,056, most of them K-family and Clifford tables of
+# a few words each.
 TABLE_WORDS = 1 << 17
 
 # (words function, arguments) -> (size, table), least recently used first

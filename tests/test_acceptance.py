@@ -18,6 +18,8 @@ specializes to the same values.
 
 import time
 
+from oracles import rhat_lie_apply
+
 from gdirac.casimir import (
     G_LIMIT,
     G_REN_N,
@@ -53,7 +55,6 @@ from gdirac.fock import (
     ores_bracket,
     ores_cocycle,
     rhat_apply,
-    rhat_lie_apply,
     schwinger,
     t_ores_apply,
 )

@@ -1,6 +1,7 @@
 """Casimir variants, highest weight states, Heisenberg shifts."""
 
 import pytest
+from oracles import rhat_lie_apply
 
 from gdirac.casimir import (
     G_LIMIT,
@@ -23,7 +24,6 @@ from gdirac.fock import (
     LatticeError,
     fock_basis,
     rhat_apply,
-    rhat_lie_apply,
     window,
 )
 from gdirac.linalg import Vec

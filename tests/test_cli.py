@@ -379,6 +379,21 @@ def test_dump_op_dirac_cutoff_refused(monkeypatch, capsys, descriptor, message):
     assert message in err
 
 
+@pytest.mark.parametrize("space, descriptor", [("fock", "rhat:{},1"), ("spin", "gamma:-1,{}"), ("spin", "ktilde:1,{}")])
+@pytest.mark.parametrize("index", ["3", "99999999999999999999"])
+def test_dump_op_index_past_the_bound_refused(monkeypatch, capsys, space, descriptor, index):
+    # an index past --max-index has only a zero matrix on the basis; it is
+    # refused before any basis is built, and before any mask is sized by it
+    def never(*_):
+        raise AssertionError("built before the check")
+
+    monkeypatch.setitem(cli._DUMP_BASES, space, never)
+    code, out, err = run_cli(capsys, "dump-op", descriptor.format(index), "--max-index", "2")
+    assert code == 2
+    assert out == ""
+    assert f"index {index} in " in err and "exceeds --max-index 2" in err
+
+
 def test_dump_op_dirac_cutoff_zero(capsys):
     # N = 0 is the empty window: D_0 = 0
     code, out, _ = run_cli(capsys, "dump-op", "dirac:N=0", "--max-index", "1")

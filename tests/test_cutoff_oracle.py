@@ -28,8 +28,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_linalg import lift_sum
-from test_word_table import table_images
+from oracles import gamma_pair_state, lift_sum, table_images
 
 from gdirac import casimir as cas
 from gdirac.casimir import casimir_apply, heisenberg_apply
@@ -56,7 +55,6 @@ from gdirac.spinor import (
     SpinState,
     _fermion_number_words,
     fermion_number_apply,
-    gamma_pair_state,
     gamma_unit_state,
     k_family_apply,
     spin_basis,
@@ -83,14 +81,11 @@ square_rhs_hk = partial(square_rhs, _hk_words)
 def rhat_pair_state(p, q, state):
     """E_pq E_qp on a basis state, E_qp acting first; (sign, state) or
     None."""
-    zero_ok = state.zero_ok
-    t = _rhat(q, p, state.plus_mask, state.minus_mask, zero_ok)
-    if t is None:
-        return None
-    u = _rhat(p, q, t[1], t[2], zero_ok)
+    t = _rhat(q, p, state.mask_key)
+    u = t and _rhat(p, q, t[1])
     if u is None:
         return None
-    return -1 if (t[0] + u[0]) & 1 else 1, FockState.from_mask_key(u[1], u[2], zero_ok, 0)
+    return -1 if (t[0] + u[0]) & 1 else 1, FockState.from_mask_key(*u[1])
 
 
 def _e_gamma_state(p, q, ts):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import rho_weight
 
 from gdirac.casimir import G_LIMIT, CasimirVariant, casimir_apply
 from gdirac.dirac import (
@@ -16,7 +17,6 @@ from gdirac.dirac import (
     invariance_residual,
     invariant_basis,
     rho_apply,
-    rho_weight,
     spectrum_report,
     square_identity_residual,
     t_square_apply,
@@ -74,6 +74,16 @@ def test_cutoff_stabilization():
     assert dirac_cutoff_apply(1, w) != dirac_apply(w)
     for n in (2, 3, 4):
         assert dirac_cutoff_apply(n, w) == dirac_apply(w)
+
+
+@pytest.mark.parametrize("plus", [(0,), (1,)])
+def test_dirac_operators_refuse_the_include_zero_lattice(plus):
+    # index 0 has no spinor mode: D and D_N refuse the lattice up front,
+    # with t_square_apply's error, whether or not 0 is occupied
+    v = Vec.basis(TensorState(FockState(plus, (-1,), True), SpinState()))
+    for apply in (dirac_apply, lambda w: dirac_cutoff_apply(2, w), t_square_apply):
+        with pytest.raises(ValueError, match="state lattice does not match the variant lattice"):
+            apply(v)
 
 
 def test_rho_examples():

@@ -1,6 +1,7 @@
 """Field operators, normal-ordered quadratics, cocycles."""
 
 import pytest
+from oracles import rhat_lie_apply
 
 from gdirac.fock import (
     PSI,
@@ -17,7 +18,6 @@ from gdirac.fock import (
     ores_bracket,
     ores_cocycle,
     rhat_apply,
-    rhat_lie_apply,
     schwinger,
     t_ores_apply,
     window,

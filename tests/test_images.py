@@ -4,8 +4,8 @@ Every operator of the package is an images function, a map from the mask
 key of a basis state to integer weights on mask keys, and every bracket
 check of the verify suites is ``words._residual`` of a ``words._compose``
 of them.  Here both are held against the vector path they replaced: each
-images function against the lift of its basis-state map (``lift``, the
-oracle helper of ``test_linalg``), and each composed residual against
+images function against the lift of its basis-state map (``lift``, of
+``oracles``), and each composed residual against
 ``Vec`` arithmetic with one ``Scalar`` product per term.  Vectors are
 drawn on both Fock lattices, on the spin grid and on tensor states, with
 ``Fraction`` coefficients of denominators 1..6, with and without sqrt2
@@ -23,10 +23,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_linalg import lift, lift_sum
+from oracles import gamma_pair_state, lift, lift_sum
 
 from gdirac.dirac import TensorState, _dirac_images, _rho_images, rho_apply
-from gdirac.fock import PSI, PSI_STAR, FockState, _field_images, _rhat_images, field_state, fock_basis, rhat_state, window
+from gdirac.fock import PSI, PSI_STAR, FockState, _field, _key_images, _rhat, field_state, fock_basis, rhat_state, window
 from gdirac.linalg import Vec, vec_sum
 from gdirac.scalar import HALF_SQRT2, ONE, SQRT2, Scalar
 from gdirac.spinor import (
@@ -35,9 +35,8 @@ from gdirac.spinor import (
     K_TILDE_N,
     SpinState,
     _k_images,
-    _ktilde_images,
-    _unit_images,
-    gamma_pair_state,
+    _ktilde,
+    _unit,
     gamma_unit_state,
     k_pairs,
     ktilde_state_terms,
@@ -97,15 +96,15 @@ def _factors(data, kind: str, bound: int, zero_ok: bool) -> list:
     if kind != "spin":
         k = data.draw(st.sampled_from(fock_idx))
         p, q = data.draw(st.sampled_from(fock_idx)), data.draw(st.sampled_from(fock_idx))
-        out += [partial(_field_images, False, k), partial(_field_images, True, k), partial(_rhat_images, p, q)]
+        out += [_key_images(_field, False, k), _key_images(_field, True, k), _key_images(_rhat, p, q)]
     if kind != "fock":
         n = data.draw(st.integers(1, bound + 2))
         i, j = _same_sign(data, window(n))
         family = data.draw(st.sampled_from((K_RAW, K_TILDE_N, H_N)))
         out += [
-            partial(_unit_images, ((1, (_cross(data, spin_idx),)),)),
+            _key_images(_unit, *_cross(data, spin_idx)),
             _k_images(family, n, i, j),
-            partial(_ktilde_images, *_same_sign(data, spin_idx)),
+            _key_images(_ktilde, *_same_sign(data, spin_idx)),
         ]
     if kind == "tensor":
         out += [_dirac_images, _rho_images(*_same_sign(data, spin_idx))]
@@ -158,8 +157,8 @@ def test_composed_residual_matches_the_vec_path(kind, data):
 def test_failing_brackets_read_the_same_on_both_paths():
     # the content: residuals that do not vanish, on vectors with sqrt2
     # parts and denominators, where both paths must agree to the digit
-    psi = lambda k: partial(_field_images, False, k)
-    star = lambda k: partial(_field_images, True, k)
+    psi = partial(_key_images, _field, False)
+    star = partial(_key_images, _field, True)
     coeffs = [Scalar(Fraction(1, 2), Fraction(-1, 3)), Scalar(2, 1), Scalar(Fraction(-5, 6)), ONE]
     basis = fock_basis(2)
     vs = [Vec({s: c for s, c in zip(basis[t:], coeffs)}) for t in range(0, len(basis), 3)]
@@ -169,7 +168,7 @@ def test_failing_brackets_read_the_same_on_both_paths():
         ([(1, (psi(-2), star(1))), (-1, (star(1), psi(-2)))], HALF_SQRT2),
         # a perturbed weight
         ([(1, (psi(2), star(2))), (2, (star(2), psi(2))), (-1, ())], SQRT2),
-        ([(1, (partial(_rhat_images, 1, -1), partial(_rhat_images, -1, 1))), (-1, ())], Scalar(Fraction(1, 3))),
+        ([(1, (_key_images(_rhat, 1, -1), _key_images(_rhat, -1, 1))), (-1, ())], Scalar(Fraction(1, 3))),
     ]
     for terms, scale in cases:
         got = [_residual(v, _compose(terms), scale) for v in vs]
@@ -190,8 +189,8 @@ def test_fock_images_match_their_lifted_state_maps(drawn, data):
     idx = window(bound + 2, zero_ok)
     k, p, q = (data.draw(st.sampled_from(idx)) for _ in range(3))
     for kind in (PSI, PSI_STAR):
-        assert _apply(v, partial(_field_images, kind == PSI_STAR, k), ONE) == lift(v, field_state, kind, k)
-    assert _apply(v, partial(_rhat_images, p, q), ONE) == lift(v, rhat_state, p, q)
+        assert _apply(v, _key_images(_field, kind == PSI_STAR, k), ONE) == lift(v, field_state, kind, k)
+    assert _apply(v, _key_images(_rhat, p, q), ONE) == lift(v, rhat_state, p, q)
 
 
 @EXAMPLES
@@ -200,7 +199,7 @@ def test_spin_images_match_their_lifted_state_maps(drawn, data):
     v, bound, _ = drawn
     idx = window(bound + 2)
     i, j = _cross(data, idx)
-    assert _apply(v, partial(_unit_images, ((1, ((i, j),)),)), ONE) == lift(v, gamma_unit_state, i, j)
+    assert _apply(v, _key_images(_unit, i, j), ONE) == lift(v, gamma_unit_state, i, j)
     # the three K families as sums of gamma_pair_state over the window
     n = data.draw(st.integers(1, bound + 2))
     i, j = _same_sign(data, window(n))
@@ -211,7 +210,7 @@ def test_spin_images_match_their_lifted_state_maps(drawn, data):
     assert _apply(v, _k_images(H_N, n, i, j), ONE) == k - lift_sum(v, gamma_pair_state, [(b, a) for a, b in pairs])
     p, q = _same_sign(data, idx)
     terms = vec_sum(Vec.basis(s2, c * sign) for s, c in v.terms.items() for sign, s2 in ktilde_state_terms(p, q, s))
-    assert _apply(v, partial(_ktilde_images, p, q), ONE) == terms
+    assert _apply(v, _key_images(_ktilde, p, q), ONE) == terms
 
 
 @EXAMPLES

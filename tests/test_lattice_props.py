@@ -7,9 +7,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rhat_lie_apply
 
 from gdirac.casimir import G_REN_N, NAIVE_N, NORMAL_N, CasimirVariant, casimir_apply
-from gdirac.fock import LieElement, bracket_central, rhat_apply, rhat_lie_apply, schwinger, window
+from gdirac.fock import LieElement, bracket_central, rhat_apply, schwinger, window
 from gdirac.rng import SplitMix64
 from gdirac.sampling import random_vector
 

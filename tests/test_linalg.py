@@ -1,9 +1,4 @@
-"""Sparse vectors, exact nullspaces, adjoint residuals.
-
-``lift`` and ``lift_sum`` extend a signed basis-state map linearly to
-vectors, one ``Scalar`` per term; the package's operators run on integer
-images of mask keys instead, and other tests hold them against these.
-"""
+"""Sparse vectors, exact nullspaces, adjoint residuals."""
 
 import os
 import subprocess
@@ -14,8 +9,6 @@ from gdirac.fock import PSI, PSI_STAR, apply_field, fock_basis, rhat_apply
 from gdirac.linalg import (
     ExactMatrix,
     Vec,
-    _vec,
-    add_to,
     adjoint_residual,
     span_rank,
     spans_equal,
@@ -37,27 +30,6 @@ def apply_vec(m: ExactMatrix, v: Vec) -> Vec:
     """m v, for a vector keyed by column index."""
     assert all(0 <= j < m.ncols for j in v.terms), "dimension mismatch"
     return Vec({i: sum((c * v.coeff(j) for j, c in row.items()), ZERO) for i, row in enumerate(m.rows)})
-
-
-def lift_sum(v: Vec, state_map, arg_list) -> Vec:
-    """sum over ``args`` in ``arg_list`` of ``state_map(*args, .)`` extended
-    linearly to ``v``, in one pass.
-
-    ``state_map(*args, state)`` returns ``(sign, state)`` with ``sign`` in
-    {+1, -1}, or ``None`` when the image vanishes.
-    """
-    out: dict = {}
-    for s, c in v.terms.items():
-        for args in arg_list:
-            t = state_map(*args, s)
-            if t is not None:
-                add_to(out, t[1], c if t[0] > 0 else -c)
-    return _vec(out)
-
-
-def lift(v: Vec, state_map, *args) -> Vec:
-    """``state_map(*args, .)`` extended linearly to ``v``."""
-    return lift_sum(v, state_map, (args,))
 
 
 def test_vec_canonical_form():

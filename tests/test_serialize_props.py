@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_state_props import fock_states, spin_states, tensor_states
+from oracles import fock_states, spin_states, tensor_states
 
 from gdirac.linalg import Vec
 from gdirac.sampling import SPACES, random_vector

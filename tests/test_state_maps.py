@@ -9,18 +9,25 @@ result over small bases, and check that bad arguments are still rejected.
 
 import copy
 import pickle
-from bisect import bisect_left
 from itertools import combinations
 from time import perf_counter
 
 import pytest
+from oracles import (
+    check_fock_maps,
+    gamma_pair_state,
+    old_gamma_pair_state,
+    old_ktilde_state_terms,
+    old_mode_state,
+    same_outcome,
+    spin_result,
+)
 
 from gdirac.dirac import TensorState, dirac_apply, dirac_cutoff_apply, rho_apply, tensor_states
 from gdirac.fock import (
     PSI,
     PSI_STAR,
     FockState,
-    LatticeError,
     apply_field,
     field_state,
     fock_basis,
@@ -35,7 +42,6 @@ from gdirac.spinor import (
     K_TILDE_N,
     SpinState,
     gamma_apply,
-    gamma_pair_state,
     gamma_unit_state,
     k_family_apply,
     ktilde_exact_apply,
@@ -161,132 +167,8 @@ def test_lifted_tensor_operators_return_canonical_vecs():
 
 
 # ---------------------------------------------------------------------------
-# The bitmask encoding against the tuple-based maps it replaced.  The
-# oracles below are the earlier implementations, on plain tuples: a Fock
-# state is (plus, minus, zero_ok), a spin state its ascending mode tuple.
-
-
-def _old_field_state(kind, k, plus, minus, zero_ok):
-    if k == 0 and not zero_ok:
-        raise LatticeError("index 0 is not on the lattice")
-    plus_side = k > 0 or (k == 0 and zero_ok)
-    if plus_side:
-        block, create, base_sign = plus, kind == PSI_STAR, 1
-    else:
-        block, create, base_sign = minus, kind == PSI, -1 if len(plus) % 2 else 1
-    pos = bisect_left(block, k)
-    present = pos < len(block) and block[pos] == k
-    if create == present:
-        return None
-    sign = base_sign * (-1 if pos % 2 else 1)
-    new = block[:pos] + (k,) + block[pos:] if create else block[:pos] + block[pos + 1 :]
-    return (sign, new, minus) if plus_side else (sign, plus, new)
-
-
-def _old_rhat_state(p, q, plus, minus, zero_ok):
-    if p == q and p < 0:
-        return (-1, plus, minus) if p in minus else None
-    t = _old_field_state(PSI, q, plus, minus, zero_ok)
-    if t is None:
-        return None
-    u = _old_field_state(PSI_STAR, p, t[1], t[2], zero_ok)
-    if u is None:
-        return None
-    return t[0] * u[0], u[1], u[2]
-
-
-def _old_mode_state(create, mode, modes):
-    if not (mode[0] > 0 > mode[1]):
-        raise ValueError(f"bad mode {mode}")
-    pos = bisect_left(modes, mode)
-    present = pos < len(modes) and modes[pos] == mode
-    if create == present:
-        return None
-    new = modes[:pos] + (mode,) + modes[pos:] if create else modes[:pos] + modes[pos + 1 :]
-    return (-1 if pos % 2 else 1), new
-
-
-def _old_gamma_unit_state(i, j, modes):
-    if i * j >= 0:
-        raise ValueError("gamma needs indices of opposite sign")
-    return _old_mode_state(True, (i, j), modes) if i > 0 else _old_mode_state(False, (j, i), modes)
-
-
-def _old_gamma_pair_state(a, b, modes):
-    t = _old_gamma_unit_state(*b, modes)
-    if t is None:
-        return None
-    u = _old_gamma_unit_state(*a, t[1])
-    if u is None:
-        return None
-    return t[0] * u[0], u[1]
-
-
-def _old_ktilde_state_terms(i, j, modes):
-    if i * j <= 0:
-        raise ValueError("isotropy indices must share a sign")
-    out = []
-    for h, (m, l) in enumerate(modes):
-        if i > 0:
-            if j != m:
-                continue
-            newmode, base = (i, l), 1
-        else:
-            if l != i:
-                continue
-            newmode, base = (m, j), -1
-        others = modes[:h] + modes[h + 1 :]
-        if newmode in others:
-            continue
-        pos = bisect_left(others, newmode)
-        out.append((base * (-1 if (h + pos) % 2 else 1), others[:pos] + (newmode,) + others[pos:]))
-    return out
-
-
-def _fock_result(t):
-    """(sign, plus, minus) of a new-map result, checking the decoded
-    state against a validated rebuild (equal, with an equal hash)."""
-    if t is None:
-        return None
-    sign, s = t
-    again = FockState(s.plus, s.minus, s.zero_ok)
-    assert again == s and hash(again) == hash(s)
-    return sign, s.plus, s.minus
-
-
-def _spin_result(t):
-    if t is None:
-        return None
-    sign, s = t
-    again = SpinState(s.modes)
-    assert again == s and hash(again) == hash(s)
-    return sign, s.modes
-
-
-def _same_outcome(new, old, *args):
-    """``new(*args)`` and ``old(*args)`` agree, raising included."""
-    try:
-        want = old(*args)
-    except ValueError as exc:
-        with pytest.raises(type(exc)):
-            new(*args)
-        return None
-    got = new(*args)
-    return got, want
-
-
-def _check_fock_maps(s, window):
-    plus, minus, zero_ok = s.plus, s.minus, s.zero_ok
-    for k in window:
-        for kind in (PSI, PSI_STAR):
-            out = _same_outcome(lambda: field_state(kind, k, s), lambda: _old_field_state(kind, k, plus, minus, zero_ok))
-            if out:
-                assert _fock_result(out[0]) == out[1], (kind, k, s)
-    for p in window:
-        for q in window:
-            out = _same_outcome(lambda: rhat_state(p, q, s), lambda: _old_rhat_state(p, q, plus, minus, zero_ok))
-            if out:
-                assert _fock_result(out[0]) == out[1], (p, q, s)
+# The bitmask encoding against the tuple-based maps it replaced
+# (``oracles.old_*``).
 
 
 def _check_spin_maps(s, bound):
@@ -294,20 +176,20 @@ def _check_spin_maps(s, bound):
     grid = [(m, -l) for m in range(1, bound + 2) for l in range(1, bound + 2)]
     for create in (True, False):
         for mode in grid + [(-1, 1), (1, 1)]:
-            out = _same_outcome(lambda: mode_state(create, mode, s), lambda: _old_mode_state(create, mode, modes))
+            out = same_outcome(lambda: mode_state(create, mode, s), lambda: old_mode_state(create, mode, modes))
             if out:
-                assert _spin_result(out[0]) == out[1], (create, mode, s)
+                assert spin_result(out[0]) == out[1], (create, mode, s)
     idx = [i for i in range(-bound - 1, bound + 2) if i]
     units = [(i, j) for i in idx for j in idx]
     for a in units:
         for b in units:
             if a[0] * a[1] < 0 and b[0] * b[1] < 0:
-                got = _spin_result(gamma_pair_state(a, b, s))
-                assert got == _old_gamma_pair_state(a, b, modes), (a, b, s)
+                got = spin_result(gamma_pair_state(a, b, s))
+                assert got == old_gamma_pair_state(a, b, modes), (a, b, s)
     for i, j in units:
-        out = _same_outcome(lambda: ktilde_state_terms(i, j, s), lambda: _old_ktilde_state_terms(i, j, modes))
+        out = same_outcome(lambda: ktilde_state_terms(i, j, s), lambda: old_ktilde_state_terms(i, j, modes))
         if out:
-            assert [_spin_result(t) for t in out[0]] == out[1], (i, j, s)
+            assert [spin_result(t) for t in out[0]] == out[1], (i, j, s)
 
 
 @pytest.mark.parametrize("zero_ok", [False, True])
@@ -315,7 +197,7 @@ def test_fock_maps_match_the_tuple_oracle(zero_ok):
     # every index one step past the bound, and 0 on both lattices
     window = range(-FOCK_BOUND - 1, FOCK_BOUND + 2)
     for s in fock_basis(FOCK_BOUND, zero_ok):
-        _check_fock_maps(s, window)
+        check_fock_maps(s, window)
 
 
 def test_spin_maps_match_the_tuple_oracle():

@@ -31,10 +31,16 @@ def test_report_check_records_the_largest_absolute_residual():
 
 
 def test_nonzero_residual_fails_verify(capsys, monkeypatch):
-    # the CAR brackets compose the fields' integer images; doubling them
-    # must surface as a failing relation
-    field_images = fock._field_images
-    monkeypatch.setattr(fock, "_field_images", lambda star, k, key: {s: 2 * w for s, w in field_images(star, k, key).items()})
+    # the CAR brackets compose the fields' integer images, made by the
+    # images adapter of the key cores; doubling them must surface as a
+    # failing relation
+    key_images = fock._key_images
+
+    def doubled(core, *args):
+        images = key_images(core, *args)
+        return lambda key: {s: 2 * w for s, w in images(key).items()}
+
+    monkeypatch.setattr(fock, "_key_images", doubled)
     assert main(["verify", "car", "--max-index", "2"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["failures"] >= 1

@@ -27,6 +27,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import table_images, unit_word
 
 from gdirac import casimir as cas
 from gdirac import words
@@ -44,8 +45,8 @@ from gdirac.dirac import (
 from gdirac.fock import _rhat, window
 from gdirac.linalg import _vec, add_to
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
-from gdirac.spinor import _fermion_number_words, _spinor_casimir_words, _unit, _unit_word
-from gdirac.words import _apply, _compiled, _images, _new_table, _raw_table, _rhat_step, _tables, _trigger, _word_table
+from gdirac.spinor import SpinState, _fermion_number_words, _spinor_casimir_words, _unit
+from gdirac.words import _apply, _compiled, _new_table, _raw_table, _rhat_step, _tables, _trigger, _word_table
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 TABLES = {
@@ -99,11 +100,6 @@ def tensor_vectors(draw, masks=any_tensor_masks):
     return _vec({s: draw(q_sqrt2) for s in states})
 
 
-def table_images(words_of, n):
-    """The kernel images of the table of ``words_of(n)``."""
-    return partial(_images, _word_table(words_of, n))
-
-
 def apply_table(words_of, scale, n, v):
     return _apply(v, table_images(words_of, n), scale)
 
@@ -120,30 +116,36 @@ def canonical(cs) -> bool:
     return all(type(x) is int or x.denominator > 1 for c in cs for x in (c.a, c.b))
 
 
-def _rhat_word(word, pm, mm, zero_ok):
-    """A product of E_pq on occupation masks, its rightmost factor acting
-    first: ``(crossings, pm, mm)``, or None once a factor vanishes."""
+def _rhat_word(word, key):
+    """A product of E_pq on a mask key, its rightmost factor acting
+    first: ``(crossings, key)``, or None once a factor vanishes."""
     odd = 0
     for p, q in reversed(word):
-        t = _rhat(p, q, pm, mm, zero_ok)
+        t = _rhat(p, q, key)
         if t is None:
             return None
-        crossings, pm, mm = t
+        crossings, key = t
         odd += crossings
-    return odd, pm, mm
+    return odd, key
+
+
+def _spin_word(word, spin: int):
+    """``oracles.unit_word`` on a grid mask: ``(sign, mask)`` or None."""
+    u = unit_word(word, SpinState.from_mask_key(0, 0, False, spin))
+    return u and (u[0], u[1].mask)
 
 
 def flat_apply(words_of, scale, n, v):
     """The word sum evaluated word by word, with no index."""
     out = {}
     for ts, c in v.terms.items():
-        f = ts.fock
         for w, fock_word, spin_word in words_of(n):
-            t = _rhat_word(fock_word, f.plus_mask, f.minus_mask, f.zero_ok)
-            u = _unit_word(spin_word, ts.spin.mask)
+            t = _rhat_word(fock_word, ts.mask_key)
+            u = _spin_word(spin_word, ts.spin.mask)
             if t is not None and u is not None:
-                image = TensorState.from_mask_key(t[1], t[2], f.zero_ok, u[1])
-                add_to(out, image, c * scale * (-w if (t[0] + u[0]) & 1 else w))
+                pm, mm, zero_ok, _ = t[1]
+                image = TensorState.from_mask_key(pm, mm, zero_ok, u[1])
+                add_to(out, image, c * scale * (-w if t[0] & 1 else w) * u[0])
     return _vec(out)
 
 
@@ -156,9 +158,9 @@ def test_a_word_with_its_trigger_bit_clear_vanishes(form, n, masks):
         if trigger is None or (pm, mm, spin)[trigger[0]] >> trigger[1] & 1:
             continue
         if trigger[0] == 2:
-            assert _unit_word(spin_word, spin) is None
+            assert _spin_word(spin_word, spin) is None
         else:
-            assert _rhat_word(fock_word, pm, mm, zero_ok) is None
+            assert _rhat_word(fock_word, masks) is None
 
 
 @EXAMPLES
@@ -177,21 +179,21 @@ def scalar_dirac(v):
     for ts, c in v.terms.items():
         f, spin = ts.fock, ts.spin
         for p, q in [(p, q) for q in f.plus for p in f.minus] + list(spin.modes):
-            t = _unit(q, p, spin.mask)
-            u = t and _rhat(p, q, f.plus_mask, f.minus_mask, f.zero_ok)
+            t = _unit(q, p, ts.mask_key)
+            u = t and _rhat(p, q, t[1])
             if u:
-                image = TensorState.from_mask_key(u[1], u[2], f.zero_ok, t[1])
+                image = TensorState.from_mask_key(*u[1])
                 add_to(out, image, -c if (t[0] + u[0]) & 1 else c)
     return _vec(out).scaled(HALF_SQRT2)
 
 
-# index 0 has no spinor mode, so D is taken on states with 0 unoccupied,
-# on both lattices
-off_zero_masks = any_tensor_masks.map(lambda masks: (masks[0] & ~1, *masks[1:]))
+# index 0 has no spinor mode, and D refuses the include-zero lattice, so
+# D is taken on exclude-zero states
+exclude_zero_masks = any_tensor_masks.map(lambda masks: (masks[0] & ~1, masks[1], False, masks[3]))
 
 
 @EXAMPLES
-@given(tensor_vectors(off_zero_masks))
+@given(tensor_vectors(exclude_zero_masks))
 def test_dirac_apply_matches_scalar_arithmetic(v):
     d1 = dirac_apply(v)
     assert d1 == scalar_dirac(v) and canonical(d1.terms.values())
@@ -264,10 +266,10 @@ def _run_step(step, pm, mm):
 
 
 def _check_step(word, pm, mm, zero_ok):
-    t = _rhat_word(word, pm, mm, zero_ok)
+    t = _rhat_word(word, (pm, mm, zero_ok, 0))
     step = _rhat_step(word)
     got = None if step is None else _run_step(step, pm, mm)
-    assert got == (None if t is None else (t[0] & 1, t[1], t[2])), (word, pm, mm, zero_ok)
+    assert got == (None if t is None else (t[0] & 1, *t[1][:2])), (word, pm, mm, zero_ok)
 
 
 def test_each_compiled_fock_step_equals_the_word_on_every_small_state():
@@ -345,20 +347,22 @@ def _perturbed(k):
 def test_fused_residual_sees_a_perturbed_weight(n, masks, ab):
     c = Scalar(*ab)
     v = _vec({_state(masks): c})
-    pm, mm, zero_ok, spin = masks
+    spin = masks[3]
     # perturb the first raw word that acts on the state
     k = next(
         (
             i
             for i, (_, fock_word, spin_word) in enumerate(_raw_words(n))
-            if _rhat_word(fock_word, pm, mm, zero_ok) is not None and _unit_word(spin_word, spin) is not None
+            if _rhat_word(fock_word, masks) is not None and _spin_word(spin_word, spin) is not None
         ),
         None,
     )
     if k is None:
         return
     words_of = _perturbed(k)
-    lhs = dirac_cutoff_apply(n, dirac_cutoff_apply(n, v)).scaled(4)
+    # D_N through its table, which the kernel runs on both lattices
+    d_n = partial(apply_table, _dirac_words, HALF_SQRT2, n)
+    lhs = d_n(d_n(v)).scaled(4)
     expected = (lhs - apply_table(words_of, HALF, n, v)).max_abs()
     got = residual(n, words_of, v)
     assert got == expected
@@ -380,9 +384,10 @@ def test_fused_residual_sees_a_perturbed_weight(n, masks, ab):
     ),
 )
 def test_fused_residual_against_a_right_side_that_is_not_the_square(n, v):
-    # 4 D_N^2 - 1/2 W_D: D_N's own word sum, deliberately not the square
-    d = dirac_cutoff_apply(n, v)
-    lhs = dirac_cutoff_apply(n, d).scaled(4)
+    # 4 D_N^2 - 1/2 W_D: D_N's own word sum, deliberately not the square;
+    # D_N through its table, which the kernel runs on both lattices
+    d = apply_table(_dirac_words, HALF_SQRT2, n, v)
+    lhs = apply_table(_dirac_words, HALF_SQRT2, n, d).scaled(4)
     expected = (lhs - apply_table(_dirac_words, HALF, n, v)).max_abs()
     got = residual(n, _dirac_words, v)
     assert got == expected and canonical([got])
