@@ -15,6 +15,7 @@ from .fock import FockState
 from .linalg import Vec
 from .rng import SplitMix64
 from .spinor import SpinState
+from .words import _mode_bit
 
 SPACES = ("fock", "fock0", "fock-include0", "spin", "tensor")
 
@@ -41,12 +42,16 @@ def _draw_fock(stream: SplitMix64, bound: int, zero_ok: bool, charge0: bool) -> 
     if charge0 and len(plus) != len(minus):
         k = min(len(plus), len(minus))
         plus, minus = plus[:k], minus[:k]
-    return FockState(plus, minus, zero_ok)
+    # the drawn blocks are valid and ascending: store their masks
+    pm = sum(1 << k for k in plus)
+    mm = sum(1 << (-1 - l) for l in minus)
+    return FockState.from_mask_key(pm, mm, zero_ok, 0)
 
 
 def _draw_spin(stream: SplitMix64, bound: int) -> SpinState:
     pool = [(m, l) for m in range(1, bound + 1) for l in range(-bound, 0)]
-    return SpinState(_draw_subset(stream, pool, stream.pick(bound + 1)))
+    modes = _draw_subset(stream, pool, stream.pick(bound + 1))
+    return SpinState.from_mask_key(0, 0, False, sum(1 << _mode_bit(m, l) for m, l in modes))
 
 
 def _draw_state(stream: SplitMix64, space: str, bound: int):

@@ -13,7 +13,7 @@ tolerances anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product
 
 from . import casimir as cas
@@ -24,7 +24,7 @@ from .linalg import Vec, adjoint_residual, vec_sum
 from .rng import SplitMix64
 from .sampling import random_vector
 from .scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar, _coerce, _from_numerators, _numerators
-from .words import _collect, _compose, _images, _residual, _word_table
+from .words import _collect, _compose, _images, _memo, _residual, _word_table
 
 
 class _Report:
@@ -61,7 +61,15 @@ class _Report:
 # weights on products of images functions, f_k acting first, and one
 # scale common to them all (``words._compose``); its residual on a vector
 # is the largest coefficient of the scaled sum, taken in integers with no
-# vector in between (``words._residual``).
+# vector in between (``words._residual``).  A suite builds its factors
+# through ``_factors``, so each is evaluated once per basis key however
+# many brackets it enters, and drops them all when it returns.
+
+
+def _factors(factory):
+    """``factory`` handing out one memoized images function
+    (``words._memo``) per argument tuple, for the life of the result."""
+    return cache(lambda *args: _memo(factory(*args)))
 
 
 def _bracket_terms(a, b, sign: int) -> list:
@@ -103,10 +111,11 @@ def _int(c) -> int:
     return c.a
 
 
-def _minus_lie(a: fk.LieElement) -> list:
+def _minus_lie(a: fk.LieElement, e) -> list:
     """The terms of -sum c_pq E_pq, minus the level-1 representation of a
-    finite combination without its central part."""
-    return [(-_int(c), (_e(p, q),)) for (p, q), c in a.terms.items()]
+    finite combination without its central part, ``e(p, q)`` the images
+    function of E_pq."""
+    return [(-_int(c), (e(p, q),)) for (p, q), c in a.terms.items()]
 
 
 def _windows(bound: int, count: int) -> range:
@@ -123,8 +132,8 @@ def suite_car(max_index: int = 3, **_) -> dict:
     basis = fk.fock_basis(max_index)
     idx = fk.window(max_index)
     vs = [Vec.basis(s) for s in basis]
-    psi = partial(fk._key_images, fk._field, False)
-    star = partial(fk._key_images, fk._field, True)
+    psi = _factors(partial(fk._key_images, fk._field, False))
+    star = _factors(partial(fk._key_images, fk._field, True))
     rep.check(
         "car.relations",
         f"indices<= {max_index}, {3 * len(idx) ** 2 * len(basis)} checks",
@@ -208,6 +217,7 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
     idx = fk.window(max_index)
     units = list(product(idx, repeat=2))
     vs = [Vec.basis(s) for s in basis]
+    e = _factors(_e)
     rep.check(
         "cocycle.central-extension",
         f"unit pairs <= {max_index}",
@@ -216,7 +226,7 @@ def suite_cocycle(max_index: int = 3, **_) -> dict:
             for a in units
             for b in units
             for br in [fk.bracket_central(fk.LieElement.unit(*a), fk.LieElement.unit(*b))]
-            for images in [_compose(_bracket_terms(_e(*a), _e(*b), -1) + _minus_lie(br) + [(-_int(br.central), ())])]
+            for images in [_compose(_bracket_terms(e(*a), e(*b), -1) + _minus_lie(br, e) + [(-_int(br.central), ())])]
             for v in vs
         ),
     )
@@ -270,8 +280,9 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
     small = [Vec.basis(s) for s in states]
     rand = [random_vector("spin", 100 + t, max_index) for t in range(10)]
     sign_pairs = fk.window_pairs(max_index, 1)
-    kraw = partial(sp._k_images, sp.K_RAW, n)
-    kt = partial(sp._k_images, sp.K_TILDE_N, n)
+    kraw = _factors(partial(sp._k_images, sp.K_RAW, n))
+    kt = _factors(partial(sp._k_images, sp.K_TILDE_N, n))
+    u = _factors(_u)
     ktilde = partial(fk._key_images, sp._ktilde)
     # [K_ij, gamma_ml] = delta_jm gamma_il - delta_il gamma_mj (scale sqrt2
     # on the units), and the same with K~ in place of both
@@ -282,7 +293,7 @@ def suite_k_family(max_index: int = 3, **_) -> dict:
             _residual(v, images, SQRT2)
             for i, j in sign_pairs
             for m, l in fk.window_pairs(max_index, -1)
-            for images in [_compose(_bracket_terms(kraw(i, j), _u(m, l), -1) + _delta_terms(_u, i, j, m, l))]
+            for images in [_compose(_bracket_terms(kraw(i, j), u(m, l), -1) + _delta_terms(u, i, j, m, l))]
             for v in small + rand
         ),
     )
@@ -402,7 +413,8 @@ def suite_casimir(max_index: int = 3, **_) -> dict:
     states2 = fk.fock_basis(2, zero_ok=True)
     bound2 = [Vec.basis(s) for s in states2]
     span = fk.window(max_index, zero_ok=True)
-    casimir = cas._casimir_images(var)
+    casimir = _memo(cas._casimir_images(var))
+    e = _factors(_e)
     rep.check(
         "casimir.commutator-table",
         f"indices <= {max_index}, N={nn}",
@@ -410,7 +422,7 @@ def suite_casimir(max_index: int = 3, **_) -> dict:
             _residual(v, images, ONE)
             for m in span
             for n2 in span
-            for images in [_compose(_bracket_terms(casimir, _e(m, n2), -1) + _minus_lie(cas.casimir_commutator(var, m, n2)))]
+            for images in [_compose(_bracket_terms(casimir, e(m, n2), -1) + _minus_lie(cas.casimir_commutator(var, m, n2), e))]
             for v in bound2
         ),
     )
@@ -482,7 +494,7 @@ def suite_heisenberg(max_index: int = 3, **_) -> dict:
     """Shift-operator commutation relations on interior states."""
     rep = _Report("heisenberg")
     window = 4 * max_index
-    shift = partial(cas._shift_images, window)
+    shift = _factors(partial(cas._shift_images, window))
     states = [Vec.basis(fk.FockState.vacuum(True))] + [
         Vec.basis(s) for s in fk.fock_basis(1, zero_ok=True) if s.degree
     ]
@@ -559,13 +571,15 @@ def suite_dirac_symmetry(max_index: int = 3, seed: int = 1, **_) -> dict:
 
 def suite_dirac_equivariance(max_index: int = 3, **_) -> dict:
     rep = _Report("dirac-equivariance")
+    dirac = _memo(dr._dirac_images)
+    rho = _factors(dr._rho_images)
     # exhaustive on the bound-2 window, then seeded vectors at max_index
     for check, inputs, vs, bound in (
         ("equivariance.exhaustive", "all tensor states bound 2", map(Vec.basis, dr.tensor_states(2)), 2),
         ("equivariance.random", f"5 seeds, bound {max_index}", (random_vector("tensor", 300 + t, max_index) for t in range(5)), max_index),
     ):
         # [rho(E_pq), D], D at scale sqrt(2)/2 on its integer images
-        brackets = [_compose(_bracket_terms(dr._rho_images(p, q), dr._dirac_images, -1)) for p, q in fk.window_pairs(bound, 1)]
+        brackets = [_compose(_bracket_terms(rho(p, q), dirac, -1)) for p, q in fk.window_pairs(bound, 1)]
         rep.check(check, inputs, (_residual(v, images, HALF_SQRT2) for v in vs for images in brackets))
     # vacuum structure of the two factors
     vacf = Vec.basis(fk.FockState.vacuum())

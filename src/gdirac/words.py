@@ -41,9 +41,15 @@ Products and sums of images functions compose in the same integers:
 ``_compose(terms)`` is the images function of sum w f_1 f_2 ... (each f
 an images function, the rightmost acting first), and ``_residual`` takes
 the largest coefficient of a scaled images function applied to a vector
-by exact integer sign tests, building one scalar.  Every bracket and
-square identity of the package is checked that way, with no vector in
-between.
+by exact integer sign tests, building one scalar; on a one-term vector
+c s it is |scale c| times the largest |weight| of the images of s, with
+no collect step.  Every bracket and square identity of the package is
+checked that way, with no vector in between.
+
+``_compose``, ``_collect``, ``_residual`` and ``_apply`` only read the
+dicts an images function returns, never write to them, so ``_memo(f)``
+may hand out the same dict for a key on every call: a bracket check
+evaluates each factor once per key, however many partners it has.
 
 Tables are cached by (words function, arguments), least recently used
 first, and dropped once the words they hold together pass
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+from types import MappingProxyType
 
 from .linalg import Vec, _vec
 from .scalar import ZERO, Scalar, _from_numerators, _numerators, _sign
@@ -381,10 +388,36 @@ def _apply(v: Vec, images, scale: Scalar) -> Vec:
     return _vec(out)
 
 
+# what a memo holds for each key without images (a third of the keys
+# the k-family suite meets): one read-only mapping, not an empty dict each
+_NONE = MappingProxyType({})
+
+
+class _Memo(dict):
+    """Mask key -> the images of an images function, each computed on the
+    key's first lookup."""
+
+    def __init__(self, images):
+        super().__init__()
+        self.images = images
+
+    def __missing__(self, key):
+        out = self[key] = self.images(key) or _NONE
+        return out
+
+
+def _memo(images):
+    """``images`` computing each key once: the dict of a key's first call
+    is returned again on every later one, so its callers must only read
+    it.  The memo lives as long as the function returned."""
+    return _Memo(images).__getitem__
+
+
 def _compose(terms):
     """The images function of sum w * f_1 f_2 ... f_k over ``terms``,
     pairs ``(w, (f_1, ..., f_k))`` of an int weight and images functions,
-    f_k acting first; an empty product is the identity.
+    f_k acting first; an empty product is the identity.  The factors'
+    dicts are only read, so a factor may be a ``_memo``.
 
     Each product is walked one factor at a time from the input key, its
     middle factors through one merged layer of integer weights; the
@@ -427,11 +460,17 @@ def _residual(v: Vec, images, scale: Scalar) -> Scalar:
     """The largest |coefficient| of ``scale`` times ``images`` applied to
     ``v``, in integers.
 
-    The images are collected as integer numerators over one denominator
-    (``_collect``); the largest |a + b sqrt2| among them is found by exact
-    sign tests, or as the largest |a| when no sqrt2 part arose, and only
-    a nonzero one becomes a scalar, scaled once.
+    On a one-term vector c s this is |scale c| times the largest |weight|
+    of ``images(s)``.  Otherwise the images are collected as integer
+    numerators over one denominator (``_collect``); the largest
+    |a + b sqrt2| among them is found by exact sign tests, or as the
+    largest |a| when no sqrt2 part arose, and only a nonzero one becomes
+    a scalar, scaled once.
     """
+    if len(v.terms) == 1:
+        ((s, c),) = v.terms.items()
+        top = max(map(abs, images(s.mask_key).values()), default=0)
+        return abs(scale * c) * top if top else ZERO
     den, acc_a, acc_b = _collect(v, images)
     best_a = best_b = 0
     if not acc_b:

@@ -14,8 +14,10 @@ parts, and indices run past the bound of the vector.  Nonzero residuals
 come out, and be reported, the same on both paths.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
+from types import MappingProxyType
 
 import pytest
 
@@ -28,7 +30,7 @@ from oracles import gamma_pair_state, lift, lift_sum
 from gdirac.dirac import TensorState, _dirac_images, _rho_images, rho_apply
 from gdirac.fock import PSI, PSI_STAR, FockState, _field, _key_images, _rhat, field_state, fock_basis, rhat_state, window
 from gdirac.linalg import Vec, vec_sum
-from gdirac.scalar import HALF_SQRT2, ONE, SQRT2, Scalar
+from gdirac.scalar import HALF, HALF_SQRT2, ONE, SQRT2, Scalar
 from gdirac.spinor import (
     H_N,
     K_RAW,
@@ -42,7 +44,7 @@ from gdirac.spinor import (
     ktilde_state_terms,
 )
 from gdirac.suites import _Report
-from gdirac.words import _apply, _compose, _residual
+from gdirac.words import _apply, _collect, _compose, _memo, _residual
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -111,6 +113,13 @@ def _factors(data, kind: str, bound: int, zero_ok: bool) -> list:
     return out
 
 
+def _draw_terms(data, pool) -> list:
+    """Up to 3 terms ``(w, (f_1, ...))`` of weights in -3..3 on products
+    of up to 3 images functions of ``pool``."""
+    product = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    return data.draw(st.lists(st.tuples(st.integers(-3, 3), product), min_size=1, max_size=3))
+
+
 def _vec_images(f, v: Vec) -> Vec:
     """The images function ``f`` extended to ``v`` through ``Vec`` sums,
     one ``Scalar`` product per term."""
@@ -145,8 +154,7 @@ def _reports_agree(residual, vec) -> bool:
 def test_composed_residual_matches_the_vec_path(kind, data):
     v, bound, zero_ok = data.draw(vectors(kind))
     pool = _factors(data, kind, bound, zero_ok)
-    product = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
-    terms = data.draw(st.lists(st.tuples(st.integers(-3, 3), product), min_size=1, max_size=3))
+    terms = _draw_terms(data, pool)
     scale = data.draw(coefficients)
     got = _residual(v, _compose(terms), scale)
     want = _vec_path(terms, scale, v)
@@ -162,12 +170,15 @@ def test_failing_brackets_read_the_same_on_both_paths():
     coeffs = [Scalar(Fraction(1, 2), Fraction(-1, 3)), Scalar(2, 1), Scalar(Fraction(-5, 6)), ONE]
     basis = fock_basis(2)
     vs = [Vec({s: c for s, c in zip(basis[t:], coeffs)}) for t in range(0, len(basis), 3)]
+    # and one-term vectors, which take the residual's direct path
+    vs += [Vec.basis(s, c) for s, c in zip(basis[1:], coeffs)]
     cases = [
         # [psi_1, psi*_1] in place of {psi_1, psi*_1} = 1
         ([(1, (psi(1), star(1))), (-1, (star(1), psi(1))), (-1, ())], ONE),
         ([(1, (psi(-2), star(1))), (-1, (star(1), psi(-2)))], HALF_SQRT2),
         # a perturbed weight
         ([(1, (psi(2), star(2))), (2, (star(2), psi(2))), (-1, ())], SQRT2),
+        ([(1, (psi(1), star(1))), (1, (star(1), psi(1)))], HALF),
         ([(1, (_key_images(_rhat, 1, -1), _key_images(_rhat, -1, 1))), (-1, ())], Scalar(Fraction(1, 3))),
     ]
     for terms, scale in cases:
@@ -180,6 +191,64 @@ def test_failing_brackets_read_the_same_on_both_paths():
         b.check("c", "i", want)
         report = a.done()
         assert report == b.done() and report["failures"] == 1
+
+
+def _read_only(images):
+    return lambda key: MappingProxyType(images(key))
+
+
+@EXAMPLES
+@given(st.sampled_from(("fock", "spin", "tensor")), st.data())
+def test_the_kernel_only_reads_the_images(kind, data):
+    # a memo hands out the same dict on every call, so no entry point may
+    # write to one: each must work on read-only mappings
+    v, bound, zero_ok = data.draw(vectors(kind))
+    pool = _factors(data, kind, bound, zero_ok)
+    terms = _draw_terms(data, pool)
+    images = _compose(terms)
+    frozen = _read_only(_compose([(w, tuple(map(_read_only, fs))) for w, fs in terms]))
+    one = Vec.basis(next(iter(v.terms)), 3)
+    for x in (v, one):
+        assert _collect(x, frozen) == _collect(x, images)
+        assert _apply(x, frozen, SQRT2) == _apply(x, images, SQRT2)
+        assert _residual(x, frozen, HALF) == _residual(x, images, HALF)
+
+
+def test_a_memo_computes_each_key_once():
+    rhat = _key_images(_rhat, 1, -1)
+    calls = Counter()
+
+    def counted(key):
+        calls[key] += 1
+        return rhat(key)
+
+    memo = _memo(counted)
+    keys = [s.mask_key for s in fock_basis(2)]
+    for _ in range(3):
+        assert [memo(k) for k in keys] == [rhat(k) for k in keys]
+    assert calls == Counter(keys) and max(calls.values()) == 1
+    assert memo(keys[0]) is memo(keys[0])
+
+
+# one-term coefficients: integers, fractions and sqrt2 parts
+one_term = st.one_of(
+    st.integers(-9, 9).map(Scalar),
+    fractions.map(Scalar),
+    st.builds(Scalar, fractions, fractions),
+).filter(bool)
+
+
+@EXAMPLES
+@given(st.sampled_from(("fock", "spin", "tensor")), one_term, st.sampled_from((ONE, HALF, SQRT2, HALF_SQRT2)), st.data())
+def test_the_one_term_residual_is_the_largest_applied_coefficient(kind, c, scale, data):
+    v, bound, zero_ok = data.draw(vectors(kind))
+    one = Vec.basis(next(iter(v.terms)), c)
+    pool = _factors(data, kind, bound, zero_ok)
+    terms = _draw_terms(data, pool)
+    for images in (_compose(terms), *pool):
+        got = _residual(one, images, scale)
+        want = _apply(one, images, scale).max_abs()
+        assert got == want and str(got) == str(want)
 
 
 @EXAMPLES

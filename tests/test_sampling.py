@@ -2,10 +2,11 @@
 
 import pytest
 
+from gdirac import sampling
 from gdirac.dirac import TensorState
 from gdirac.fock import FockState
 from gdirac.rng import SplitMix64
-from gdirac.sampling import random_vector
+from gdirac.sampling import SPACES, _draw_subset, random_vector
 from gdirac.spinor import SpinState
 
 
@@ -71,3 +72,34 @@ def test_random_vector_validation():
         random_vector("fock", 1, 0)
     with pytest.raises(ValueError):
         random_vector("bogus", 1, 2)
+
+
+def _validated_fock(stream, bound, zero_ok, charge0):
+    """The Fock draw through the validating constructor, as the reference:
+    the same stream calls and subsets as ``sampling._draw_fock``."""
+    plus_pool = list(range(0 if zero_ok else 1, bound + 1))
+    minus_pool = list(range(-bound, 0))
+    a = stream.pick(len(plus_pool) + 1)
+    b = a if charge0 else stream.pick(len(minus_pool) + 1)
+    plus = _draw_subset(stream, plus_pool, a)
+    minus = _draw_subset(stream, minus_pool, b)
+    if charge0:
+        k = min(len(plus), len(minus))
+        plus, minus = plus[:k], minus[:k]
+    return FockState(plus, minus, zero_ok)
+
+
+def _validated_spin(stream, bound):
+    pool = [(m, l) for m in range(1, bound + 1) for l in range(-bound, 0)]
+    return SpinState(_draw_subset(stream, pool, stream.pick(bound + 1)))
+
+
+def test_draws_equal_the_validated_states_of_their_subsets(monkeypatch):
+    cases = [(space, seed, bound) for space in SPACES for seed in range(60) for bound in (1, 2, 4)]
+    drawn = [random_vector(*case, terms=6) for case in cases]
+    monkeypatch.setattr(sampling, "_draw_fock", _validated_fock)
+    monkeypatch.setattr(sampling, "_draw_spin", _validated_spin)
+    for case, v in zip(cases, drawn):
+        want = random_vector(*case, terms=6)
+        assert v == want, case
+        assert [repr(s) for s in v.terms] == [repr(s) for s in want.terms]
