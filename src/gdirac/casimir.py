@@ -25,12 +25,11 @@ the cocycle treat 0 like a positive index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .fock import FockState, LatticeError, LieElement, _bound, diagonal_weight, half_sign, window
 from .linalg import Vec
 from .scalar import ONE, ZERO, Scalar
-from .words import _apply, _images, _word_table
+from .words import _apply, _table_images
 
 NAIVE_N = "naive_N"
 NORMAL_N = "normal_N"
@@ -110,7 +109,7 @@ def _casimir_images(variant: CasimirVariant):
     tag, n = _CUTOFF.get(variant.tag, variant.tag), variant.n
 
     def images(key) -> dict:
-        return _images(_word_table(_casimir_words, tag, _bound(key) if n is None else n, key[2]), key)
+        return _table_images(_casimir_words, tag, _bound(key) if n is None else n, key[2])(key)
 
     return images
 
@@ -191,7 +190,7 @@ def heisenberg_apply(n: int, k: int, v: Vec) -> Vec:
 
 def _shift_images(n: int, k: int):
     """The images function of the windowed shift s_k (its word table)."""
-    return partial(_images, _word_table(_heisenberg_words, n, k))
+    return _table_images(_heisenberg_words, n, k)
 
 
 def window_identity_residual(n: int, states: list[FockState]) -> Scalar:

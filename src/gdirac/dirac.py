@@ -21,16 +21,19 @@ against.
 
 A ``TensorState`` is one mask key ``(pm, mm, zero_ok, spin)`` of
 ``fock.MaskState``, the masks of its Fock and spin factors, which are
-rebuilt from it on demand.  The maps on it (``_dirac_images``,
-``rho_apply``, ``_rho_images``) read the key through the key cores
-``fock._rhat``, ``spinor._unit`` and ``spinor._ktilde``, whose results are
-keys again; ``rho_apply`` builds one state per image, the images
-functions none.  D, D_N and ``t_square_apply`` refuse the include-zero
-lattice: index 0 has no spinor mode.
+rebuilt from it on demand.  The two exact maps on it, sqrt(2) D
+(``_dirac_images``) and the diagonal action rho (``_rho_images``), are
+images functions: they read the key through the key cores
+``fock._rhat``, ``spinor._unit`` and ``spinor._ktilde``, whose results
+are keys again, and build no state.  D, D_N and ``t_square_apply``
+refuse the include-zero lattice: index 0 has no spinor mode.
 
-D, D_N and ``t_square_apply`` (the ``final`` words at each state's own
-bound) run through the one entry point of ``words``, ``_apply``, with
-scale sqrt(2)/2 for D and D_N and 1/2 for the square forms.  Every square
+Every operator here reaches vectors through the one entry point of
+``words``, ``_apply``: D and D_N at scale sqrt(2)/2, ``t_square_apply``
+(the ``final`` words at each state's own bound) at 1/2 and ``rho_apply``
+at 1.  The invariant sector's constraint rows are the integer images of
+``_rho_images`` on its columns, and its invariance residual is a
+``words._residual`` of the same images.  Every square
 form is one integer residual (``_square_residual``, a ``words._residual``
 of the ``words._compose`` of 4 W W - W_R), W the integer images of D_N's
 table or, for the exact half of ``final``, of the exact D; only the
@@ -41,13 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 
 from . import casimir as _cas
-from .fock import FockState, MaskState, _bound, _key_images, _rhat, _store, fock_basis, half_sign, window_pairs
-from .linalg import ExactMatrix, Vec, _vec, add_to, set_bits, spans_equal, vec_sum
-from .scalar import HALF, HALF_SQRT2, ZERO, Scalar
+from .fock import FockState, MaskState, _bound, _rhat, _store, fock_basis, half_sign, window_pairs
+from .linalg import ExactMatrix, Vec, set_bits, spans_equal, vec_sum
+from .scalar import HALF, HALF_SQRT2, ONE, ZERO, Scalar
 from .spinor import (
     SpinState,
     _fermion_number_words,
@@ -57,7 +59,7 @@ from .spinor import (
     k_pairs,
     spin_basis,
 )
-from .words import _apply, _compose, _images, _residual, _word_table
+from .words import _apply, _compose, _residual, _table_images
 
 
 class TensorState(MaskState):
@@ -143,31 +145,31 @@ def dirac_cutoff_apply(n: int, v: Vec) -> Vec:
     """Literal windowed sum 1/2 sum_{|i|,|j|<=N, ij<0} E_ij (x) gamma_ji,
     on the exclude-zero lattice."""
     _refuse_include_zero(v)
-    return _apply(v, partial(_images, _word_table(_dirac_words, n)), HALF_SQRT2)
+    return _apply(v, _table_images(_dirac_words, n), HALF_SQRT2)
+
+
+def _rho_images(p: int, q: int):
+    """The diagonal action rho(E_pq) = rhat(E_pq) (x) 1 + 1 (x) ad(E_pq),
+    p*q > 0, as an images function: the images of ``fock._rhat`` and
+    ``spinor._ktilde`` on a mask key, their signs summed per image.  The
+    one rho of the package: ``rho_apply``, the invariant sector and the
+    equivariance checks all run through it."""
+    if p * q <= 0:
+        raise ValueError("rho needs indices of a common sign")
+
+    def images(key) -> dict:
+        t = _rhat(p, q, key)
+        out = {t[1]: -1 if t[0] & 1 else 1} if t else {}
+        for crossings, image in _ktilde(p, q, key):
+            out[image] = out.get(image, 0) + (-1 if crossings & 1 else 1)
+        return out
+
+    return images
 
 
 def rho_apply(p: int, q: int, v: Vec) -> Vec:
     """Diagonal action rhat(E_pq) (x) 1 + 1 (x) ad(E_pq) for p*q > 0."""
-    if p * q <= 0:
-        raise ValueError("rho needs indices of a common sign")
-    out: dict = {}
-    for ts, c in v.terms.items():
-        key = ts.mask_key
-        t = _rhat(p, q, key)
-        if t is not None:
-            add_to(out, TensorState.from_mask_key(*t[1]), -c if t[0] & 1 else c)
-        for crossings, image in _ktilde(p, q, key):
-            add_to(out, TensorState.from_mask_key(*image), -c if crossings & 1 else c)
-    return _vec(out)
-
-
-def _rho_images(p: int, q: int):
-    """rho(E_pq) as an images function, the images of ``fock._rhat`` and
-    ``spinor._ktilde`` summed on mask keys, for the equivariance
-    residual; ``rho_apply`` keeps its own loop for the invariant sector."""
-    if p * q <= 0:
-        raise ValueError("rho needs indices of a common sign")
-    return _compose([(1, (_key_images(_rhat, p, q),)), (1, (_key_images(_ktilde, p, q),))])
+    return _apply(v, _rho_images(p, q), ONE)
 
 
 def diagonal_casimir_apply(n: int, v: Vec) -> Vec:
@@ -226,12 +228,12 @@ def _invariant_nullspace(n: int, pairs: int, spin_length: int, cutoff: int) -> l
     ops = window_pairs(cutoff, 1)
     rows: dict[tuple, dict[int, Scalar]] = {}
     for ci, ts in enumerate(cols):
-        col = Vec.basis(ts)
-        for op_i, (p, q) in enumerate(ops):
-            # the image of one column has distinct states, so each row
+        for p, q in ops:
+            # the images of one column are distinct keys, so each row
             # gets at most one entry per column
-            for state, coeff in rho_apply(p, q, col).terms.items():
-                rows.setdefault((op_i, state), {})[ci] = coeff
+            for key, w in _rho_images(p, q)(ts.mask_key).items():
+                if w:
+                    rows.setdefault((p, q, key), {})[ci] = Scalar.of(w)
     matrix = ExactMatrix(list(rows.values()), len(cols))
     basis = []
     for vec in matrix.nullspace():
@@ -333,18 +335,13 @@ def t_square_apply(v: Vec) -> Vec:
     the invariant sector): half the ``final`` words, at each state's own
     bound, where the cut-off sums collapse to their limits."""
     _refuse_include_zero(v)
-    return _apply(v, lambda key: _images(_word_table(_final_words, _bound(key)), key), HALF)
+    return _apply(v, lambda key: _table_images(_final_words, _bound(key))(key), HALF)
 
 
 def invariance_residual(v: Vec, cutoff: int) -> Scalar:
     """Largest coefficient of rho(E_pq) v over the same-sign pairs
     |p|, |q| <= cutoff."""
-    best = ZERO
-    for p, q in window_pairs(cutoff, 1):
-        r = rho_apply(p, q, v).max_abs()
-        if best < r:
-            best = r
-    return best
+    return max((_residual(v, _rho_images(p, q), ONE) for p, q in window_pairs(cutoff, 1)), default=ZERO)
 
 
 def _square_residual(d_images, rhs_images, v: Vec) -> Scalar:
@@ -377,8 +374,8 @@ def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:
         if invariance_residual(v, max(n, *(ts.bound() for ts in v.terms)) + 1):
             raise ValueError("final form needs an invariant vector")
         _refuse_include_zero(v)
-    rhs = partial(_images, _word_table(_SQUARE_WORDS[form], n))
-    r = _square_residual(partial(_images, _word_table(_dirac_words, n)), rhs, v)
+    rhs = _table_images(_SQUARE_WORDS[form], n)
+    r = _square_residual(_table_images(_dirac_words, n), rhs, v)
     return max(r, _square_residual(_dirac_images, rhs, v)) if form == "final" else r
 
 

@@ -47,7 +47,7 @@ from functools import partial
 from itertools import combinations
 from math import isqrt
 
-from .linalg import Vec, _vec, add_to, set_bits, vec_sum
+from .linalg import Vec, add_to, set_bits, vec_sum
 from .scalar import HALF, ONE, ZERO, Scalar, _coerce
 from .words import _apply, _compose
 
@@ -82,9 +82,7 @@ class MaskState:
         use it, on keys they made from valid states.
         """
         s = _new(cls)
-        key = pm, mm, zero_ok, spin
-        _set_key(s, key)
-        _set_hash(s, hash(key))
+        _store(s, (pm, mm, zero_ok, spin))
         return s
 
     def bound(self) -> int:
@@ -335,12 +333,8 @@ def charge_number_apply(which: str, v: Vec) -> Vec:
     """Diagonal charge (particles - antiparticles) or number (total) operator."""
     if which not in ("charge", "number"):
         raise ValueError(f"unknown diagonal operator {which!r}")
-    out = {}
-    for s, c in v.terms.items():
-        n = s.charge if which == "charge" else s.degree
-        if n:
-            out[s] = c * n
-    return _vec(out)
+    sign = 1 if which == "number" else -1
+    return _apply(v, lambda key: {key: key[0].bit_count() + sign * key[1].bit_count()}, ONE)
 
 
 def fock_basis(bound: int, zero_ok: bool = False, charge: int | None = None) -> list[FockState]:

@@ -24,14 +24,14 @@ of unit words and run through the word tables of ``words``.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
 from .fock import MaskState, _key_images, _signed, _store, half_sign, window, window_pairs
-from .linalg import Vec, _vec, set_bits
+from .linalg import Vec, set_bits
 from .scalar import HALF, ONE, SQRT2
-from .words import _apply, _images, _mode_bit, _mode_masks, _word_table
+from .words import _apply, _mode_bit, _mode_masks, _table_images
 
 SpinMode = tuple[int, int]
 
@@ -182,7 +182,7 @@ def _k_images(family: str, n: int, i: int, j: int):
         raise ValueError("K-family indices must share a sign")
     if max(abs(i), abs(j)) > n:
         raise ValueError("index out of the cut-off window")
-    return partial(_images, _word_table(_k_words, family, n, i, j))
+    return _table_images(_k_words, family, n, i, j)
 
 
 def k_family_apply(family: str, n: int, i: int, j: int, v: Vec) -> Vec:
@@ -242,11 +242,7 @@ def ktilde_exact_apply(i: int, j: int, v: Vec) -> Vec:
 
 def fermion_number_apply(v: Vec) -> Vec:
     """Diagonal operator scaling a k-mode state by 2k."""
-    out = {}
-    for s, c in v.terms.items():
-        if s.mask:
-            out[s] = c * (2 * s.length)
-    return _vec(out)
+    return _apply(v, lambda key: {key: 2 * key[3].bit_count()}, ONE)
 
 
 def _fermion_number_words(n: int):
@@ -281,7 +277,7 @@ def spinor_casimir_apply(n: int, v: Vec, renormalized: bool = False) -> Vec:
     for s in v.terms:
         if s.bound() > n:
             raise ValueError("support exceeds the cut-off window")
-    return _apply(v, partial(_images, _word_table(_spinor_casimir_words, n, renormalized)), ONE)
+    return _apply(v, _table_images(_spinor_casimir_words, n, renormalized), ONE)
 
 
 def spin_basis(bound: int, length: int | None = None) -> list[SpinState]:

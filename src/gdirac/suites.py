@@ -24,7 +24,7 @@ from .linalg import Vec, adjoint_residual, vec_sum
 from .rng import SplitMix64
 from .sampling import random_vector
 from .scalar import HALF, HALF_SQRT2, ONE, SQRT2, ZERO, Scalar, _coerce, _from_numerators, _numerators
-from .words import _collect, _compose, _images, _memo, _residual, _word_table
+from .words import _collect, _compose, _memo, _residual
 
 
 class _Report:
@@ -92,15 +92,6 @@ def _u(i: int, j: int):
 def _e(p: int, q: int):
     """The images function of the matrix unit E_pq."""
     return fk._key_images(fk._rhat, p, q)
-
-
-def _anticommutator_words(a, b):
-    """The unit words u_a u_b + u_b u_a - delta of {u_a, u_b} - delta,
-    delta = 1 exactly when b is a reversed."""
-    yield 1, (), (a, b)
-    yield 1, (), (b, a)
-    if a == b[::-1]:
-        yield -1, (), ()
 
 
 def _int(c) -> int:
@@ -179,8 +170,9 @@ def suite_clifford(max_index: int = 3, **_) -> dict:
     basis = sp.spin_basis(max_index)
     gens = fk.window_pairs(max_index, -1)
     vs = [Vec.basis(s) for s in basis]
+    u = _factors(_u)
     # {gamma_a, gamma_b} - 2 delta = 2 ({u_a, u_b} - delta), sqrt2^2 = 2,
-    # as the word table of u_a u_b + u_b u_a - delta
+    # delta = 1 exactly when b is a reversed
     two = SQRT2 * SQRT2
     rep.check(
         "clifford.relations",
@@ -189,7 +181,7 @@ def suite_clifford(max_index: int = 3, **_) -> dict:
             _residual(v, images, two)
             for a in gens
             for b in gens
-            for images in [partial(_images, _word_table(_anticommutator_words, a, b))]
+            for images in [_compose(_bracket_terms(u(*a), u(*b), 1) + [(-(a == b[::-1]), ())])]
             for v in vs
         ),
     )

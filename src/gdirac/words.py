@@ -53,12 +53,13 @@ evaluates each factor once per key, however many partners it has.
 
 Tables are cached by (words function, arguments), least recently used
 first, and dropped once the words they hold together pass
-``TABLE_WORDS``.
+``TABLE_WORDS``.  Other modules see a table only as the images function
+``_table_images`` makes of it; only this module knows its format.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 from types import MappingProxyType
 
@@ -282,10 +283,10 @@ def _new_table(words_of, *args) -> tuple:
 
 # The most words the cached tables hold together, about 42 MiB of D_N
 # tables.  The D_N table at N = 300 alone holds 180,000 words in about
-# 58 MiB; the 147 tables that one pass of the 12 verify suites builds (at
+# 58 MiB; the 83 tables that one pass of the 12 verify suites builds (at
 # the defaults, with ``--max-index 2`` for clifford, cocycle, k-family
-# and casimir) hold 4,056, most of them K-family and Clifford tables of
-# a few words each.
+# and casimir) hold 3,920, most of them K-family tables of a few words
+# each.
 TABLE_WORDS = 1 << 17
 
 # (words function, arguments) -> (size, table), least recently used first
@@ -310,6 +311,12 @@ def _word_table(words_of, *args) -> tuple:
             held -= _tables.pop(old)[0]
     _tables[key] = entry
     return entry[1]
+
+
+def _table_images(words_of, *args):
+    """The images function of the word sum ``words_of(*args)``: the kernel
+    (``_images``) on its compiled table."""
+    return partial(_images, _word_table(words_of, *args))
 
 
 # ---------------------------------------------------------------------------

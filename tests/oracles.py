@@ -6,6 +6,9 @@ oracles here take the other road, one signed basis state and one
 
 * ``lift`` and ``lift_sum`` extend a signed basis-state map linearly to
   vectors, and ``table_images`` is the kernel images of a word table;
+* ``rho_loop_apply`` is the diagonal action rho on tensor vectors, one
+  signed image of the key cores and one ``Scalar`` at a time, the
+  reference for ``rho_apply``;
 * ``rhat_lie_apply``, ``rho_weight``, ``gamma_pair_state`` and
   ``unit_word`` are operators the package no longer needs, built from
   ``rhat_apply``, the states' views and ``gamma_unit_state``;
@@ -17,15 +20,14 @@ oracles here take the other road, one signed basis state and one
 """
 
 from bisect import bisect_left
-from functools import partial
 
 import pytest
 
 from gdirac.dirac import TensorState
-from gdirac.fock import PSI, PSI_STAR, FockState, LatticeError, field_state, rhat_apply, rhat_state
+from gdirac.fock import PSI, PSI_STAR, FockState, LatticeError, _rhat, field_state, rhat_apply, rhat_state
 from gdirac.linalg import Vec, _vec, add_to, vec_sum
-from gdirac.spinor import SpinState, gamma_unit_state
-from gdirac.words import _images, _word_table
+from gdirac.spinor import SpinState, _ktilde, gamma_unit_state
+from gdirac.words import _table_images as table_images
 
 try:
     from hypothesis import strategies as st
@@ -54,9 +56,19 @@ def lift(v: Vec, state_map, *args) -> Vec:
     return lift_sum(v, state_map, (args,))
 
 
-def table_images(words_of, *args):
-    """The kernel images of the table of ``words_of(*args)``."""
-    return partial(_images, _word_table(words_of, *args))
+def rho_loop_apply(p: int, q: int, v: Vec) -> Vec:
+    """rhat(E_pq) (x) 1 + 1 (x) ad(E_pq), p*q > 0, on a tensor vector: the
+    images of ``fock._rhat`` and ``spinor._ktilde`` added term by term,
+    one state and one signed ``Scalar`` per image."""
+    out: dict = {}
+    for ts, c in v.terms.items():
+        key = ts.mask_key
+        t = _rhat(p, q, key)
+        if t is not None:
+            add_to(out, TensorState.from_mask_key(*t[1]), -c if t[0] & 1 else c)
+        for crossings, image in _ktilde(p, q, key):
+            add_to(out, TensorState.from_mask_key(*image), -c if crossings & 1 else c)
+    return _vec(out)
 
 
 def rhat_lie_apply(a, v: Vec) -> Vec:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gdirac import cli, dirac
+from gdirac import cli, dirac, words
 from gdirac.cli import MAX_DUMP_STATES, MAX_WORK, RunConfig, block_work, dump_basis_size, main, verify_work
 from gdirac.dirac import tensor_states
 from gdirac.fock import fock_basis
@@ -175,26 +175,27 @@ def test_dump_op_oversized_basis_exit_two(capsys, descriptor, max_index, shown):
 
 
 def _count_block_steps(monkeypatch) -> dict:
-    """Count the weight-zero generator calls and the rho_apply calls."""
+    """Count the weight-zero generator calls and the rho images functions
+    built (``dirac._rho_images``, one per rho operator applied)."""
     calls = {"blocks": 0, "rho": 0}
-    block_states, rho_apply = dirac._block_states, dirac.rho_apply
+    block_states, rho_images = dirac._block_states, dirac._rho_images
 
     def counted_block_states(n, pairs, spin_length):
         calls["blocks"] += 1
         return block_states(n, pairs, spin_length)
 
-    def counted_rho(p, q, v):
+    def counted_rho(p, q):
         calls["rho"] += 1
-        return rho_apply(p, q, v)
+        return rho_images(p, q)
 
     monkeypatch.setattr(dirac, "_block_states", counted_block_states)
-    monkeypatch.setattr(dirac, "rho_apply", counted_rho)
+    monkeypatch.setattr(dirac, "_rho_images", counted_rho)
     return calls
 
 
 def test_block_work_counts_one_pass(monkeypatch):
-    # one weight-zero generator call per block, and one rho_apply per
-    # (column, constraint operator)
+    # one weight-zero generator call per block, and one rho images
+    # function per constraint operator met by the vacuum, the one column
     calls = _count_block_steps(monkeypatch)
     for trunc in range(1, 5):
         for degree in range(trunc + 1):
@@ -205,7 +206,8 @@ def test_block_work_counts_one_pass(monkeypatch):
 
 def test_kernel_work_counts_every_pass(monkeypatch):
     # the spectrum, both robustness windows, the invariant bases again and
-    # the diagonal Casimir on them: 10 (T+1)^2 + 2 (T+2)^2 rho_apply calls
+    # the diagonal Casimir on them: 10 (T+1)^2 + 2 (T+2)^2 rho images
+    # functions
     calls = _count_block_steps(monkeypatch)
     for trunc in range(1, 6):
         for degree in range(trunc + 1):
@@ -248,6 +250,7 @@ def test_degree_past_trunc_exits_two_before_any_block(capsys, monkeypatch, argv)
 
     monkeypatch.setattr(dirac, "_block_states", never)
     monkeypatch.setattr(dirac, "rho_apply", never)
+    monkeypatch.setattr(dirac, "_rho_images", never)
     code, out, err = run_cli(capsys, *argv, "--trunc", "3", "--degree", "4")
     assert code == 2 and out == ""
     assert err == "error: truncation too small for the requested block\n"
@@ -371,7 +374,7 @@ def test_dump_op_dirac_cutoff_refused(monkeypatch, capsys, descriptor, message):
     def never(*_):
         raise AssertionError("built before the check")
 
-    monkeypatch.setattr(dirac, "_word_table", never)
+    monkeypatch.setattr(words, "_word_table", never)
     monkeypatch.setitem(cli._DUMP_BASES, "tensor", never)
     code, out, err = run_cli(capsys, "dump-op", descriptor, "--max-index", "1")
     assert code == 2

@@ -25,10 +25,22 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gamma_pair_state, lift, lift_sum
+from oracles import gamma_pair_state, lift, lift_sum, rho_loop_apply
 
 from gdirac.dirac import TensorState, _dirac_images, _rho_images, rho_apply
-from gdirac.fock import PSI, PSI_STAR, FockState, _field, _key_images, _rhat, field_state, fock_basis, rhat_state, window
+from gdirac.fock import (
+    PSI,
+    PSI_STAR,
+    FockState,
+    _field,
+    _key_images,
+    _rhat,
+    charge_number_apply,
+    field_state,
+    fock_basis,
+    rhat_state,
+    window,
+)
 from gdirac.linalg import Vec, vec_sum
 from gdirac.scalar import HALF, HALF_SQRT2, ONE, SQRT2, Scalar
 from gdirac.spinor import (
@@ -39,6 +51,7 @@ from gdirac.spinor import (
     _k_images,
     _ktilde,
     _unit,
+    fermion_number_apply,
     gamma_unit_state,
     k_pairs,
     ktilde_state_terms,
@@ -287,4 +300,19 @@ def test_spin_images_match_their_lifted_state_maps(drawn, data):
 def test_rho_images_match_rho_apply(drawn, data):
     v, bound, _ = drawn
     p, q = _same_sign(data, window(bound + 2))
-    assert _apply(v, _rho_images(p, q), ONE) == rho_apply(p, q, v)
+    assert rho_apply(p, q, v) == rho_loop_apply(p, q, v)
+
+
+@EXAMPLES
+@given(vectors("fock"), vectors("spin"))
+def test_diagonal_counts_scale_each_term(fock_drawn, spin_drawn):
+    # c s goes to c charge(s) s, c degree(s) s and c 2k(s) s, k(s) the
+    # number of modes of a spin state
+    v, w = fock_drawn[0], spin_drawn[0]
+
+    def scaled(u: Vec, n) -> Vec:
+        return Vec({s: c * n(s) for s, c in u.terms.items()})
+
+    assert charge_number_apply("charge", v) == scaled(v, lambda s: s.charge)
+    assert charge_number_apply("number", v) == scaled(v, lambda s: s.degree)
+    assert fermion_number_apply(w) == scaled(w, lambda s: 2 * s.length)
