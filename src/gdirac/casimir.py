@@ -50,8 +50,9 @@ class CasimirVariant:
     def __post_init__(self):
         if self.tag not in _LATTICE:
             raise ValueError(f"unknown casimir variant {self.tag!r}")
-        if self.tag in (NAIVE_N, NORMAL_N, G_REN_N) and self.n is None:
-            raise ValueError(f"{self.tag} needs a cut-off N")
+        # a limit runs at each state's own bound, so it takes no N
+        if (self.n is None) == (self.tag in (NAIVE_N, NORMAL_N, G_REN_N)):
+            raise ValueError(f"{self.tag} needs a cut-off N" if self.n is None else f"{self.tag} takes no cut-off N")
 
 
 # The window-free limits are their cut-offs at each state's own bound:

@@ -266,10 +266,9 @@ def dump_basis_size(space: str, max_index: int) -> int:
 def _dump_operator(descriptor: str, bound: int):
     """Resolve a descriptor to (basis space, vector operator, window terms
     per basis state), its indices checked against the basis bound."""
-    if ":" in descriptor:
-        head, rest = descriptor.split(":", 1)
-    else:
-        head, rest = descriptor, ""
+    head, colon, rest = descriptor.partition(":")
+    if colon and head in ("fermion-number", "charge", "number"):
+        raise UsageError(f"{head} takes no arguments, got {descriptor!r}")
     if head == "rhat":
         p, q = _parse_indices(rest, 2, bound)
         return "fock", lambda v: fk.rhat_apply(p, q, v), 1

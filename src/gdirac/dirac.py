@@ -366,14 +366,14 @@ def square_identity_residual(n: int, form: str, v: Vec) -> Scalar:
 
     Each form is the table of its right side in ``_square_residual``
     against D_N's table; ``final`` also against the exact D, and returns
-    the larger residual.
+    the larger residual.  Every form refuses the include-zero lattice,
+    as D_N does.
     """
     if form not in _SQUARE_WORDS:
         raise ValueError(f"unknown square form {form!r}")
-    if form == "final":
-        if invariance_residual(v, max(n, *(ts.bound() for ts in v.terms)) + 1):
-            raise ValueError("final form needs an invariant vector")
-        _refuse_include_zero(v)
+    _refuse_include_zero(v)
+    if form == "final" and invariance_residual(v, max(n, *(ts.bound() for ts in v.terms)) + 1):
+        raise ValueError("final form needs an invariant vector")
     rhs = _table_images(_SQUARE_WORDS[form], n)
     r = _square_residual(_table_images(_dirac_words, n), rhs, v)
     return max(r, _square_residual(_dirac_images, rhs, v)) if form == "final" else r

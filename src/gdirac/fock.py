@@ -395,6 +395,21 @@ class LieElement:
         return f"LieElement({body or '0'}, central={self.central})"
 
 
+TermTable = dict[tuple[int, int], Scalar]
+
+
+def _products(*terms) -> TermTable:
+    """sum w x y over the terms ``(w, x, y)``: an int weight w and two
+    finite matrices x, y as term tables."""
+    out: TermTable = {}
+    for w, x, y in terms:
+        for (i, k), cx in x.items():
+            for (k2, j), cy in y.items():
+                if k == k2:
+                    add_to(out, (i, j), w * cx * cy)
+    return out
+
+
 def schwinger(a: LieElement, b: LieElement) -> Scalar:
     """Two-cocycle Tr(A_{-+} B_{+-} - B_{-+} A_{+-}) on finite combinations.
 
@@ -414,16 +429,13 @@ def schwinger(a: LieElement, b: LieElement) -> Scalar:
 
 def bracket_central(a: LieElement, b: LieElement) -> LieElement:
     """[(A, alpha), (B, beta)] = ([A, B], s(A, B)); central parts drop out."""
-    terms = _table_sub(_table_matmul(a.terms, b.terms), _table_matmul(b.terms, a.terms))
+    terms = _products((1, a.terms, b.terms), (-1, b.terms, a.terms))
     return LieElement(terms, schwinger(a, b), a.zero_ok or b.zero_ok)
 
 
 # ---------------------------------------------------------------------------
 # Quadratic representation of the restricted orthogonal Lie algebra on the
 # particle-only sector.
-
-TermTable = dict[tuple[int, int], Scalar]
-
 
 def _check_antisymmetric(t: TermTable, name: str) -> None:
     for (i, j), c in t.items():
@@ -465,34 +477,6 @@ def t_ores_apply(d: TermTable, b: TermTable, c: TermTable, v: Vec) -> Vec:
     return vec_sum(_apply(v, _compose([(1, factors)]), x) for x, factors in _t_ores_words(d, b, c) if x)
 
 
-def _table_matmul(x: TermTable, y: TermTable) -> TermTable:
-    out: TermTable = {}
-    for (i, k), cx in x.items():
-        for (k2, j), cy in y.items():
-            if k == k2:
-                add_to(out, (i, j), cx * cy)
-    return out
-
-
-def _table_sub(x: TermTable, y: TermTable) -> TermTable:
-    out = dict(x)
-    for k, c in y.items():
-        add_to(out, k, -c)
-    return out
-
-
-def _table_neg_t(x: TermTable) -> TermTable:
-    return {(j, i): -c for (i, j), c in x.items()}
-
-
-def _table_trace(x: TermTable) -> Scalar:
-    acc = ZERO
-    for (i, j), c in x.items():
-        if i == j:
-            acc = acc + c
-    return acc
-
-
 def ores_bracket(x, y):
     """Bracket of (d, b, c) triples matching ``t_ores_apply``'s ordering.
 
@@ -504,27 +488,16 @@ def ores_bracket(x, y):
 
     and [T(x), T(y)] = T([x, y]) + (1/2) Tr(c b' - c' b) * id.
     """
-    dx, bx, cx = x
-    dy, by, cy = y
-    ax, ay = _table_neg_t(dx), _table_neg_t(dy)
-    d = _table_sub(
-        _table_sub(_table_matmul(dx, dy), _table_matmul(dy, dx)),
-        _table_sub(_table_matmul(cx, by), _table_matmul(cy, bx)),
+    (dx, bx, cx), (dy, by, cy) = x, y
+    ax, ay = ({(j, i): -v for (i, j), v in d.items()} for d in (dx, dy))
+    return (
+        _products((1, dx, dy), (-1, dy, dx), (1, cy, bx), (-1, cx, by)),
+        _products((1, ax, by), (-1, ay, bx), (1, bx, dy), (-1, by, dx)),
+        _products((1, cx, ay), (-1, cy, ax), (1, dx, cy), (-1, dy, cx)),
     )
-    b = _table_sub(
-        _table_sub(_table_matmul(ax, by), _table_matmul(ay, bx)),
-        _table_sub(_table_matmul(by, dx), _table_matmul(bx, dy)),
-    )
-    c = _table_sub(
-        _table_sub(_table_matmul(cx, ay), _table_matmul(cy, ax)),
-        _table_sub(_table_matmul(dy, cx), _table_matmul(dx, cy)),
-    )
-    return d, b, c
 
 
 def ores_cocycle(x, y) -> Scalar:
     """1/2 Tr(c b' - c' b) for triples x = (d,b,c), y = (d',b',c')."""
-    _, bx, cx = x
-    _, by, cy = y
-    tr = _table_trace(_table_sub(_table_matmul(cx, by), _table_matmul(cy, bx)))
-    return tr / 2
+    (_, bx, cx), (_, by, cy) = x, y
+    return HALF * sum((v for (i, j), v in _products((1, cx, by), (-1, cy, bx)).items() if i == j), ZERO)

@@ -37,6 +37,11 @@ def test_variant_validation():
         CasimirVariant("bogus")
     with pytest.raises(ValueError):
         CasimirVariant(NORMAL_N)  # needs N
+    # a limit runs at each state's own bound: an N would silently make it
+    # the cut-off variant at N
+    for tag in (LIMIT, G_LIMIT):
+        with pytest.raises(ValueError, match="takes no cut-off N"):
+            CasimirVariant(tag, 5)
     # the tag fixes the lattice, so no variant takes a lattice flag
     assert CasimirVariant(G_LIMIT) == CasimirVariant(G_LIMIT, None)
     assert CasimirVariant(G_REN_N, 3).n == 3

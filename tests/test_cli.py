@@ -397,6 +397,20 @@ def test_dump_op_index_past_the_bound_refused(monkeypatch, capsys, space, descri
     assert f"index {index} in " in err and "exceeds --max-index 2" in err
 
 
+@pytest.mark.parametrize("space, descriptor", [("fock", "charge:junk"), ("fock", "number:"), ("spin", "fermion-number:1,2")])
+def test_dump_op_arguments_to_a_bare_descriptor_refused(monkeypatch, capsys, space, descriptor):
+    # charge, number and fermion-number take no arguments: any are refused
+    # before any basis is built, not dropped while the report keeps them
+    def never(*_):
+        raise AssertionError("built before the check")
+
+    monkeypatch.setitem(cli._DUMP_BASES, space, never)
+    code, out, err = run_cli(capsys, "dump-op", descriptor, "--max-index", "2")
+    assert code == 2
+    assert out == ""
+    assert f"{descriptor.partition(':')[0]} takes no arguments, got {descriptor!r}" in err
+
+
 def test_dump_op_dirac_cutoff_zero(capsys):
     # N = 0 is the empty window: D_0 = 0
     code, out, _ = run_cli(capsys, "dump-op", "dirac:N=0", "--max-index", "1")

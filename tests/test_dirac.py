@@ -1,6 +1,7 @@
 """The Dirac-type operator, its square, the invariant sector."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from oracles import rho_weight
@@ -78,10 +79,12 @@ def test_cutoff_stabilization():
 
 @pytest.mark.parametrize("plus", [(0,), (1,)])
 def test_dirac_operators_refuse_the_include_zero_lattice(plus):
-    # index 0 has no spinor mode: D and D_N refuse the lattice up front,
-    # with t_square_apply's error, whether or not 0 is occupied
+    # index 0 has no spinor mode: D, D_N and every square form refuse the
+    # lattice up front, with t_square_apply's error, whether or not 0 is
+    # occupied
     v = Vec.basis(TensorState(FockState(plus, (-1,), True), SpinState()))
-    for apply in (dirac_apply, lambda w: dirac_cutoff_apply(2, w), t_square_apply):
+    squares = [partial(square_identity_residual, 2, form) for form in ("raw", "hk", "final")]
+    for apply in (dirac_apply, lambda w: dirac_cutoff_apply(2, w), t_square_apply, *squares):
         with pytest.raises(ValueError, match="state lattice does not match the variant lattice"):
             apply(v)
 

@@ -59,11 +59,16 @@ def _broken(mutation: str):
     """``(module, name, fake)``: one ingredient of the bracket checks
     broken, to be monkeypatched over ``module.name``."""
     bracket_central, delta_terms, compose, unit = fock.bracket_central, suites._delta_terms, suites._compose, suites._u
+    ores_bracket = fock.ores_bracket
     key_images, k_images, casimir_images = fock._key_images, spinor._k_images, casimir._casimir_images
 
     def units_doubled(core, *args):
         images = key_images(core, *args)
         return _doubled(images) if (core, args) in ((fock._rhat, (1, -1)), (fock._field, (False, 1))) else images
+
+    def c_negated(x, y):
+        d, b, c = ores_bracket(x, y)
+        return d, b, {k: -w for k, w in c.items()}
 
     def k12_doubled(family, n, i, j):
         images = k_images(family, n, i, j)
@@ -84,6 +89,10 @@ def _broken(mutation: str):
         # every identity term at twice its weight: a delta, a central
         # charge or a window constant; the delta of clifford weighs -2
         "identity-doubled": (suites, "_compose", lambda terms: compose([(w if fs else 2 * w, fs) for w, fs in terms])),
+        # the closed forms of the orthogonal extension: c'' of the
+        # bracket negated, and the cocycle dropped
+        "ores-c-negated": (fock, "ores_bracket", c_negated),
+        "ores-cocycle-zero": (fock, "ores_cocycle", lambda x, y: Scalar.of(0)),
     }[mutation]
 
 
@@ -127,6 +136,8 @@ BROKEN = {
         "cocycle": {"cocycle.central-extension": "1", "cocycle.orthogonal-quadratic": "1"},
         "k-family": {"k-family.linkage": "24"},
     },
+    "ores-c-negated": {"cocycle": {"cocycle.orthogonal-quadratic": "2"}},
+    "ores-cocycle-zero": {"cocycle": {"cocycle.orthogonal-quadratic": "1"}},
 }
 BRACKET_SUITES = ("car", "clifford", "cocycle", "k-family", "casimir", "dirac-equivariance")
 

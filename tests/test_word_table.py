@@ -230,6 +230,22 @@ def test_each_word_is_stored_once_and_every_d_word_is_indexed(n):
     assert _word_table(_dirac_words, n)[0] == ()
 
 
+def _merged(words) -> dict:
+    """A word sum as its weight per (Fock word, spin word), zeros dropped."""
+    out: dict = {}
+    for w, fock_word, spin_word in words:
+        add_to(out, (fock_word, spin_word), w)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_hk_form_is_the_raw_expansion_regrouped(n):
+    # as words, with like words merged, the naive-Casimir regrouping and
+    # the raw three-term expansion of the square are one sum: on vectors
+    # the hk form checks nothing beyond the raw form
+    assert _merged(_hk_words(n)) == _merged(_raw_words(n))
+
+
 def small_tables(n):
     """(words function, arguments) of every word table of the package at
     cut-off ``n``."""
