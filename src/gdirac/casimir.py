@@ -53,6 +53,8 @@ class CasimirVariant:
         # a limit runs at each state's own bound, so it takes no N
         if (self.n is None) == (self.tag in (NAIVE_N, NORMAL_N, G_REN_N)):
             raise ValueError(f"{self.tag} needs a cut-off N" if self.n is None else f"{self.tag} takes no cut-off N")
+        if self.n is not None and self.n < 0:
+            raise ValueError(f"{self.tag} needs a cut-off N >= 0, got {self.n}")
 
 
 # The window-free limits are their cut-offs at each state's own bound:

@@ -19,16 +19,21 @@ the trusted ``from_mask_key`` of its class.
 A word vanishes on every state that lacks a bit it needs set, so a table
 files each word once, under one such bit (``_trigger``), or in one
 "always" group when it needs none, and collects the words of a group by
-Fock word.  A group is compiled when the kernel first visits its bit:
-the Fock word becomes one affine step on the occupation masks
-(``_rhat_step``: required bits and values, parity masks, a constant
-parity and flip masks), and each spin word its required mode bits and
-values and its units (m, l, bit), whose parities stay symbolic because
-they depend on the width of the mask.  Words that can never act are
-dropped then.  The kernel (``_images``) visits the always group and the
-groups of the bits set on the input state; a Fock step costs two mask
-tests, two popcounts and two XORs, with no call, and its spin words are
-tested only where it acts.
+Fock word, like words merged into one with their weights summed.  A
+group is compiled when the kernel first visits its bit: the Fock word
+becomes one affine step on the occupation masks (``_rhat_step``:
+required bits and values, parity masks, a constant parity and flip
+masks), and each spin word one affine parity step on the grid mask
+(``_spin_step``: required mode bits and values, a parity mask, a
+constant parity and a flip mask).  The spin steps of a table are
+compiled at its shell count S, the largest |index| of its spin words;
+the shells of a mask past S all enter their parities the same way, so
+the kernel folds them into one (``_folded``) once per input state, and
+the steps stay exact on masks of any width.  Words that can never act
+are dropped then.  The kernel (``_images``) visits the always group and
+the groups of the bits set on the input state; a Fock step costs two
+mask tests, two popcounts and two XORs, and a spin step one mask test,
+one popcount and one XOR, with no call.
 
 Images are integer weights on mask keys.  ``_apply``, the one way from a
 vector to images and back, writes the input coefficients over one common
@@ -60,6 +65,7 @@ first, and dropped once the words they hold together pass
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import chain
 from math import isqrt
 from types import MappingProxyType
 
@@ -94,6 +100,11 @@ def _mode_masks(m: int, l: int, width: int) -> tuple[int, int]:
     l' < l.  Shells under m hold only the first kind; shell s >= m holds
     (1, -s) ... (m-1, -s) of the first kind, then (m, -s) when s > -l,
     and in shell m itself the run (m, -m) ... (m, l-1) of the second.
+    Every shell past max(m, -l) thus adds its first m bits.
+
+    The exact unit (``spinor._unit``, ``spinor._ktilde``) reads these at
+    the width of the mask it acts on; a compiled spin step
+    (``_spin_step``) once, at the width of its table's shells.
     """
     r = max(m, -l)
     lower = (1 << (m - 1) * (m - 1)) - 1
@@ -191,43 +202,82 @@ def _trigger(fock_word, spin_word):
         a, b = spin_word[-1]
         if a < 0:
             return 2, _mode_bit(b, a)
-        step = _spin_step(spin_word)
+        step = _spin_step(spin_word, _shells((spin_word,)))
         needed = step and step[0] & step[1]
         if needed:
             return 2, (needed & -needed).bit_length() - 1
     return None
 
 
-def _spin_step(spin_word):
-    """A spin word compiled to ``(req, val, units)``: it acts on a grid
-    mask s when s & req == val, and ``units`` lists ``(m, l, bit)`` for
-    its factors in acting order, whose parities stay symbolic (they need
-    the width of the mask).  None when the word vanishes on every mask."""
-    req = val = flips = 0
-    units = []
+def _shells(spin_words) -> int:
+    """The largest |index| in any of ``spin_words``, 0 when they hold
+    none: their modes all lie on that many first shells of the grid."""
+    return max(map(abs, chain.from_iterable(chain.from_iterable(spin_words))), default=0)
+
+
+def _spin_step(spin_word, shells: int):
+    """A spin word compiled at the shell count ``shells`` S, at least its
+    own (``_shells``), to one affine parity step ``(req, val, xs, odd,
+    flips)``, or None when the word vanishes on every mask.
+
+    The word acts on a grid mask s when s & req == val, sends it to
+    s ^ flips, and has the sign (-1)^(odd + #(``_folded(s, S)`` & xs)).
+    Each unit (m, l), in acting order, crosses the modes below it
+    (``_mode_masks``) on s ^ F, where F holds the bits the earlier units
+    flipped; as #((a ^ b) & c) = #(a & c) + #(b & c) mod 2, that is
+    #(s & lower) + #(F & lower).  So below bit S^2, xs is the XOR of the
+    units' lower masks at width S^2, and odd is the sum of their
+    #(F & lower), F being below S^2.  Every shell past S adds its first m
+    bits to the lower set of (m, l); ``_folded`` sums those shells into
+    one at [S^2, S^2 + S), where xs holds the XOR of (1 << m) - 1 over
+    the units.  The step is thus exact on masks of any width.
+    """
+    width = shells * shells
+    req = val = xs = odd = flips = tail = 0
     for a, b in reversed(spin_word):
         m, l = (a, b) if a > 0 else (b, a)
-        bit = 1 << _mode_bit(m, l)
+        # uncached: at a large table's width each mask is S^2 bits, and
+        # the cache is for the exact unit's narrow ones
+        bit, lower = _mode_masks.__wrapped__(m, l, width)
         # u_ab creates the mode (a, b) when a > 0, else removes (b, a)
         need = (0 if a > 0 else bit) ^ (flips & bit)
         if req & bit and val & bit != need:
             return None
         req |= bit
         val |= need
+        xs ^= lower
+        odd += (flips & lower).bit_count()
+        tail ^= (1 << m) - 1
         flips ^= bit
-        units.append((m, l, bit))
-    return req, val, tuple(units)
+    return req, val, xs | tail << width, odd & 1, flips
 
 
-def _compiled(groups) -> tuple:
+def _folded(spin: int, shells: int) -> int:
+    """The grid mask ``spin`` as the spin steps compiled at ``shells`` S
+    read it (``_spin_step``): its first S^2 bits, and at [S^2, S^2 + S)
+    the XOR of the first S bits of each shell past S."""
+    low = (1 << shells) - 1
+    fold = 0
+    # shell s + 1 starts at bit s^2
+    s = shells
+    while spin >> s * s:
+        fold ^= spin >> s * s & low
+        s += 1
+    width = shells * shells
+    return spin & (1 << width) - 1 | fold << width
+
+
+def _compiled(groups, shells: int) -> tuple:
     """Raw groups ``((fock_word, ((weight, spin_word), ...)), ...)``
-    compiled to ``(*fock_step, ((weight, *spin_step), ...))``, without
-    the words that vanish on every state."""
+    compiled to ``(*fock_step, ((weight, *spin_step), ...))``, the spin
+    steps at ``shells``, without the words that vanish on every state."""
     out = []
     for fock_word, words in groups:
         step = _rhat_step(fock_word)
         if step is not None:
-            spins = tuple((w, *t) for w, spin_word in words if (t := _spin_step(spin_word)) is not None)
+            spins = tuple(
+                (w, *t) for w, spin_word in words if (t := _spin_step(spin_word, shells)) is not None
+            )
             if spins:
                 out.append((*step, spins))
     return tuple(out)
@@ -237,23 +287,26 @@ class _Bucket(dict):
     """The compiled groups of one trigger kind, by position; the raw
     groups of a position are compiled on its first lookup."""
 
-    __slots__ = ("raw",)
+    __slots__ = ("raw", "shells")
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, shells: int):
         super().__init__()
         self.raw = raw
+        self.shells = shells
 
     def __missing__(self, position: int) -> tuple:
-        groups = self[position] = _compiled(self.raw.pop(position, ()))
+        groups = self[position] = _compiled(self.raw.pop(position, ()), self.shells)
         return groups
 
 
 def _raw_table(words_of, *args) -> tuple:
     """The words ``(weight, fock_word, spin_word)`` of ``words_of(*args)``,
-    counted and indexed by trigger: ``(size, always, by_plus, by_minus,
-    by_mode)``, where ``size`` is the number of words, and ``always`` and
+    indexed by trigger: ``(size, shells, always, by_plus, by_minus,
+    by_mode)``.  ``size`` counts the words given, ``shells`` is the
+    largest |index| of their spin words (``_shells``), and ``always`` and
     each value of the three ``position -> groups`` maps are groups
-    ``((fock_word, ((weight, spin_word), ...)), ...)``."""
+    ``((fock_word, ((weight, spin_word), ...)), ...)`` that hold each
+    (Fock word, spin word) once, with its weights summed and none 0."""
     always: dict = {}
     buckets: tuple = ({}, {}, {})
     # equal words are stored as one tuple, whichever side they are on
@@ -267,18 +320,31 @@ def _raw_table(words_of, *args) -> tuple:
         groups.setdefault(fock_word, []).append((w, spin_word))
         size += 1
 
-    def frozen(groups: dict) -> tuple:
-        return tuple((fock_word, tuple(words)) for fock_word, words in groups.items())
+    def merged(words: list) -> tuple:
+        # most groups hold one word, kept as it came
+        if len(words) == 1:
+            return tuple(words) if words[0][0] else ()
+        weights: dict = {}
+        for w, spin_word in words:
+            weights[spin_word] = weights.get(spin_word, 0) + w
+        return tuple((w, spin_word) for spin_word, w in weights.items() if w)
 
-    return (size, frozen(always), *({pos: frozen(g) for pos, g in b.items()} for b in buckets))
+    def frozen(groups: dict) -> tuple:
+        return tuple((fock_word, ws) for fock_word, words in groups.items() if (ws := merged(words)))
+
+    every = (always, *(g for b in buckets for g in b.values()))
+    shells = _shells(spin_word for groups in every for words in groups.values() for _, spin_word in words)
+    frozen_buckets = ({pos: frozen(g) for pos, g in b.items()} for b in buckets)
+    return (size, shells, frozen(always), *frozen_buckets)
 
 
 def _new_table(words_of, *args) -> tuple:
-    """``_raw_table`` with its groups compiled, as ``(size, table)``: the
-    always group at once, and the groups of each trigger position in a
-    ``_Bucket``, on the first visit of that position."""
-    size, always, *buckets = _raw_table(words_of, *args)
-    return size, (_compiled(always), *map(_Bucket, buckets))
+    """``_raw_table`` with its groups compiled, as ``(size, (shells,
+    always, by_plus, by_minus, by_mode))``: the always group at once, and
+    the groups of each trigger position in a ``_Bucket``, on the first
+    visit of that position."""
+    size, shells, always, *buckets = _raw_table(words_of, *args)
+    return size, (shells, _compiled(always, shells), *(_Bucket(b, shells) for b in buckets))
 
 
 # The most words the cached tables hold together, about 42 MiB of D_N
@@ -325,9 +391,13 @@ def _table_images(words_of, *args):
 
 def _images(table, key) -> dict:
     """The images of the state with mask key ``key`` under a table's word
-    sum: integer weights, some of them 0, on mask keys."""
+    sum: integer weights, some of them 0, on mask keys.
+
+    Each word that acts costs its Fock step and its spin step, the spin
+    parity read on the key's grid mask folded once at the table's shells
+    (``_folded``; the mask itself when it has no bit past them)."""
     pm, mm, zero_ok, spin = key
-    always, *buckets = table
+    shells, always, *buckets = table
     visit = [always]
     for bits, bucket in zip((pm, mm, spin), buckets):
         while bits:
@@ -336,19 +406,17 @@ def _images(table, key) -> dict:
             if groups:
                 visit.append(groups)
             bits ^= low
+    folded = _folded(spin, shells) if shells and spin >> shells * shells else spin
     images: dict = {}
     for groups in visit:
         for rp, vp, rm, vm, xp, xm, odd, fp, fm, words in groups:
             if pm & rp == vp and mm & rm == vm:
                 odd += (pm & xp).bit_count() + (mm & xm).bit_count()
                 pm1, mm1 = pm ^ fp, mm ^ fm
-                for w, req, val, units in words:
+                for w, req, val, xs, odd_s, flips in words:
                     if spin & req == val:
-                        s, crossings = spin, odd
-                        for m, l, bit in units:
-                            crossings += (s & _mode_masks(m, l, s.bit_length())[1]).bit_count()
-                            s ^= bit
-                        key = (pm1, mm1, zero_ok, s)
+                        key = (pm1, mm1, zero_ok, spin ^ flips)
+                        crossings = odd + odd_s + (folded & xs).bit_count()
                         images[key] = images.get(key, 0) + (-w if crossings & 1 else w)
     return images
 
@@ -379,11 +447,14 @@ def _apply(v: Vec, images, scale: Scalar) -> Vec:
     """``scale`` times ``images`` (a table's ``_images``, or the exact D)
     extended linearly to ``v``.  The scale multiplies the numerators of
     ``_collect`` in integers; a state of the input's class and one
-    canonical scalar are built only for each key that survives."""
+    canonical scalar are built only for each key that survives; when no
+    key comes out, the scale is never read."""
     if not v.terms:
         return v
-    state = type(next(iter(v.terms))).from_mask_key
     den, acc_a, acc_b = _collect(v, images)
+    if not acc_a:
+        return _vec({})
+    state = type(next(iter(v.terms))).from_mask_key
     m, ((p, q),) = _numerators((scale,))
     den *= m
     out = {}

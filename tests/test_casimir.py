@@ -37,6 +37,12 @@ def test_variant_validation():
         CasimirVariant("bogus")
     with pytest.raises(ValueError):
         CasimirVariant(NORMAL_N)  # needs N
+    # a negative cut-off is refused when the variant is made, not later
+    # as a support outside an empty window
+    for tag in (NAIVE_N, NORMAL_N, G_REN_N):
+        with pytest.raises(ValueError, match="cut-off N >= 0"):
+            CasimirVariant(tag, -1)
+    assert CasimirVariant(NORMAL_N, 0).n == 0
     # a limit runs at each state's own bound: an N would silently make it
     # the cut-off variant at N
     for tag in (LIMIT, G_LIMIT):

@@ -20,6 +20,7 @@ integer numerators the kernels carry is rarely 1.
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -45,8 +46,29 @@ from gdirac.dirac import (
 from gdirac.fock import _rhat, window
 from gdirac.linalg import _vec, add_to
 from gdirac.scalar import HALF, HALF_SQRT2, Scalar
-from gdirac.spinor import SpinState, _fermion_number_words, _spinor_casimir_words, _unit
-from gdirac.words import _apply, _compiled, _new_table, _raw_table, _rhat_step, _tables, _trigger, _word_table
+from gdirac.spinor import (
+    H_N,
+    K_RAW,
+    K_TILDE_N,
+    SpinState,
+    _fermion_number_words,
+    _k_words,
+    _spinor_casimir_words,
+    _unit,
+)
+from gdirac.words import (
+    _apply,
+    _compiled,
+    _folded,
+    _new_table,
+    _raw_table,
+    _rhat_step,
+    _shells,
+    _spin_step,
+    _tables,
+    _trigger,
+    _word_table,
+)
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 TABLES = {
@@ -135,17 +157,26 @@ def _spin_word(word, spin: int):
     return u and (u[0], u[1].mask)
 
 
+def flat_images(words_of, args, key) -> dict:
+    """The images of a word sum on a mask key, word by word through
+    ``_rhat_word`` and ``_spin_word``, with no table; zeros dropped."""
+    out: dict = {}
+    for w, fock_word, spin_word in words_of(*args):
+        t = _rhat_word(fock_word, key)
+        u = _spin_word(spin_word, key[3])
+        if t is not None and u is not None:
+            pm, mm, zero_ok, _ = t[1]
+            image = (pm, mm, zero_ok, u[1])
+            out[image] = out.get(image, 0) + (-w if t[0] & 1 else w) * u[0]
+    return {image: c for image, c in out.items() if c}
+
+
 def flat_apply(words_of, scale, n, v):
     """The word sum evaluated word by word, with no index."""
     out = {}
     for ts, c in v.terms.items():
-        for w, fock_word, spin_word in words_of(n):
-            t = _rhat_word(fock_word, ts.mask_key)
-            u = _spin_word(spin_word, ts.spin.mask)
-            if t is not None and u is not None:
-                pm, mm, zero_ok, _ = t[1]
-                image = TensorState.from_mask_key(pm, mm, zero_ok, u[1])
-                add_to(out, image, c * scale * (-w if t[0] & 1 else w) * u[0])
+        for image, w in flat_images(words_of, (n,), ts.mask_key).items():
+            add_to(out, TensorState.from_mask_key(*image), c * scale * w)
     return _vec(out)
 
 
@@ -209,33 +240,40 @@ def test_dirac_apply_refuses_index_zero_as_the_scalar_walk_does():
             apply(v)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_each_word_is_stored_once_and_every_d_word_is_indexed(n):
-    for words_of, _ in TABLES.values():
-        size, always, *buckets = _raw_table(words_of, n)
-        groups = [always, *(g for b in buckets for g in b.values())]
-        stored = [(w, f, s) for g in groups for f, ws in g for w, s in ws]
-        assert sorted(stored) == sorted(words_of(n)) and size == len(stored)
-        # the compiled table holds the same groups, each compiled once
-        size_again, table = _new_table(words_of, n)
-        assert size_again == size
-        assert table[0] == _compiled(always)
-        for bucket, raw in zip(table[1:], buckets):
-            assert bucket.raw == raw and not bucket
-            for pos, g in raw.items():
-                assert bucket[pos] == _compiled(g) and pos not in bucket.raw
-    # every word of D_N needs a bit: pair annihilation a plus bit, pair
-    # creation the mode bit it removes
-    assert _raw_table(_dirac_words, n)[1] == ()
-    assert _word_table(_dirac_words, n)[0] == ()
-
-
 def _merged(words) -> dict:
     """A word sum as its weight per (Fock word, spin word), zeros dropped."""
     out: dict = {}
     for w, fock_word, spin_word in words:
         add_to(out, (fock_word, spin_word), w)
     return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_word_is_stored_once_and_every_d_word_is_indexed(n):
+    for words_of, _ in TABLES.values():
+        size, shells, always, *buckets = _raw_table(words_of, n)
+        groups = [always, *(g for b in buckets for g in b.values())]
+        stored = [((f, s), w) for g in groups for f, ws in g for w, s in ws]
+        # like words are stored as one, their weights summed, none 0; the
+        # size still counts the words given, which the cache budgets
+        assert len(stored) == len(dict(stored)) and dict(stored) == _merged(words_of(n))
+        assert size == len(list(words_of(n))) and shells == n
+        if (words_of, n) == (_raw_words, 4):
+            # the raw expansion of the square repeats words
+            assert (size, len(stored)) == (576, 320)
+        # the compiled table holds the same groups, each compiled once, its
+        # spin steps at the table's shells
+        size_again, table = _new_table(words_of, n)
+        assert size_again == size and table[0] == shells
+        assert table[1] == _compiled(always, shells)
+        for bucket, raw in zip(table[2:], buckets):
+            assert bucket.raw == raw and not bucket and bucket.shells == shells
+            for pos, g in raw.items():
+                assert bucket[pos] == _compiled(g, shells) and pos not in bucket.raw
+    # every word of D_N needs a bit: pair annihilation a plus bit, pair
+    # creation the mode bit it removes
+    assert _raw_table(_dirac_words, n)[2] == ()
+    assert _word_table(_dirac_words, n)[1] == ()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -259,10 +297,10 @@ def small_tables(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_no_always_group_word_needs_a_set_bit(n):
     for words_of, args in small_tables(n):
-        always = _new_table(words_of, *args)[1][0]
+        always = _new_table(words_of, *args)[1][1]
         for _, vp, _, vm, *_, spins in always:
             assert vp == vm == 0, (words_of, args)
-            assert all(val == 0 for _, _, val, _ in spins), (words_of, args)
+            assert all(val == 0 for _, _, val, *_ in spins), (words_of, args)
 
 
 def test_the_spin_step_trigger_files_the_spinor_casimir_words():
@@ -270,7 +308,7 @@ def test_the_spin_step_trigger_files_the_spinor_casimir_words():
     # needs (k', j) set when i != j: only the i = j words stay always, N^2
     # of them at each of the N indices i < 0
     for n in (2, 3, 4):
-        always = _raw_table(_spinor_casimir_words, n, False)[1]
+        always = _raw_table(_spinor_casimir_words, n, False)[2]
         assert sum(len(ws) for _, ws in always) == n**3
 
 
@@ -303,6 +341,62 @@ def test_each_compiled_fock_step_equals_the_word_on_every_small_state():
     assert _rhat_step(((-1, -1),)) == (0, 0, 1, 1, 0, 0, 1, 0, 0)
 
 
+def _run_spin_step(step, shells, spin):
+    req, val, xs, odd, flips = step
+    if spin & req != val:
+        return None
+    return (odd + (_folded(spin, shells) & xs).bit_count()) & 1, spin ^ flips
+
+
+def test_each_compiled_spin_step_equals_the_word_on_every_small_mask():
+    # every word of up to three units over window(2), compiled at its own
+    # shells and at 2, on every mask of up to 3 shells, each also with bits
+    # in shell 4.  The shells past a step's own reach its parity only
+    # through the fold (``words._folded``), shell 4 folded onto shell 3
+    # when the step is compiled at 2.  The words compiled to None must
+    # vanish on all of them
+    units = [(a, b) for a in window(2) for b in window(2) if a * b < 0]
+    masks = [low | high for low in range(1 << 9) for high in (0, 1 << 9, 1 << 10, 0b1111111 << 9)]
+    for k in range(4):
+        for word in product(units, repeat=k):
+            for shells in {_shells((word,)), 2}:
+                step = _spin_step(word, shells)
+                for spin in masks:
+                    u = _spin_word(word, spin)
+                    got = None if step is None else _run_spin_step(step, shells, spin)
+                    assert got == (None if u is None else (u[0] < 0, u[1])), (word, shells, spin)
+    assert _spin_step(((1, -1), (1, -1)), 1) is None
+
+
+@st.composite
+def small_tables_and_keys(draw):
+    """A word table of D_N, the raw or hk right side or the K family at
+    N <= 3, as ``(words_of, args)``, and the mask key of a tensor state
+    of bound N + 2, of any charge, its spin mask on shells past N."""
+    n = draw(st.integers(1, 3))
+    form = draw(st.sampled_from(("dirac", "raw", "hk", "k-family")))
+    if form == "k-family":
+        i, j = draw(st.sampled_from([(i, j) for i in window(n) for j in window(n) if i * j > 0]))
+        table = _k_words, (draw(st.sampled_from((K_RAW, K_TILDE_N, H_N))), n, i, j)
+    else:
+        table = TABLES[form][0], (n,)
+    zero_ok = draw(st.booleans())
+    pm = draw(st.integers(0, (1 << n + 3) - 1)) & (-1 if zero_ok else -2)
+    mm = draw(st.integers(0, (1 << n + 2) - 1))
+    spin = draw(st.integers(0, (1 << (n + 2) ** 2) - 1) | st.integers(1 << n * n, (1 << (n + 2) ** 2) - 1))
+    return table, (pm, mm, zero_ok, spin)
+
+
+@EXAMPLES
+@given(small_tables_and_keys())
+@example(((_dirac_words, (1,)), (0, 0, False, 0b1111 << 1)))
+@example(((_k_words, (H_N, 2, -1, -2)), (0, 0, False, (1 << 16) - 1)))
+def test_table_images_equal_the_word_by_word_sum(case):
+    (words_of, args), key = case
+    got = {image: c for image, c in table_images(words_of, *args)(key).items() if c}
+    assert got == flat_images(words_of, args, key)
+
+
 @EXAMPLES
 @given(
     st.lists(st.tuples(st.sampled_from(window(5)), st.sampled_from(window(5))), max_size=4),
@@ -321,7 +415,7 @@ def test_a_bound_one_vector_compiles_only_the_buckets_of_its_bits():
     v = _vec({ts: Scalar(1) for ts in tensor_states(1)})
     assert dirac_cutoff_apply(50, v) == dirac_apply(v)
     # the bound-1 states set plus bit 1, minus bit 0 and mode bit 0
-    _, by_plus, by_minus, by_mode = _word_table(_dirac_words, 50)
+    _, _, by_plus, by_minus, by_mode = _word_table(_dirac_words, 50)
     assert set(by_plus) == {1} and set(by_minus) == {0} and set(by_mode) == {0}
     assert sorted(by_plus.raw) == list(range(2, 51))
     assert not by_minus.raw
